@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 tier2 lint race bench bench-smoke bench-compare bench-experiments paranoia fuzz-smoke daemon-smoke chaos profile-cpu profile-mem clean
+.PHONY: all build test tier1 tier2 lint race bench bench-test bench-smoke bench-compare bench-experiments paranoia fuzz-smoke daemon-smoke chaos profile-cpu profile-mem clean
 
 all: tier1
 
@@ -34,6 +34,11 @@ race: tier2
 # Microbenchmark of the pipeline hot path; watch the allocs/kinstr metric.
 bench:
 	$(GO) test ./internal/pipeline/ -bench CorePerCycle -benchtime 2s -run XXX
+
+# The repository benchmark's own tests. bench/ is a separate Go module
+# (bench/README.md), so tier1's `go test ./...` does not reach it.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Figure/table benchmarks at reduced budgets (see bench_test.go).
 bench-experiments:

@@ -19,6 +19,7 @@ import (
 	"teasim/internal/emu"
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
+	"teasim/internal/ring"
 	"teasim/internal/telemetry"
 	"teasim/tea/spec"
 )
@@ -132,7 +133,10 @@ type L struct {
 	chains map[uint64]*chain   // by branch PC
 	byLoad map[uint64][]*chain // trigger load PC → chains
 
-	window []winEntry
+	// Retired-instruction window (WindowSize entries); rev is capture's
+	// reused scratch.
+	window ring.Ring[winEntry]
+	rev    []chainUop
 
 	queues map[uint64][]qEntry
 
@@ -167,6 +171,7 @@ func New(cfg Config, c *pipeline.Core) *L {
 		specIdx:   make(map[uint64]uint64),
 		retireIdx: make(map[uint64]uint64),
 		nextDecay: cfg.H2PDecayPeriod,
+		window:    ring.New[winEntry](cfg.WindowSize),
 	}
 	c.Attach(l)
 	return l
@@ -233,11 +238,11 @@ func (l *L) capture(pc uint64, in *isa.Inst) {
 	addReg(in.Rs1)
 	addReg(in.Rs2)
 
-	var rev []chainUop
+	rev := l.rev[:0]
 	var loadPC uint64
 	var loadIn *isa.Inst
-	for i := len(l.window) - 1; i >= 0 && loadIn == nil; i-- {
-		e := &l.window[i]
+	for i := l.window.Len() - 1; i >= 0 && loadIn == nil; i-- {
+		e := l.window.At(i)
 		if e.pc == pc {
 			return // crossed into the previous iteration without a load
 		}
@@ -256,6 +261,7 @@ func (l *L) capture(pc uint64, in *isa.Inst) {
 			return
 		}
 		rev = append(rev, chainUop{pc: e.pc, in: e.in})
+		l.rev = rev // keep the grown scratch even if the walk fails later
 		delReg(e.in.Rd)
 		addReg(e.in.Rs1)
 		addReg(e.in.Rs2)
@@ -264,7 +270,8 @@ func (l *L) capture(pc uint64, in *isa.Inst) {
 		return
 	}
 
-	ch := &chain{branchPC: pc, loadPC: loadPC, loadIn: loadIn}
+	ch := &chain{branchPC: pc, loadPC: loadPC, loadIn: loadIn,
+		uops: make([]chainUop, 0, len(rev)+1)}
 	for i := len(rev) - 1; i >= 0; i-- {
 		ch.uops = append(ch.uops, rev[i])
 	}
@@ -378,7 +385,8 @@ func (l *L) OnRetire(u *pipeline.Uop) {
 		for cut < len(l.specLog) && l.specLog[cut].seq <= u.Seq {
 			cut++
 		}
-		l.specLog = l.specLog[cut:]
+		// Compact in place so appends keep reusing one backing array.
+		l.specLog = l.specLog[:copy(l.specLog, l.specLog[cut:])]
 	}
 
 	if u.In.IsLoad() {
@@ -403,10 +411,7 @@ func (l *L) OnRetire(u *pipeline.Uop) {
 		}
 	}
 
-	l.window = append(l.window, winEntry{pc: u.PC, in: u.In})
-	if len(l.window) > l.Cfg.WindowSize {
-		l.window = l.window[1:]
-	}
+	l.window.Push(winEntry{pc: u.PC, in: u.In})
 }
 
 // pruneQueue drops entries for instances that have already retired.

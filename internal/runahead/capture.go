@@ -7,10 +7,12 @@ import "teasim/internal/isa"
 // Branch Runahead's loop-confined Backward Dataflow Walk. The captured chain
 // replaces any previous chain for the branch. Chains that exceed the uop
 // budget are discarded (prior work keeps chains lightweight by design).
+// Window positions count from the oldest entry; the walk allocates only the
+// chain it keeps.
 func (b *BR) capture(pc uint64) {
 	last, prev := -1, -1
-	for i := len(b.window) - 1; i >= 0; i-- {
-		e := &b.window[i]
+	for i := b.window.Len() - 1; i >= 0; i-- {
+		e := b.window.At(i)
 		if e.pc == pc && e.in.IsBranch() {
 			if last == -1 {
 				last = i
@@ -31,9 +33,10 @@ func (b *BR) capture(pc uint64) {
 
 	// Backward walk from the branch down to (exclusive) the previous
 	// instance, tracking register and memory live-ins.
-	marked := make([]bool, last+1)
+	marked, memSrc := b.marked, b.memSrc
+	clear(memSrc)
 	var regSrc uint32
-	memSrc := map[uint64]bool{}
+	nUops := 0
 	addReg := func(r isa.Reg) {
 		if r != isa.R0 {
 			regSrc |= 1 << uint(r)
@@ -43,7 +46,7 @@ func (b *BR) capture(pc uint64) {
 	hasReg := func(r isa.Reg) bool { return r != isa.R0 && regSrc&(1<<uint(r)) != 0 }
 
 	for i := last; i > prev; i-- {
-		e := &b.window[i]
+		e := b.window.At(i)
 		in := e.in
 		inChain := i == last
 		if !inChain {
@@ -54,10 +57,11 @@ func (b *BR) capture(pc uint64) {
 				inChain = true
 			}
 		}
+		marked[i] = inChain
 		if !inChain {
 			continue
 		}
-		marked[i] = true
+		nUops++
 		if in.HasDest() && in.Rd != isa.R0 {
 			delReg(in.Rd)
 		}
@@ -79,21 +83,21 @@ func (b *BR) capture(pc uint64) {
 		}
 	}
 
-	ch := &chain{branchPC: pc}
+	if nUops == 0 || nUops > b.Cfg.MaxChainUops {
+		delete(b.chains, pc)
+		return
+	}
+	ch := &chain{branchPC: pc, uops: make([]chainUop, 0, nUops)}
 	var dests uint32
 	for i := prev + 1; i <= last; i++ {
 		if !marked[i] {
 			continue
 		}
-		e := &b.window[i]
+		e := b.window.At(i)
 		ch.uops = append(ch.uops, chainUop{pc: e.pc, in: e.in})
 		if e.in.HasDest() && e.in.Rd != isa.R0 {
 			dests |= 1 << uint(e.in.Rd)
 		}
-	}
-	if len(ch.uops) == 0 || len(ch.uops) > b.Cfg.MaxChainUops {
-		delete(b.chains, pc)
-		return
 	}
 
 	// Independence: every register live-in is either produced by the chain
@@ -103,13 +107,14 @@ func (b *BR) capture(pc uint64) {
 	// retired window, not just the last iteration, so control-dependent
 	// producers on rarely taken paths are still seen.
 	ch.independent = true
-	chainPCs := make(map[uint64]bool, len(ch.uops))
+	chainPCs := b.chainPCs
+	clear(chainPCs)
 	for _, cu := range ch.uops {
 		chainPCs[cu.pc] = true
 	}
 	liveIns := regSrc &^ dests
-	for i := range b.window {
-		e := &b.window[i]
+	for i := 0; i < b.window.Len(); i++ {
+		e := b.window.At(i)
 		if chainPCs[e.pc] {
 			continue
 		}

@@ -28,6 +28,7 @@ import (
 	"teasim/internal/emu"
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
+	"teasim/internal/ring"
 	"teasim/internal/telemetry"
 )
 
@@ -119,10 +120,36 @@ type instance struct {
 	regs    [isa.NumRegs]uint64
 	idx     int
 	readyAt uint64
-	stores  map[uint64]uint64 // word-granular private store buffer
+	stores  []storeEntry // private store buffer, one entry per address
 	outcome bool
 	done    bool
 	spawned bool
+}
+
+type storeEntry struct {
+	addr, val uint64
+}
+
+// store records a chain store in the instance's private buffer, replacing
+// an earlier store to the same address.
+func (ins *instance) store(addr, val uint64) {
+	for i := range ins.stores {
+		if ins.stores[i].addr == addr {
+			ins.stores[i].val = val
+			return
+		}
+	}
+	ins.stores = append(ins.stores, storeEntry{addr, val})
+}
+
+// storedAt returns the value the instance last stored at addr, if any.
+func (ins *instance) storedAt(addr uint64) (uint64, bool) {
+	for _, e := range ins.stores {
+		if e.addr == addr {
+			return e.val, true
+		}
+	}
+	return 0, false
 }
 
 type qEntry struct {
@@ -143,11 +170,19 @@ type BR struct {
 	h2p    *core.H2PTable
 	chains map[uint64]*chain
 
-	// Retired-instruction window for chain capture.
-	window []winEntry
+	// Retired-instruction window for chain capture (HistSize entries).
+	window ring.Ring[winEntry]
 
-	// Dedicated engine state.
+	// Capture scratch, reused across captures.
+	marked   []bool
+	memSrc   map[uint64]bool
+	chainPCs map[uint64]bool
+
+	// Dedicated engine state. Instances are pooled: finished and truncated
+	// ones go back on free, and spawns is Tick's reused scratch list.
 	instances []*instance
+	free      []*instance
+	spawns    []*instance
 
 	// Per-branch prediction queues, instance-tagged.
 	queues map[uint64][]qEntry
@@ -188,13 +223,39 @@ func New(cfg Config, c *pipeline.Core) *BR {
 		core:      c,
 		h2p:       core.NewH2PTable(&teaCfg),
 		chains:    make(map[uint64]*chain),
+		memSrc:    make(map[uint64]bool),
+		chainPCs:  make(map[uint64]bool),
 		queues:    make(map[uint64][]qEntry),
 		specIdx:   make(map[uint64]uint64),
 		retireIdx: make(map[uint64]uint64),
 		nextDecay: teaCfg.H2PDecayPeriod,
+		window:    ring.New[winEntry](cfg.HistSize),
+	}
+	if cfg.HistSize > 0 {
+		b.marked = make([]bool, cfg.HistSize)
 	}
 	c.Attach(b)
 	return b
+}
+
+// newInstance takes an instance from the pool (or allocates one), reset to
+// run ch for the given branch instance tag.
+func (b *BR) newInstance(ch *chain, tag uint64, regs *[isa.NumRegs]uint64, readyAt uint64) *instance {
+	var ins *instance
+	if n := len(b.free); n > 0 {
+		ins = b.free[n-1]
+		b.free = b.free[:n-1]
+	} else {
+		ins = new(instance)
+	}
+	*ins = instance{ch: ch, tag: tag, regs: *regs, readyAt: readyAt, stores: ins.stores[:0]}
+	return ins
+}
+
+// release returns an instance that left the engine to the pool.
+func (b *BR) release(ins *instance) {
+	ins.ch = nil
+	b.free = append(b.free, ins)
 }
 
 // --- Companion interface ---
@@ -267,7 +328,8 @@ func (b *BR) OnRetire(u *pipeline.Uop) {
 		for cut < len(b.specLog) && b.specLog[cut].seq <= u.Seq {
 			cut++
 		}
-		b.specLog = b.specLog[cut:]
+		// Compact in place so appends keep reusing one backing array.
+		b.specLog = b.specLog[:copy(b.specLog, b.specLog[cut:])]
 	}
 
 	isBranch := u.In.IsBranch()
@@ -289,11 +351,8 @@ func (b *BR) OnRetire(u *pipeline.Uop) {
 	}
 
 	// Maintain the capture window.
-	b.window = append(b.window, winEntry{pc: u.PC, in: u.In, addr: u.Addr,
+	b.window.Push(winEntry{pc: u.PC, in: u.In, addr: u.Addr,
 		isH2P: isBranch && b.h2p.IsH2P(u.PC)})
-	if len(b.window) > b.Cfg.HistSize {
-		b.window = b.window[1:]
-	}
 
 	if isBranch && b.h2p.IsH2P(u.PC) {
 		ch := b.chains[u.PC]
@@ -400,7 +459,7 @@ func (b *BR) Tick() {
 	budget := b.Cfg.EngineWidth
 	now := b.core.Cycle
 	live := b.instances[:0]
-	var spawns []*instance
+	spawns := b.spawns[:0]
 	for _, ins := range b.instances {
 		for budget > 0 && !ins.done && ins.readyAt <= now {
 			if sp := b.step(ins); sp != nil {
@@ -410,12 +469,17 @@ func (b *BR) Tick() {
 		}
 		if ins.done {
 			b.finish(ins)
+			b.release(ins)
 			continue
 		}
 		live = append(live, ins)
 	}
 	b.instances = append(live, spawns...)
+	b.spawns = spawns[:0]
 	if len(b.instances) > b.Cfg.MaxInstances {
+		for _, ins := range b.instances[b.Cfg.MaxInstances:] {
+			b.release(ins)
+		}
 		b.instances = b.instances[:b.Cfg.MaxInstances]
 	}
 }
@@ -434,7 +498,7 @@ func (b *BR) step(ins *instance) (spawn *instance) {
 	case in.IsLoad():
 		addr := emu.EffAddr(in, rs1)
 		var v uint64
-		if sv, ok := ins.stores[addr]; ok && in.MemBytes() == 8 {
+		if sv, ok := ins.storedAt(addr); ok && in.MemBytes() == 8 {
 			v = sv
 		} else {
 			v = b.core.Mem.Read(addr, in.MemBytes())
@@ -449,7 +513,7 @@ func (b *BR) step(ins *instance) (spawn *instance) {
 		}
 	case in.IsStore():
 		addr := emu.EffAddr(in, rs1)
-		ins.stores[addr] = rs2
+		ins.store(addr, rs2)
 	case in.IsBranch():
 		taken, _ := emu.BranchOutcome(in, rs1, rs2)
 		if cu.pc == ins.ch.branchPC && ins.idx == len(ins.ch.uops)-1 {
@@ -475,12 +539,8 @@ func (b *BR) step(ins *instance) (spawn *instance) {
 		len(b.instances) < b.Cfg.MaxInstances &&
 		ins.tag+1 <= b.retireIdx[ins.ch.branchPC]+uint64(b.Cfg.QueueDepth) {
 		ins.spawned = true
-		stores := make(map[uint64]uint64, len(ins.stores))
-		for k, v := range ins.stores {
-			stores[k] = v
-		}
-		spawn = &instance{ch: ins.ch, tag: ins.tag + 1, regs: ins.regs,
-			stores: stores, readyAt: now + 1}
+		spawn = b.newInstance(ins.ch, ins.tag+1, &ins.regs, now+1)
+		spawn.stores = append(spawn.stores, ins.stores...)
 		b.Stats.Launches++
 	}
 
@@ -509,6 +569,9 @@ func (b *BR) finish(ins *instance) {
 		}
 	}
 	if len(q) < b.Cfg.QueueDepth {
+		if q == nil {
+			q = make([]qEntry, 0, b.Cfg.QueueDepth)
+		}
 		b.queues[pc] = append(q, qEntry{tag: ins.tag, taken: ins.outcome})
 	}
 }
@@ -536,8 +599,7 @@ func (b *BR) launch(ch *chain) {
 			return
 		}
 	}
-	ins := &instance{ch: ch, tag: nextTag, regs: b.archRegs,
-		stores: make(map[uint64]uint64), readyAt: b.core.Cycle + 2}
+	ins := b.newInstance(ch, nextTag, &b.archRegs, b.core.Cycle+2)
 	b.instances = append(b.instances, ins)
 	b.Stats.Launches++
 }

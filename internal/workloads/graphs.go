@@ -1,6 +1,6 @@
 package workloads
 
-import "sort"
+import "slices"
 
 // graph is a CSR-format directed graph with sorted adjacency lists (sorted
 // neighbors are required by the triangle-counting merge intersection and
@@ -30,7 +30,7 @@ func genGraph(n, avgDeg int, seed uint64) *graph {
 	g := &graph{n: n, offs: make([]uint64, n+1)}
 	for u := 0; u < n; u++ {
 		ns := adj[u]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		slices.Sort(ns)
 		// Deduplicate (parallel edges skew triangle counting).
 		ded := ns[:0]
 		var prev uint64 = ^uint64(0)
@@ -73,7 +73,7 @@ func undirected(g *graph) *graph {
 	out := &graph{n: g.n, offs: make([]uint64, g.n+1)}
 	for u := 0; u < g.n; u++ {
 		ns := adj[u]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		slices.Sort(ns)
 		ded := ns[:0]
 		var prev uint64 = ^uint64(0)
 		for _, v := range ns {

@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"sort"
+	"slices"
 
 	"teasim/internal/asm"
 	"teasim/internal/isa"
@@ -699,7 +699,7 @@ func Xalancbmk() Workload {
 		for i := range keys {
 			keys[i] = r.next() % (1 << 30)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		t := &tree{
 			key:   make([]uint64, nNodes),
 			left:  make([]uint64, nNodes),

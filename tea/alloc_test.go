@@ -1,0 +1,64 @@
+package tea
+
+import (
+	"runtime"
+	"testing"
+
+	"teasim/tea/spec"
+)
+
+// maxSteadyAllocsPerKinstr is the core's allocation standard: the heap
+// allocations each shootout kind may make per simulated kilo-instruction
+// once a cell is past its set-up.
+const maxSteadyAllocsPerKinstr = 16
+
+// TestCompanionSteadyStateAllocs is an allocation tripwire for every
+// shootout kind. A cell's set-up allocates the same whatever its budget, so
+// the mallocs of a 120k-instruction run minus those of a 20k run are the
+// steady-state allocations of 100k simulated instructions. mcf is a
+// representative SPEC kernel; exchange2 is the kernel where Branch
+// Runahead's engine launches the most chain instances.
+func TestCompanionSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	mallocs := func(wl string, cfg Config, n uint64) uint64 {
+		t.Helper()
+		cfg.MaxInstructions = n
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(wl, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	o := ExpOptions{}.fill()
+	for _, wl := range []string{"mcf", "exchange2"} {
+		for _, kind := range ShootoutKinds() {
+			cfg := kindConfig(t, o, kind)
+			mallocs(wl, cfg, 1_000) // warm the shared program
+			short := mallocs(wl, cfg, 20_000)
+			long := mallocs(wl, cfg, 120_000)
+			per := (float64(long) - float64(short)) / 100
+			t.Logf("%-9s %-9s %6.1f allocs/kinstr", wl, kind, per)
+			if per > maxSteadyAllocsPerKinstr {
+				t.Errorf("%s/%s: %.1f allocs/kinstr in steady state, want <= %d",
+					wl, kind, per, maxSteadyAllocsPerKinstr)
+			}
+		}
+	}
+}
+
+// kindConfig is the shootout's cell config for kind, the baseline for none.
+func kindConfig(t *testing.T, o ExpOptions, kind spec.CompanionKind) Config {
+	t.Helper()
+	if kind == spec.CompanionNone {
+		return o.cfg(ModeBaseline)
+	}
+	cfg, err := shootoutConfig(o, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}

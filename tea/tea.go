@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"teasim/internal/companion"
+	"teasim/internal/isa"
 	"teasim/internal/pipeline"
 	"teasim/internal/telemetry"
 	"teasim/internal/workloads"
@@ -235,7 +236,7 @@ type IntervalSample struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Workloads returns the names of the 16-benchmark suite in report order.
+// Workloads returns the names of the 17-benchmark suite in report order.
 func Workloads() []string {
 	var names []string
 	for _, w := range workloads.All() {
@@ -268,6 +269,16 @@ const runQuantum = 50_000
 // work. Results from cancelled runs are zero; cancellation is not an error
 // of the simulation itself.
 func RunContext(ctx context.Context, workload string, cfg Config) (Result, error) {
+	// Programs are shared read-only with every other cell of the process:
+	// pipeline.New copies Data into the core's own memory image (DESIGN.md
+	// §17).
+	return runContext(ctx, workload, cfg, workloads.Workload.Shared)
+}
+
+// runContext is RunContext with the program source as a parameter, so
+// tests can run a cell on a freshly built program.
+func runContext(ctx context.Context, workload string, cfg Config,
+	program func(workloads.Workload, int) *isa.Program) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -280,7 +291,7 @@ func RunContext(ctx context.Context, workload string, cfg Config) (Result, error
 		return Result{}, err
 	}
 	mode := effectiveMode(cfg, &machine)
-	prog := w.Build(cfg.Scale)
+	prog := program(w, cfg.Scale)
 
 	pcfg := pipelineConfig(&machine)
 	pcfg.CoSim = cfg.CoSim

@@ -39,14 +39,15 @@
 //
 // Long runs (see DESIGN.md "Failure handling"):
 //
-//	teaexp -exp all -journal run.jsonl          # checkpoint every finished cell
-//	teaexp -exp all -journal run.jsonl -resume  # re-simulate only missing cells
+//	teaexp -exp all -journal run             # checkpoint every finished cell
+//	teaexp -exp all -journal run -resume     # re-simulate only missing cells
 //	teaexp -exp fig5 -partial -retries 1 -repro-dir repro  # quarantine failures
-//	teaexp -exp fig5 -paranoia                  # per-cycle invariant checking
+//	teaexp -exp fig5 -paranoia               # per-cycle invariant checking
 //
-// Ctrl-C (SIGINT) stops cleanly: in-flight cells finish, the journal is
-// flushed, and the process exits 130; a -resume rerun picks up exactly the
-// cells that were still missing.
+// -journal names a result store directory (tea/store, the format of
+// `teasrvd -store`). Ctrl-C (SIGINT) stops cleanly: in-flight cells finish,
+// every finished cell is already fsynced, and the process exits 130; a
+// -resume rerun picks up exactly the cells that were still missing.
 //
 // Exit codes: 0 success, 1 run failure, 2 usage error, 3 success with
 // quarantined error rows (-partial emitted at least one ERROR row), 130
@@ -69,6 +70,7 @@ import (
 	"teasim/tea"
 	"teasim/tea/fabric"
 	"teasim/tea/spec"
+	"teasim/tea/store"
 )
 
 func main() { os.Exit(realMain()) }
@@ -102,7 +104,7 @@ func realMain() int {
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		config   = flag.String("config", "", "machine spec JSON file: run it vs the baseline instead of -exp")
 
-		journal  = flag.String("journal", "", "append every finished cell to this JSONL results journal")
+		journal  = flag.String("journal", "", "store every finished cell in this result store directory (the teasrvd -store format)")
 		resume   = flag.Bool("resume", false, "pre-seed the result cache from -journal, re-simulating only missing cells")
 		partial  = flag.Bool("partial", false, "quarantine failing cells as annotated error rows instead of aborting")
 		paranoia = flag.Bool("paranoia", false, "run every cell with the per-cycle invariant checker (slow, never memoized)")
@@ -195,22 +197,17 @@ func realMain() int {
 	}
 	var resumed []tea.JournalRecord
 	if *journal != "" {
-		if *resume {
-			recs, dropped, err := tea.ReadJournal(*journal)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			resumed = recs
-			fmt.Fprintf(os.Stderr, "[journal: read %d cells (%d corrupt records dropped)]\n", len(recs), dropped)
-		}
-		j, err := tea.OpenJournal(*journal)
+		st, err := store.Open(*journal, store.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		defer j.Close()
-		engOpts = append(engOpts, tea.WithJournal(j))
+		defer st.Close()
+		if *resume {
+			resumed = st.Records()
+			fmt.Fprintf(os.Stderr, "[journal: read %d cells (%d corrupt records dropped)]\n", len(resumed), st.Stats().Corrupt)
+		}
+		engOpts = append(engOpts, tea.WithJournal(st))
 	}
 	if *progress {
 		engOpts = append(engOpts, tea.WithProgress(func(ev tea.JobEvent) {

@@ -45,25 +45,11 @@ import (
 	"syscall"
 	"time"
 
-	"teasim/internal/telemetry"
 	"teasim/tea"
 	"teasim/tea/fabric"
 	"teasim/tea/serve"
 	"teasim/tea/store"
 )
-
-// corruptLogSink surfaces the store's corrupt-record telemetry in the daemon
-// log: a durable store dropping records is an operator-visible event, not a
-// silent counter.
-type corruptLogSink struct{ lg *log.Logger }
-
-func (s corruptLogSink) Event(e *telemetry.Event) {
-	if e.Kind == telemetry.EvCorruptRecord {
-		s.lg.Printf("store: dropped %d corrupt record(s) opening %s", e.Count, e.Job)
-	}
-}
-func (s corruptLogSink) Interval(*telemetry.Interval) {}
-func (s corruptLogSink) Close() error                 { return nil }
 
 func main() { os.Exit(realMain()) }
 
@@ -92,13 +78,13 @@ func realMain() int {
 	var st *store.Store
 	if *dir != "" {
 		var err error
-		st, err = store.Open(*dir, store.Options{Shards: *shards, TTL: *ttl, Telemetry: corruptLogSink{lg}})
+		st, err = store.Open(*dir, store.Options{Shards: *shards, TTL: *ttl})
 		if err != nil {
 			lg.Print(err)
 			return 1
 		}
 		defer st.Close()
-		lg.Printf("store %s: %d results", *dir, st.Len())
+		lg.Printf("store %s: %d results (%d corrupt records dropped)", *dir, st.Len(), st.Stats().Corrupt)
 	}
 
 	var runFn tea.RunFunc

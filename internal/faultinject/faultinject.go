@@ -20,9 +20,9 @@
 //	stall                wedge forever before simulating a cell (heartbeat
 //	                     frames keep flowing but beats stop advancing)
 //	delay-heartbeat      stop sending heartbeat frames while a cell runs
-//	torn-journal         write half of a journal line, fsync, SIGKILL self
-//	                     (crash-mid-journal-write: a real torn tail)
-//	crash-before-result  SIGKILL self after simulating (and journaling) a
+//	torn-journal         cut the line just written to the worker's result
+//	                     store in half, SIGKILL self (a real torn tail)
+//	crash-before-result  SIGKILL self after simulating (and storing) a
 //	                     cell but before reporting its result
 //
 // A nil *Injector is valid and never fires, so production binaries pay one
@@ -177,7 +177,7 @@ func (in *Injector) SetDie(fn func()) {
 
 // Die kills the current worker: the SetDie override if installed, else a
 // process SIGKILL. Exposed for fault sites that do their damage before dying
-// (torn-journal writes half a line first).
+// (torn-journal tears a line first).
 func (in *Injector) Die() {
 	var fn func()
 	if in != nil {
@@ -201,7 +201,7 @@ func (in *Injector) Stall(name string) {
 }
 
 // Die SIGKILLs the current process. Exposed for fault sites that need to do
-// their damage first (torn-journal writes half a line, then dies).
+// their damage first (torn-journal tears a line, then dies).
 func Die() {
 	syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	// SIGKILL delivery can race the return; make death certain.

@@ -19,10 +19,6 @@ const (
 	// and the failure, Attempt and BackoffMS distinguish a retried cell from
 	// a first failure.
 	EvJobFailure
-	// EvCorruptRecord is a persistence-layer event: corrupt or torn-tail
-	// journal/store records were dropped while opening a file. Job carries
-	// the file path, Count the number of dropped records.
-	EvCorruptRecord
 )
 
 // String returns the event kind's wire name.
@@ -36,8 +32,6 @@ func (k EventKind) String() string {
 		return "early-flush"
 	case EvJobFailure:
 		return "job-failure"
-	case EvCorruptRecord:
-		return "corrupt-record"
 	}
 	return "event(" + strconv.Itoa(int(k)) + ")"
 }
@@ -83,14 +77,11 @@ type Event struct {
 	// "workload/mode@spec" and the first line of its error. Attempt is the
 	// 1-based attempt number and BackoffMS the cumulative retry backoff the
 	// cell has accrued, so traces distinguish retried cells from first
-	// failures. For EvCorruptRecord, Job is the file path instead.
+	// failures.
 	Job       string `json:"job,omitempty"`
 	Err       string `json:"err,omitempty"`
 	Attempt   int    `json:"attempt,omitempty"`
 	BackoffMS int64  `json:"backoff_ms,omitempty"`
-
-	// Corrupt-record field (EvCorruptRecord): dropped records in Job's file.
-	Count int `json:"count,omitempty"`
 }
 
 // Metric is one named registry sample inside an interval.

@@ -34,10 +34,10 @@ type Job struct {
 // distinct machine point exactly once: shared baselines, and equally the
 // default-valued cell every sensitivity sweep revisits.
 //
-// Fault tolerance is layered on the same memo key. SetJournal records every
-// freshly simulated memoizable cell to a crash-safe JSONL journal;
-// SeedJournal pre-loads the cache from a previous run's journal so a killed
-// suite resumes with only the missing cells. SetPolicy adds per-job
+// Fault tolerance is layered on the same memo key. WithJournal records every
+// freshly simulated memoizable cell to a crash-safe result store (tea/store);
+// SeedJournal pre-loads the cache from a previous run's records so a killed
+// suite resumes with only the missing cells. WithPolicy adds per-job
 // deadlines, a no-progress hang watchdog fed by the simulation loop's cycle
 // heartbeat, bounded retry for panicking jobs, and repro bundles for cells
 // that fail permanently. MapPartial degrades failed cells to per-job errors
@@ -54,7 +54,7 @@ type Engine struct {
 	runFn RunFunc
 
 	mu      sync.Mutex
-	memo    map[memoKey]*memoEntry
+	memo    map[MemoKey]*memoEntry
 	hits    int
 	seeded  int
 	policy  JobPolicy
@@ -71,11 +71,10 @@ type Engine struct {
 // serve daemon's content-addressed store) or stub simulation in tests.
 type RunFunc func(ctx context.Context, workload string, cfg Config) (Result, error)
 
-// JournalWriter persists freshly simulated memoizable cells. *Journal is the
-// single-file implementation; tea/store's sharded content-addressed store is
-// another.
+// JournalWriter persists freshly simulated memoizable cells; tea/store's
+// Store implements it.
 type JournalWriter interface {
-	Append(JournalRecord) error
+	Put(JournalRecord) error
 }
 
 // EngineOption configures an Engine at construction (NewEngine).
@@ -86,8 +85,8 @@ func WithPolicy(p JobPolicy) EngineOption {
 	return func(e *Engine) { e.policy = p }
 }
 
-// WithJournal attaches a journal: every memoizable cell the engine freshly
-// simulates is durably appended after it completes. Journal write failures
+// WithJournal attaches a result store: every memoizable cell the engine
+// freshly simulates is durably written after it completes. Write failures
 // surface as the job's error — a suite that cannot checkpoint should fail
 // loudly, not silently lose its resumability.
 func WithJournal(j JournalWriter) EngineOption {
@@ -183,19 +182,6 @@ type JobPolicy struct {
 	ReproDir string
 }
 
-// memoKey identifies one memoizable simulation: the workload, the machine
-// point (the resolved spec's fingerprint, plus the mode for the Result's
-// label), and the run budget. Two configs that resolve to the same machine
-// — a preset and the equivalent -set patches, or an override field and its
-// patch form — share one key and therefore one simulation.
-type memoKey struct {
-	workload string
-	mode     Mode
-	fp       uint64
-	maxInstr uint64
-	scale    int
-}
-
 // memoEntry latches one result. The mutex serializes workers wanting the
 // same cell; unlike a sync.Once, a cancelled attempt can decline to latch,
 // so a resumed run still simulates the cell.
@@ -220,7 +206,7 @@ func DefaultWorkers() int {
 // NewEngine builds an engine with the given worker-pool bound
 // (workers <= 0 selects DefaultWorkers) and the given options applied:
 //
-//	eng := tea.NewEngine(0, tea.WithPolicy(policy), tea.WithJournal(j))
+//	eng := tea.NewEngine(0, tea.WithPolicy(policy), tea.WithJournal(st))
 func NewEngine(workers int, opts ...EngineOption) *Engine {
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -228,7 +214,7 @@ func NewEngine(workers int, opts ...EngineOption) *Engine {
 	e := &Engine{
 		workers: workers,
 		runFn:   RunContext,
-		memo:    make(map[memoKey]*memoEntry),
+		memo:    make(map[MemoKey]*memoEntry),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -242,8 +228,8 @@ func (e *Engine) Workers() int { return e.workers }
 // MemoStats reports the engine's result-cache state: how many distinct
 // machine points it holds (simulated, in flight, or seeded), how many jobs
 // were served from an existing entry instead of re-simulating, and how many
-// entries came pre-seeded from a journal (SeedJournal). Entries-Seeded is
-// therefore the number of cells this process actually simulated.
+// entries came pre-seeded from stored records (SeedJournal). Entries-Seeded
+// is therefore the number of cells this process actually simulated.
 type MemoStats struct {
 	Entries int
 	Hits    int
@@ -257,47 +243,35 @@ func (e *Engine) MemoStats() MemoStats {
 	return MemoStats{Entries: len(e.memo), Hits: e.hits, Seeded: e.seeded}
 }
 
-// SeedJournal pre-loads the memo cache from journal records (ReadJournal),
-// returning how many entries were installed. Records whose key fields fail
-// to parse, or that collide with an existing cache entry, are skipped.
-// Seeded cells count as memo hits when jobs land on them, so a resumed run
-// re-simulates exactly the missing cells.
+// SeedJournal pre-loads the memo cache from stored records (a result
+// store's Records), returning how many entries were installed. Records that
+// collide with an existing cache entry are skipped. Seeded cells count as
+// memo hits when jobs land on them, so a resumed run re-simulates exactly
+// the missing cells.
 func (e *Engine) SeedJournal(recs []JournalRecord) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
 	for _, rec := range recs {
-		fp, err := strconv.ParseUint(rec.Spec, 16, 64)
-		if err != nil {
+		if _, exists := e.memo[rec.MemoKey]; exists {
 			continue
 		}
-		key := memoKey{rec.Workload, rec.Mode, fp, rec.MaxInstr, rec.Scale}
-		if _, exists := e.memo[key]; exists {
-			continue
-		}
-		e.memo[key] = &memoEntry{done: true, res: rec.Result}
+		e.memo[rec.MemoKey] = &memoEntry{done: true, res: rec.Result}
 		n++
 	}
 	e.seeded += n
 	return n
 }
 
-// journalAppend durably records one freshly simulated cell.
-func (e *Engine) journalAppend(key memoKey, res Result) error {
+// journalPut durably records one freshly simulated cell.
+func (e *Engine) journalPut(key MemoKey, res Result) error {
 	e.mu.Lock()
 	j := e.journal
 	e.mu.Unlock()
 	if j == nil {
 		return nil
 	}
-	return j.Append(JournalRecord{
-		Workload: key.workload,
-		Mode:     key.mode,
-		Spec:     fmt.Sprintf("%016x", key.fp),
-		MaxInstr: key.maxInstr,
-		Scale:    key.scale,
-		Result:   res,
-	})
+	return j.Put(JournalRecord{MemoKey: key, Result: res})
 }
 
 // PanicError is a job attempt that died by panic, carrying the cell's
@@ -544,14 +518,10 @@ func writeReproBundle(dir string, j Job, jobErr error) (string, error) {
 // debugging, paranoia) always simulate, as do cells whose spec fails to
 // resolve — the direct run surfaces the resolution error with full context.
 func (e *Engine) runJob(ctx context.Context, j Job) (Result, error) {
-	if !j.Cfg.Memoizable() {
+	key, ok := MemoKeyOf(j.Workload, j.Cfg)
+	if !ok {
 		return e.runResilient(ctx, j)
 	}
-	fp, err := j.Cfg.SpecFingerprint()
-	if err != nil {
-		return e.runResilient(ctx, j)
-	}
-	key := memoKey{j.Workload, j.Cfg.Mode, fp, j.Cfg.MaxInstructions, j.Cfg.Scale}
 	e.mu.Lock()
 	ent := e.memo[key]
 	if ent == nil {
@@ -574,7 +544,7 @@ func (e *Engine) runJob(ctx context.Context, j Job) (Result, error) {
 	}
 	ent.res, ent.err, ent.done = res, err, true
 	if err == nil {
-		if jerr := e.journalAppend(key, res); jerr != nil {
+		if jerr := e.journalPut(key, res); jerr != nil {
 			ent.err = jerr
 			return res, jerr
 		}

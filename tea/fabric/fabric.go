@@ -22,8 +22,8 @@ type Config struct {
 	Workers int
 	// WorkerCmd is the worker command argv (default: a `teaworker` binary
 	// next to this executable, else "teaworker" from PATH). The coordinator
-	// appends "-journal <path>" and sets TEASIM_WORKER_ID in the
-	// environment.
+	// appends "-journal <dir>", naming the worker's result store, and sets
+	// TEASIM_WORKER_ID in the environment.
 	WorkerCmd []string
 	// ShardSize bounds how many cells ride in one shard frame (default 4).
 	// Cells in a shard run sequentially on the worker; concurrency comes
@@ -45,8 +45,8 @@ type Config struct {
 	// RetryBackoff is the delay before a cell's first requeue, doubling per
 	// subsequent death (default 100ms).
 	RetryBackoff time.Duration
-	// Dir holds the per-worker journals (default: a temp dir removed on
-	// Close).
+	// Dir holds one result store directory per worker, worker-<id>
+	// (default: a temp dir removed on Close).
 	Dir string
 	// Log receives coordinator diagnostics (default io.Discard).
 	Log io.Writer
@@ -55,7 +55,8 @@ type Config struct {
 	Spawn SpawnFunc
 }
 
-// SpawnFunc starts worker id, journaling to the given path.
+// SpawnFunc starts worker id, storing completed cells in the result store
+// directory journal.
 type SpawnFunc func(id int, journal string) (*Proc, error)
 
 // Proc is one spawned worker's handles. Kill must be idempotent and
@@ -77,7 +78,7 @@ type Stats struct {
 	Crashes     int  // worker deaths observed (including hang kills)
 	Hangs       int  // workers killed by the no-progress watchdog
 	Requeues    int  // cells re-dispatched after a worker death
-	Recovered   int  // cells recovered from a dead worker's journal
+	Recovered   int  // cells recovered from a dead worker's store
 	Quarantined int  // cells given up on (budget or distinct-worker limit)
 	Fallbacks   int  // cells run through the fallback RunFunc
 	Collapsed   bool // the whole pool died; running degraded in-process
@@ -100,17 +101,6 @@ func (q *QuarantineError) Error() string {
 		q.Workload, q.Mode, q.Attempts, q.Workers, q.Cause)
 }
 
-// cellKey is the memo tuple matching engine memoization and journal records,
-// used to recover a dead worker's completed-but-unreported cells from its
-// journal.
-type cellKey struct {
-	workload string
-	mode     tea.Mode
-	spec     string // resolved fingerprint, %016x
-	maxInstr uint64
-	scale    int
-}
-
 // outcome is one cell's final disposition.
 type outcome struct {
 	res      tea.Result
@@ -123,7 +113,7 @@ type outcome struct {
 // one worker), so they need no lock.
 type cell struct {
 	id        int
-	key       cellKey
+	key       tea.MemoKey // recovers the cell from a dead worker's store
 	wire      WireCell
 	hb        *telemetry.Heartbeat // engine watchdog pass-through (may be nil)
 	done      chan outcome         // buffered 1
@@ -229,7 +219,7 @@ func New(cfg Config) (*Coordinator, error) {
 		spawn = c.spawnProc
 	}
 	for i := 1; i <= cfg.Workers; i++ {
-		journal := filepath.Join(c.dir, fmt.Sprintf("worker-%d.jsonl", i))
+		journal := filepath.Join(c.dir, fmt.Sprintf("worker-%d", i))
 		proc, err := spawn(i, journal)
 		if err != nil {
 			fmt.Fprintf(cfg.Log, "fabric: worker %d failed to spawn: %v\n", i, err)
@@ -301,14 +291,10 @@ func (c *Coordinator) RunFunc(fallback tea.RunFunc) tea.RunFunc {
 		fallback = tea.RunContext
 	}
 	return func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
-		if !cfg.Memoizable() || c.Degraded() {
-			c.countFallback()
-			return fallback(ctx, workload, cfg)
-		}
-		fp, err := cfg.SpecFingerprint()
-		if err != nil {
-			// Unresolvable spec: let the in-process path surface the
-			// resolution error with full context.
+		// Unmemoizable cells and unresolvable specs run in-process; the
+		// latter surface the resolution error with full context there.
+		key, ok := tea.MemoKeyOf(workload, cfg)
+		if !ok || c.Degraded() {
 			c.countFallback()
 			return fallback(ctx, workload, cfg)
 		}
@@ -318,14 +304,8 @@ func (c *Coordinator) RunFunc(fallback tea.RunFunc) tea.RunFunc {
 			return fallback(ctx, workload, cfg)
 		}
 		cl := &cell{
-			id: int(c.nextID.Add(1)),
-			key: cellKey{
-				workload: workload,
-				mode:     cfg.Mode,
-				spec:     fmt.Sprintf("%016x", fp),
-				maxInstr: cfg.MaxInstructions,
-				scale:    cfg.Scale,
-			},
+			id:     int(c.nextID.Add(1)),
+			key:    key,
 			hb:     cfg.Heartbeat,
 			done:   make(chan outcome, 1),
 			diedOn: make(map[int]bool),
@@ -370,10 +350,6 @@ func (c *Coordinator) Stats() Stats {
 	st.Live = c.live
 	return st
 }
-
-// JournalDir returns the directory holding the per-worker journals, so a
-// caller can merge them (MergeJournals) or keep them for forensics.
-func (c *Coordinator) JournalDir() string { return c.dir }
 
 func (c *Coordinator) countFallback() {
 	c.mu.Lock()
@@ -600,8 +576,8 @@ func (c *Coordinator) monitor(w *worker) {
 }
 
 // workerDied handles one worker's death: recover completed-but-unreported
-// cells from its journal, requeue the rest, and flip the fabric into
-// degraded mode when the last worker goes.
+// cells from its store, requeue the rest, and flip the fabric into degraded
+// mode when the last worker goes.
 func (c *Coordinator) workerDied(w *worker, cause error) {
 	w.mu.Lock()
 	if w.dead {
@@ -640,30 +616,30 @@ func (c *Coordinator) workerDied(w *worker, cause error) {
 		close(c.collapsed)
 	}
 
-	// A cell the worker finished and journaled but never reported is not
-	// re-simulated: the fsync'd journal record (checksummed, memo-keyed) is
+	// A cell the worker finished and stored but never reported is not
+	// re-simulated: the fsync'd record (checksummed, memo-keyed) is
 	// recovered as the cell's result. Torn or corrupt lines fail
 	// verification and are dropped, so those cells requeue instead.
-	byKey := make(map[cellKey]tea.Result)
-	recs, dropped, jerr := tea.ReadJournal(w.journal)
-	if jerr != nil {
-		fmt.Fprintf(c.cfg.Log, "fabric: worker %d journal: %v\n", w.id, jerr)
-	}
-	if dropped > 0 {
-		fmt.Fprintf(c.cfg.Log, "fabric: worker %d journal: %d corrupt record(s) dropped\n", w.id, dropped)
-	}
-	for _, rec := range recs {
-		byKey[cellKey{rec.Workload, rec.Mode, rec.Spec, rec.MaxInstr, rec.Scale}] = rec.Result
+	st, err := openWorkerStore(w.journal)
+	if err != nil {
+		fmt.Fprintf(c.cfg.Log, "fabric: worker %d journal: %v\n", w.id, err)
+	} else {
+		defer st.Close()
+		if n := st.Stats().Corrupt; n > 0 {
+			fmt.Fprintf(c.cfg.Log, "fabric: worker %d journal: %d corrupt record(s) dropped\n", w.id, n)
+		}
 	}
 	for _, cl := range orphans {
-		if res, ok := byKey[cl.key]; ok {
-			c.mu.Lock()
-			c.st.Recovered++
-			c.mu.Unlock()
-			fmt.Fprintf(c.cfg.Log, "fabric: recovered %s/%s from worker %d journal\n",
-				cl.key.workload, cl.key.mode, w.id)
-			c.deliver(cl, outcome{res: res})
-			continue
+		if st != nil {
+			if res, ok := st.Get(cl.key); ok {
+				c.mu.Lock()
+				c.st.Recovered++
+				c.mu.Unlock()
+				fmt.Fprintf(c.cfg.Log, "fabric: recovered %s/%s from worker %d journal\n",
+					cl.key.Workload, cl.key.Mode, w.id)
+				c.deliver(cl, outcome{res: res})
+				continue
+			}
 		}
 		c.requeue(cl, w.id, cause)
 	}
@@ -686,8 +662,8 @@ func (c *Coordinator) requeue(cl *cell, workerID int, cause error) {
 		c.st.Quarantined++
 		c.mu.Unlock()
 		c.deliver(cl, outcome{err: &QuarantineError{
-			Workload: cl.key.workload,
-			Mode:     cl.key.mode,
+			Workload: cl.key.Workload,
+			Mode:     cl.key.Mode,
 			Attempts: cl.attempts,
 			Workers:  len(cl.diedOn),
 			Cause:    cause.Error(),
@@ -699,7 +675,7 @@ func (c *Coordinator) requeue(cl *cell, workerID int, cause error) {
 	c.mu.Unlock()
 	backoff := c.cfg.RetryBackoff << uint(cl.attempts-1)
 	fmt.Fprintf(c.cfg.Log, "fabric: requeueing %s/%s in %v (attempt %d)\n",
-		cl.key.workload, cl.key.mode, backoff, cl.attempts)
+		cl.key.Workload, cl.key.Mode, backoff, cl.attempts)
 	if cl.hb != nil {
 		// Keep the engine-side hang watchdog fed while the cell waits out
 		// its backoff: requeue latency is fabric scheduling, not a wedge.
@@ -729,31 +705,4 @@ func (c *Coordinator) deliver(cl *cell, o outcome) {
 	if cl.delivered.CompareAndSwap(false, true) {
 		cl.done <- o
 	}
-}
-
-// MergeJournals reads every journal file and returns the union of intact
-// records — first occurrence wins per memo tuple, matching the engine's
-// memoization — plus the total count of corrupt or torn lines dropped.
-// Merging a fabric's worker journals yields the same record set a
-// single-process run would have journaled (order aside).
-func MergeJournals(paths ...string) ([]tea.JournalRecord, int, error) {
-	seen := make(map[cellKey]bool)
-	var merged []tea.JournalRecord
-	totalDropped := 0
-	for _, p := range paths {
-		recs, dropped, err := tea.ReadJournal(p)
-		totalDropped += dropped
-		if err != nil {
-			return merged, totalDropped, err
-		}
-		for _, rec := range recs {
-			key := cellKey{rec.Workload, rec.Mode, rec.Spec, rec.MaxInstr, rec.Scale}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			merged = append(merged, rec)
-		}
-	}
-	return merged, totalDropped, nil
 }

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -424,55 +422,5 @@ func TestEngineWatchdogFedByRemoteHeartbeats(t *testing.T) {
 	}
 	if res[0].Cycles == 0 {
 		t.Error("remote cell returned no result")
-	}
-}
-
-func TestMergeJournals(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(name string, recs ...tea.JournalRecord) string {
-		path := filepath.Join(dir, name)
-		j, err := tea.OpenJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if err := j.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	recA := tea.JournalRecord{Workload: "bfs", Mode: tea.ModeTEA, Spec: "00000000000000aa", MaxInstr: 1000, Scale: 1, Result: tea.Result{Workload: "bfs", Cycles: 10}}
-	recB := tea.JournalRecord{Workload: "mcf", Mode: tea.ModeBaseline, Spec: "00000000000000bb", MaxInstr: 1000, Scale: 1, Result: tea.Result{Workload: "mcf", Cycles: 20}}
-	p1 := mk("worker-1.jsonl", recA, recB)
-	p2 := mk("worker-2.jsonl", recB, recA) // full overlap, reversed order
-	// A torn tail on one journal: half a record, no newline.
-	p3 := filepath.Join(dir, "worker-3.jsonl")
-	sealed, err := recA.Seal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, err := json.Marshal(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p3, line[:len(line)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	merged, dropped, err := MergeJournals(p1, p2, p3, filepath.Join(dir, "missing.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 2 {
-		t.Fatalf("merged %d records, want 2 (deduped by memo tuple): %+v", len(merged), merged)
-	}
-	if merged[0].Workload != "bfs" || merged[1].Workload != "mcf" {
-		t.Errorf("merge lost first-wins ordering: %+v", merged)
-	}
-	if dropped != 1 {
-		t.Errorf("dropped = %d, want 1 torn record", dropped)
 	}
 }

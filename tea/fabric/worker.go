@@ -2,16 +2,17 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"teasim/internal/faultinject"
 	"teasim/internal/telemetry"
 	"teasim/tea"
+	"teasim/tea/store"
 )
 
 // WorkerOptions configures one worker loop (RunWorker). cmd/teaworker wires
@@ -22,10 +23,11 @@ type WorkerOptions struct {
 	Out io.Writer // hello/hb/result/done frames back
 	Log io.Writer // diagnostics (default os.Stderr)
 
-	// Journal, when set, appends every completed memoizable cell to this
-	// crash-safe JSONL file *before* the result frame is sent, so a worker
-	// killed between finishing a cell and reporting it loses nothing: the
-	// coordinator recovers the result from the journal on worker death.
+	// Journal, when set, names a result store directory (tea/store) that
+	// receives every completed memoizable cell *before* its result frame is
+	// sent, so a worker killed between finishing a cell and reporting it
+	// loses nothing: the coordinator recovers the result from the store on
+	// worker death.
 	Journal string
 
 	// HBInterval is the heartbeat frame period while a cell runs
@@ -42,7 +44,7 @@ type WorkerOptions struct {
 }
 
 // RunWorker executes the worker side of the fabric protocol: read shard
-// frames, simulate each cell (journaling completed ones), stream heartbeats
+// frames, simulate each cell (storing completed ones), stream heartbeats
 // while simulating, and report results. It returns nil when the coordinator
 // closes the input stream (clean shutdown) and an error on a protocol or I/O
 // failure.
@@ -57,14 +59,13 @@ func RunWorker(o WorkerOptions) error {
 		o.Log = os.Stderr
 	}
 	out := &frameWriter{w: o.Out}
-	var jw *workerJournal
+	var st *store.Store
 	if o.Journal != "" {
-		f, err := os.OpenFile(o.Journal, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("fabric worker: open journal: %w", err)
+		var err error
+		if st, err = openWorkerStore(o.Journal); err != nil {
+			return fmt.Errorf("fabric worker: %w", err)
 		}
-		jw = &workerJournal{f: f}
-		defer f.Close()
+		defer st.Close()
 	}
 	if err := out.send(Frame{T: frameHello}); err != nil {
 		return fmt.Errorf("fabric worker: hello: %w", err)
@@ -83,7 +84,7 @@ func RunWorker(o WorkerOptions) error {
 		}
 		o.Faults.Crash("crash-on-shard")
 		for _, c := range f.Cells {
-			runCell(&o, out, jw, c)
+			runCell(&o, out, st, c)
 		}
 		if err := out.send(Frame{T: frameDone, Shard: f.Shard}); err != nil {
 			return fmt.Errorf("fabric worker: report shard %d: %w", f.Shard, err)
@@ -97,7 +98,7 @@ func RunWorker(o WorkerOptions) error {
 // recovered: a panicking simulation takes the worker down, which is exactly
 // the crash path the coordinator is built to absorb (requeue elsewhere,
 // quarantine if it keeps happening).
-func runCell(o *WorkerOptions, out *frameWriter, jw *workerJournal, c WireCell) {
+func runCell(o *WorkerOptions, out *frameWriter, st *store.Store, c WireCell) {
 	cfg, err := DecodeConfig(c.Cfg)
 	if err != nil {
 		sendResult(out, c.ID, nil, err)
@@ -137,9 +138,11 @@ func runCell(o *WorkerOptions, out *frameWriter, jw *workerJournal, c WireCell) 
 	close(stop)
 	wg.Wait()
 
-	if err == nil && jw != nil && cfg.Memoizable() {
-		if jerr := jw.append(c.Workload, cfg, res, o.Faults); jerr != nil {
-			fmt.Fprintf(o.Log, "fabric worker: journal %s/%s: %v\n", c.Workload, cfg.Mode, jerr)
+	if err == nil && st != nil {
+		if key, ok := tea.MemoKeyOf(c.Workload, cfg); ok {
+			if jerr := put(st, o.Journal, tea.JournalRecord{MemoKey: key, Result: res}, o.Faults); jerr != nil {
+				fmt.Fprintf(o.Log, "fabric worker: journal %s/%s: %v\n", c.Workload, cfg.Mode, jerr)
+			}
 		}
 	}
 	o.Faults.Crash("crash-before-result")
@@ -157,46 +160,36 @@ func sendResult(out *frameWriter, id int, res *tea.Result, err error) {
 	out.send(f)
 }
 
-// workerJournal appends sealed journal records keyed like the engine's memo
-// cache, fsyncing each line so a completed cell survives the worker's death.
-// It hosts the torn-journal fault site: half a line, fsync, SIGKILL — the
-// realest possible torn tail for the corrupt-record drop path to absorb.
-type workerJournal struct {
-	mu sync.Mutex
-	f  *os.File
+// openWorkerStore opens a worker's result store. A worker is its store's
+// only writer, so one shard file is enough (and put's fault site knows
+// which file to tear).
+func openWorkerStore(dir string) (*store.Store, error) {
+	return store.Open(dir, store.Options{Shards: 1})
 }
 
-func (jw *workerJournal) append(workload string, cfg tea.Config, res tea.Result, faults *faultinject.Injector) error {
-	fp, err := cfg.SpecFingerprint()
+// put stores one completed cell, fsynced before its result is reported. It
+// hosts the torn-journal fault site: the line Put just wrote is cut in half
+// on disk, then the worker is SIGKILLed — a real torn tail for the store's
+// corrupt-record drop path to absorb.
+func put(st *store.Store, dir string, rec tea.JournalRecord, faults *faultinject.Injector) error {
+	if !faults.Fire("torn-journal") {
+		return st.Put(rec)
+	}
+	path := filepath.Join(dir, "shard-000.jsonl") // the single shard
+	before, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	rec := tea.JournalRecord{
-		Workload: workload,
-		Mode:     cfg.Mode,
-		Spec:     fmt.Sprintf("%016x", fp),
-		MaxInstr: cfg.MaxInstructions,
-		Scale:    cfg.Scale,
-		Result:   res,
+	if err := st.Put(rec); err != nil {
+		return err
 	}
-	rec, err = rec.Seal()
+	after, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
+	if err := os.Truncate(path, before.Size()+(after.Size()-before.Size())/2); err != nil {
 		return err
 	}
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	if faults.Fire("torn-journal") {
-		jw.f.Write(line[:len(line)/2])
-		jw.f.Sync()
-		faults.Die()
-		return fmt.Errorf("torn-journal fired") // only reached under a test Die override
-	}
-	if _, err := jw.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return jw.f.Sync()
+	faults.Die()
+	return fmt.Errorf("torn-journal fired") // only reached under a test Die override
 }

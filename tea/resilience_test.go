@@ -1,7 +1,8 @@
 package tea
 
-// Failure-handling tests: deadlines, the hang watchdog, panic retry,
-// quarantine repro bundles, and the journal-backed kill/resume contract.
+// Failure-handling tests: deadlines, the hang watchdog, panic retry, and
+// quarantine repro bundles (the store-backed kill/resume contract is in
+// resume_test.go).
 // Everything drives the engine through the runFn seam so the failure modes
 // are exact and the tests are fast.
 
@@ -289,113 +290,5 @@ func TestPartialExperimentRendersErrorRows(t *testing.T) {
 	}
 	if !strings.Contains(out, "geomean") && !strings.Contains(out, "Geomean") {
 		t.Errorf("text report lost its aggregate footer:\n%s", out)
-	}
-}
-
-// TestCancelJournalResume is the kill/resume contract end to end at the
-// library level: a batch cancelled mid-flight keeps its completed prefix, the
-// journal holds exactly the completed cells, and a resumed engine
-// re-simulates only the missing ones to an identical final state.
-func TestCancelJournalResume(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.jsonl")
-	jobs := []Job{
-		{Workload: "bfs", Cfg: Config{Mode: ModeBaseline, MaxInstructions: 1000, Scale: 1}},
-		{Workload: "bfs", Cfg: Config{Mode: ModeTEA, MaxInstructions: 1000, Scale: 1}},
-		{Workload: "mcf", Cfg: Config{Mode: ModeBaseline, MaxInstructions: 1000, Scale: 1}},
-		{Workload: "mcf", Cfg: Config{Mode: ModeTEA, MaxInstructions: 1000, Scale: 1}},
-	}
-
-	// Interrupted run: single worker for a deterministic completion prefix;
-	// the third cell observes the cancellation mid-simulation.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	j1, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := NewEngine(1, WithJournal(j1))
-	calls := 0
-	e1.runFn = func(ctx context.Context, w string, c Config) (Result, error) {
-		calls++
-		if calls == 3 {
-			cancel() // the SIGINT arrives while cell 3 is in flight
-			return Result{}, ctx.Err()
-		}
-		return stubResult(w, c), nil
-	}
-	partial, err := e1.MapContext(ctx, jobs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run err = %v, want context.Canceled", err)
-	}
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(partial[0], stubResult("bfs", jobs[0].Cfg)) ||
-		!reflect.DeepEqual(partial[1], stubResult("bfs", jobs[1].Cfg)) {
-		t.Errorf("completed prefix lost: %+v", partial[:2])
-	}
-	if partial[2].Cycles != 0 || partial[3].Cycles != 0 {
-		t.Errorf("uncompleted cells carry results: %+v", partial[2:])
-	}
-
-	// The journal holds exactly the completed cells, in completion order.
-	recs, dropped, err := ReadJournal(path)
-	if err != nil || dropped != 0 {
-		t.Fatalf("ReadJournal: %d dropped, err %v", dropped, err)
-	}
-	if len(recs) != 2 || recs[0].Workload != "bfs" || recs[1].Mode != ModeTEA {
-		t.Fatalf("journal holds %d records (%+v), want exactly the 2 completed cells", len(recs), recs)
-	}
-
-	// Resumed run: seeds from the journal, re-simulates only the 2 missing
-	// cells, and lands on results identical to a clean uninterrupted run.
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine(1, WithJournal(j2))
-	calls2 := 0
-	e2.runFn = func(ctx context.Context, w string, c Config) (Result, error) {
-		calls2++
-		return stubResult(w, c), nil
-	}
-	if n := e2.SeedJournal(recs); n != 2 {
-		t.Fatalf("seeded %d cells, want 2", n)
-	}
-	resumed, err := e2.Map(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if calls2 != 2 {
-		t.Errorf("resumed run simulated %d cells, want only the 2 missing", calls2)
-	}
-	ms := e2.MemoStats()
-	if ms.Seeded != 2 || ms.Entries != 4 {
-		t.Errorf("resumed MemoStats = %+v, want 4 entries of which 2 seeded", ms)
-	}
-
-	e3 := NewEngine(1)
-	e3.runFn = func(ctx context.Context, w string, c Config) (Result, error) {
-		return stubResult(w, c), nil
-	}
-	clean, err := e3.Map(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed, clean) {
-		t.Errorf("resumed results differ from a clean run:\nresumed: %+v\nclean:   %+v", resumed, clean)
-	}
-
-	// The resumed run appended only the cells it simulated — no duplicates.
-	recs, dropped, err = ReadJournal(path)
-	if err != nil || dropped != 0 {
-		t.Fatalf("ReadJournal after resume: %d dropped, err %v", dropped, err)
-	}
-	if len(recs) != 4 {
-		t.Errorf("journal holds %d records after resume, want 4", len(recs))
 	}
 }

@@ -367,21 +367,11 @@ func (s *Server) runFnFor(st *reqStats) tea.RunFunc {
 			s.simulated.Inc()
 			return s.run(ctx, workload, cfg)
 		}
-		if !cfg.Memoizable() {
-			return simulate()
-		}
-		fp, err := cfg.SpecFingerprint()
-		if err != nil {
-			// Mirror Engine.runJob: let the direct run surface the
+		key, ok := tea.MemoKeyOf(workload, cfg)
+		if !ok {
+			// Mirror Engine.runJob: let the direct run surface any
 			// resolution error with full context.
 			return simulate()
-		}
-		key := store.Key{
-			Workload: workload,
-			Mode:     cfg.Mode.String(),
-			Spec:     fmt.Sprintf("%016x", fp),
-			MaxInstr: cfg.MaxInstructions,
-			Scale:    cfg.Scale,
 		}
 		if s.cfg.Store != nil {
 			if res, ok := s.cfg.Store.Get(key); ok {
@@ -393,15 +383,7 @@ func (s *Server) runFnFor(st *reqStats) tea.RunFunc {
 		res, err, coalesced := s.flight.do(ctx, key, func() (tea.Result, error) {
 			res, err := simulate()
 			if err == nil && s.cfg.Store != nil {
-				rec := tea.JournalRecord{
-					Workload: workload,
-					Mode:     cfg.Mode,
-					Spec:     key.Spec,
-					MaxInstr: cfg.MaxInstructions,
-					Scale:    cfg.Scale,
-					Result:   res,
-				}
-				if perr := s.cfg.Store.Put(rec); perr != nil {
+				if perr := s.cfg.Store.Put(tea.JournalRecord{MemoKey: key, Result: res}); perr != nil {
 					// Like the engine's journal: a service that cannot
 					// persist results should fail loudly.
 					return res, perr

@@ -5,16 +5,15 @@ import (
 	"sync"
 
 	"teasim/tea"
-	"teasim/tea/store"
 )
 
 // flightGroup coalesces concurrent simulations of the same memo key onto one
 // execution: N identical in-flight cells — across requests, not just within
 // one engine's memo — cost one simulation. The stdlib has no singleflight;
-// this is the minimal typed form over store.Key.
+// this is the minimal typed form over tea.MemoKey.
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[store.Key]*flightCall
+	calls map[tea.MemoKey]*flightCall
 }
 
 // flightCall is one in-flight simulation and its latched outcome.
@@ -29,10 +28,10 @@ type flightCall struct {
 // caller's execution. The executing caller runs under its own ctx; a waiter
 // whose ctx dies first returns its ctx error without disturbing the
 // execution (the leader — and the store — still finish and keep the result).
-func (g *flightGroup) do(ctx context.Context, key store.Key, fn func() (tea.Result, error)) (res tea.Result, err error, coalesced bool) {
+func (g *flightGroup) do(ctx context.Context, key tea.MemoKey, fn func() (tea.Result, error)) (res tea.Result, err error, coalesced bool) {
 	g.mu.Lock()
 	if g.calls == nil {
-		g.calls = make(map[store.Key]*flightCall)
+		g.calls = make(map[tea.MemoKey]*flightCall)
 	}
 	if c, inFlight := g.calls[key]; inFlight {
 		g.mu.Unlock()

@@ -1,16 +1,18 @@
-// Package store is a sharded, content-addressed, durable result store: the
-// crash-safe journal (tea.Journal) generalized from one append-only file
-// into a long-lived service cache. Results are addressed by the engine's
-// memo tuple — (workload, mode, resolved-spec fingerprint, budget, scale) —
-// so any two requests naming the same machine point share one stored
-// simulation, however they spelled it (preset, custom spec, or patches).
+// Package store is the one writer and reader of result records: a sharded,
+// content-addressed, durable log of completed simulation cells. Results are
+// addressed by the engine's memo key (tea.MemoKey) — workload, mode,
+// resolved-spec fingerprint, budget, scale — so any two requests naming the
+// same machine point share one stored simulation, however they spelled it
+// (preset, custom spec, or patches). `teaexp -journal` (resume), every fabric
+// worker (crash recovery) and `teasrvd -store` (the daemon's cache) each open
+// a Store.
 //
 // Layout: a directory of shard-NNN.jsonl files. Each line is a small
 // envelope {"at": unixSeconds, "rec": <sealed tea.JournalRecord>}; the inner
 // record carries its own version and checksum (tea.JournalRecord.Seal), so a
-// torn or bit-rotted line is detected and dropped on open exactly like a
-// journal resume. Appends hash the key onto a shard and fsync, keeping
-// writer contention per-shard rather than global.
+// torn or bit-rotted line is detected and dropped on open. Appends hash the
+// key onto a shard and fsync, keeping writer contention per-shard rather
+// than global.
 //
 // Entries older than the configured TTL stop being served (a Get counts
 // Expired and misses); Compact rewrites every shard dropping expired and
@@ -25,37 +27,12 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
-	"teasim/internal/telemetry"
 	"teasim/tea"
 )
-
-// Key addresses one stored simulation: the engine's memo tuple.
-type Key struct {
-	Workload string
-	Mode     string // tea.Mode.String() form
-	Spec     string // resolved spec fingerprint, %016x
-	MaxInstr uint64
-	Scale    int
-}
-
-// KeyOf derives the store key from a journal record.
-func KeyOf(rec tea.JournalRecord) Key {
-	return Key{
-		Workload: rec.Workload,
-		Mode:     rec.Mode.String(),
-		Spec:     rec.Spec,
-		MaxInstr: rec.MaxInstr,
-		Scale:    rec.Scale,
-	}
-}
-
-// String renders the key's canonical address (also the shard-hash input).
-func (k Key) String() string {
-	return fmt.Sprintf("%s/%s@%s/n%d/s%d", k.Workload, k.Mode, k.Spec, k.MaxInstr, k.Scale)
-}
 
 // Options configures a store.
 type Options struct {
@@ -68,11 +45,6 @@ type Options struct {
 	TTL time.Duration
 	// Now overrides the clock (tests); nil = time.Now.
 	Now func() time.Time
-	// Telemetry, when set, receives one EvCorruptRecord event per shard
-	// file that had corrupt or torn-tail lines dropped while opening (nil =
-	// no events). Silent data loss is the one failure a durable store must
-	// not have; the event makes every dropped record observable.
-	Telemetry telemetry.Sink
 }
 
 // Stats is a snapshot of the store's counters.
@@ -84,7 +56,7 @@ type Stats struct {
 	Puts       uint64 // records appended this process
 	Dropped    int    // lines dropped while opening (Corrupt + Superseded)
 	Corrupt    int    // torn or checksum-failing lines dropped while opening
-	Superseded int    // intact lines shadowed by a newer write of their key
+	Superseded int    // intact lines shadowed by a newer line of their key
 }
 
 // envelope is the on-disk line framing: the write timestamp (for TTL) around
@@ -104,7 +76,7 @@ type entry struct {
 type shard struct {
 	mu    sync.Mutex
 	f     *os.File
-	index map[Key]entry
+	index map[tea.MemoKey]entry
 	buf   []byte
 }
 
@@ -114,7 +86,6 @@ type Store struct {
 	dir    string
 	ttl    time.Duration
 	now    func() time.Time
-	tel    telemetry.Sink
 	shards []*shard
 
 	mu         sync.Mutex // counters
@@ -127,9 +98,10 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store rooted at dir, reading every
-// existing shard file and indexing the intact records. Records that fail
-// their checksum are dropped (counted in Stats.Dropped); a duplicate key
-// keeps the newest write, matching compaction.
+// existing shard file and indexing the intact records. Torn lines and
+// records that fail their checksum are dropped (Stats.Corrupt); a duplicate
+// key keeps the newest write (Stats.Superseded), matching compaction. A dir
+// that names a regular file is an error.
 func Open(dir string, o Options) (*Store, error) {
 	if o.Shards <= 0 {
 		o.Shards = 8
@@ -140,9 +112,9 @@ func Open(dir string, o Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	s := &Store{dir: dir, ttl: o.TTL, now: o.Now, tel: o.Telemetry, shards: make([]*shard, o.Shards)}
+	s := &Store{dir: dir, ttl: o.TTL, now: o.Now, shards: make([]*shard, o.Shards)}
 	for i := range s.shards {
-		s.shards[i] = &shard{index: make(map[Key]entry)}
+		s.shards[i] = &shard{index: make(map[tea.MemoKey]entry)}
 	}
 	// Read every shard file present, whatever shard count wrote it; each
 	// record is indexed under the CURRENT layout's shard so lookups and
@@ -157,7 +129,7 @@ func Open(dir string, o Options) (*Store, error) {
 		}
 	}
 	for i, sh := range s.shards {
-		f, err := os.OpenFile(s.shardPath(i), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		f, err := openAppend(s.shardPath(i))
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("store: open shard: %w", err)
@@ -167,12 +139,36 @@ func Open(dir string, o Options) (*Store, error) {
 	return s, nil
 }
 
+// openAppend opens a shard file for appending. A torn final line (a write
+// cut short by a crash) is first terminated with a newline, so the next
+// record starts on a fresh line instead of joining the fragment and failing
+// its checksum. The fragment stays, and keeps counting as corrupt, until a
+// Compact.
+func openAppend(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > 0 {
+		last := []byte{0}
+		if _, err = f.ReadAt(last, fi.Size()-1); err == nil && last[0] != '\n' {
+			_, err = f.Write([]byte{'\n'})
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
 func (s *Store) shardPath(i int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("shard-%03d.jsonl", i))
 }
 
 // shardOf maps a key onto its owning shard.
-func (s *Store) shardOf(k Key) *shard {
+func (s *Store) shardOf(k tea.MemoKey) *shard {
 	h := fnv.New64a()
 	h.Write([]byte(k.String()))
 	return s.shards[h.Sum64()%uint64(len(s.shards))]
@@ -201,11 +197,13 @@ func (s *Store) load(path string) error {
 			corrupt++
 			continue
 		}
-		key := KeyOf(env.Rec)
+		key := env.Rec.MemoKey
 		sh := s.shardOf(key)
-		if have, ok := sh.index[key]; ok && have.at > env.At {
-			superseded++ // shadowed by a newer record already indexed
-			continue
+		if have, ok := sh.index[key]; ok {
+			superseded++ // one of the two lines is shadowed
+			if have.at > env.At {
+				continue
+			}
 		}
 		sh.index[key] = entry{rec: env.Rec, at: env.At}
 	}
@@ -216,9 +214,6 @@ func (s *Store) load(path string) error {
 	s.corrupt += corrupt
 	s.superseded += superseded
 	s.mu.Unlock()
-	if corrupt > 0 && s.tel != nil {
-		s.tel.Event(&telemetry.Event{Kind: telemetry.EvCorruptRecord, Job: path, Count: corrupt})
-	}
 	return nil
 }
 
@@ -229,7 +224,7 @@ func (s *Store) fresh(at int64) bool {
 }
 
 // Get returns the stored result for a key, if present and fresh.
-func (s *Store) Get(k Key) (tea.Result, bool) {
+func (s *Store) Get(k tea.MemoKey) (tea.Result, bool) {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
 	ent, ok := sh.index[k]
@@ -265,7 +260,7 @@ func (s *Store) Put(rec tea.JournalRecord) error {
 	if err != nil {
 		return fmt.Errorf("store: put: %w", err)
 	}
-	key := KeyOf(sealed)
+	key := sealed.MemoKey
 	at := s.now().Unix()
 	line, err := json.Marshal(envelope{At: at, Rec: sealed})
 	if err != nil {
@@ -289,9 +284,6 @@ func (s *Store) Put(rec tea.JournalRecord) error {
 	return nil
 }
 
-// Append is Put under the tea.JournalWriter spelling.
-func (s *Store) Append(rec tea.JournalRecord) error { return s.Put(rec) }
-
 // Len returns the number of indexed entries (including any not yet noticed
 // to be expired).
 func (s *Store) Len() int {
@@ -302,6 +294,24 @@ func (s *Store) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// Records returns every fresh indexed record, sorted by key so callers see
+// a stable order. `teaexp -resume` seeds its engine from them
+// (tea.Engine.SeedJournal).
+func (s *Store) Records() []tea.JournalRecord {
+	var recs []tea.JournalRecord
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, ent := range sh.index {
+			if s.fresh(ent.at) {
+				recs = append(recs, ent.rec)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].MemoKey.String() < recs[j].MemoKey.String() })
+	return recs
 }
 
 // Stats snapshots the store's counters.
@@ -394,7 +404,7 @@ func (s *Store) rewriteShard(i int, sh *shard, kept []envelope) error {
 	if sh.f != nil {
 		sh.f.Close()
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := openAppend(path)
 	if err != nil {
 		return fmt.Errorf("store: compact reopen: %w", err)
 	}

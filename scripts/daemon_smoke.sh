@@ -7,8 +7,10 @@
 #      dispatches through the same tea.RunExperiment registry call),
 #   2. a re-POST is served entirely from the content-addressed store
 #      (zero new simulations, per the X-Tea-Simulated header),
-#   3. SIGTERM drains cleanly (exit 0, store compacted),
-#   4. SIGTERM under load: a request queued for a run slot gets an
+#   3. an invalid custom machine is answered 400, with the same body
+#      bytes every time,
+#   4. SIGTERM drains cleanly (exit 0, store compacted),
+#   5. SIGTERM under load: a request queued for a run slot gets an
 #      immediate 503 instead of a hung connection, while the request
 #      already running finishes with 200.
 set -eux
@@ -42,13 +44,22 @@ diff served.csv served2.csv
 grep 'X-Tea-Simulated: 0' run2.hdr
 grep 'X-Tea-Store-Hits: 6' run2.hdr
 
-# 3. SIGTERM: clean drain, exit 0.
+# 3. An invalid inline spec is the client's error: 400 both times, and the
+#    two bodies are byte-identical (violations come in a fixed order).
+BAD='{"experiment":"custom","spec":{"frontend":{"width":0}}}'
+curl -s -o bad1.txt -w '%{http_code}' --data-binary "$BAD" "http://$ADDR/v1/run" > bad1.code
+curl -s -o bad2.txt -w '%{http_code}' --data-binary "$BAD" "http://$ADDR/v1/run" > bad2.code
+grep -q '^400$' bad1.code
+grep -q '^400$' bad2.code
+cmp bad1.txt bad2.txt
+
+# 4. SIGTERM: clean drain, exit 0.
 kill -TERM "$pid"
 wait "$pid"
 trap - EXIT
 grep 'drained cleanly' teasrvd.err
 
-# 4. SIGTERM under load: restart with a single run slot, occupy it with a
+# 5. SIGTERM under load: restart with a single run slot, occupy it with a
 #    slow uncached request, queue a second one behind it, then drain. The
 #    queued request must be answered 503 promptly; the running one 200.
 ./teasrvd.bin -listen "$ADDR" -store smoke-store -max-concurrent 1 2> teasrvd2.err &
@@ -75,5 +86,6 @@ trap - EXIT
 grep 'drained cleanly' teasrvd2.err
 
 rm -rf smoke-store teasrvd.bin teaexp.bin served.csv served2.csv direct.csv \
-    run1.hdr run2.hdr teasrvd.err teasrvd2.err direct.err slow.code queued.code
+    run1.hdr run2.hdr teasrvd.err teasrvd2.err direct.err slow.code queued.code \
+    bad1.txt bad2.txt bad1.code bad2.code
 echo "daemon smoke: OK"

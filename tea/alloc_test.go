@@ -50,6 +50,21 @@ func TestCompanionSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMemoKeyOfAllocs is an allocation tripwire for the store-hit path: once
+// a preset point's fingerprint is cached, deriving a cell's memo key
+// allocates nothing.
+func TestMemoKeyOfAllocs(t *testing.T) {
+	for _, m := range Modes() {
+		cfg := ExpOptions{MaxInstructions: 10_000}.cfg(m)
+		if _, ok := MemoKeyOf("mcf", cfg); !ok {
+			t.Fatalf("%v: cell not memoizable", m)
+		}
+		if n := testing.AllocsPerRun(100, func() { MemoKeyOf("mcf", cfg) }); n != 0 {
+			t.Errorf("%v: MemoKeyOf makes %.0f allocations, want 0", m, n)
+		}
+	}
+}
+
 // kindConfig is the shootout's cell config for kind, the baseline for none.
 func kindConfig(t *testing.T, o ExpOptions, kind spec.CompanionKind) Config {
 	t.Helper()

@@ -2,6 +2,7 @@ package tea
 
 import (
 	"fmt"
+	"sync"
 
 	"teasim/internal/bpred"
 	"teasim/internal/mem"
@@ -77,14 +78,63 @@ func (c Config) ResolvedSpec() (spec.MachineSpec, error) {
 
 // SpecFingerprint returns the resolved spec's canonical fingerprint — the
 // machine-identity half of an Engine memoization key and the provenance hash
-// stamped into Result.SpecHash.
+// stamped into Result.SpecHash. A preset point's fingerprint is resolved
+// once per process and then served from a cache, so deriving a cell's memo
+// key does not allocate; configs with a Spec or Set patches resolve on
+// every call.
 func (c Config) SpecFingerprint() (uint64, error) {
+	cacheable := c.Spec == nil && len(c.Set) == 0
+	var p presetPoint
+	if cacheable {
+		p = presetPoint{
+			mode:      c.Mode,
+			onlyLoops: c.OnlyLoops, noMasks: c.NoMasks, noMem: c.NoMem,
+			disableEarlyFlush: c.DisableEarlyFlush,
+			blockCacheEntries: c.BlockCacheEntries, fillBufferSize: c.FillBufferSize,
+			h2pDecayPeriod: c.H2PDecayPeriod, maxLeadBlocks: c.MaxLeadBlocks,
+			fetchQueueSize: c.FetchQueueSize,
+		}
+		presetFingerprints.mu.Lock()
+		fp, ok := presetFingerprints.m[p]
+		presetFingerprints.mu.Unlock()
+		if ok {
+			return fp, nil
+		}
+	}
 	s, err := c.ResolvedSpec()
 	if err != nil {
-		return 0, err
+		return 0, err // never cached: every call reports it
 	}
-	return s.Fingerprint(), nil
+	fp := s.Fingerprint()
+	if cacheable {
+		presetFingerprints.mu.Lock()
+		presetFingerprints.m[p] = fp
+		presetFingerprints.mu.Unlock()
+	}
+	return fp, nil
 }
+
+// presetPoint is everything ResolvedSpec reads from a Config without a Spec
+// or Set patches: the Mode, the four ablation switches and the five
+// structure-size overrides. TestPresetPointCoversConfig fails when
+// ResolvedSpec starts reading a field this key omits.
+type presetPoint struct {
+	mode                                         Mode
+	onlyLoops, noMasks, noMem, disableEarlyFlush bool
+	blockCacheEntries, fillBufferSize            int
+	h2pDecayPeriod                               uint64
+	maxLeadBlocks, fetchQueueSize                int
+}
+
+// presetFingerprints caches SpecFingerprint by preset point for the life of
+// the process. Entries never go stale because presets are immutable once
+// registered (spec.Register). The keys are the experiments' own sweep
+// points, a few dozen; nothing a daemon client sends reaches this map (the
+// custom experiment always carries a Spec or Set), so it needs no bound.
+var presetFingerprints = struct {
+	mu sync.Mutex
+	m  map[presetPoint]uint64
+}{m: map[presetPoint]uint64{}}
 
 // machineName names the configured machine point for error messages.
 func (c Config) machineName() string {

@@ -8,6 +8,7 @@ package tea
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"teasim/internal/core"
@@ -206,4 +207,115 @@ func TestSpecFingerprintEquivalences(t *testing.T) {
 	if cosim := fp(Config{Mode: ModeTEA, CoSim: true}); cosim != plain {
 		t.Error("CoSim changed the machine fingerprint")
 	}
+}
+
+// freshFingerprint resolves a config's spec from scratch, bypassing the
+// preset-point cache: the oracle for SpecFingerprint.
+func freshFingerprint(c Config) (uint64, error) {
+	s, err := c.ResolvedSpec()
+	if err != nil {
+		return 0, err
+	}
+	return s.Fingerprint(), nil
+}
+
+// TestPresetPointCoversConfig guards the fingerprint cache's key. For every
+// exported bool or integer Config field, a config that differs from a warm
+// preset point in that field alone must fingerprint as a fresh resolution
+// does. An override that ResolvedSpec reads but presetPoint omits would be
+// served the warm point's fingerprint and fail here.
+func TestPresetPointCoversConfig(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	for _, m := range Modes() {
+		base := Config{Mode: m}
+		if _, err := base.SpecFingerprint(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			if !typ.Field(i).IsExported() {
+				continue
+			}
+			c := base
+			// 3 differs from every preset's value of every override.
+			switch v := reflect.ValueOf(&c).Elem().Field(i); v.Kind() {
+			case reflect.Bool:
+				v.SetBool(true)
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				v.SetInt(3)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				v.SetUint(3)
+			default:
+				continue
+			}
+			got, gotErr := c.SpecFingerprint()
+			want, wantErr := freshFingerprint(c)
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Errorf("%v with %s set: SpecFingerprint = %016x (err %v), fresh resolution = %016x (err %v)",
+					m, typ.Field(i).Name, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
+// TestSpecFingerprintConcurrent resolves every Mode preset and experiment
+// sweep point from 8 goroutines at once, starting from an empty cache, and
+// checks every answer against a sequential fresh resolution. Run it under
+// -race.
+func TestSpecFingerprintConcurrent(t *testing.T) {
+	var cfgs []Config
+	for _, m := range Modes() {
+		cfgs = append(cfgs, Config{Mode: m})
+	}
+	for _, fc := range Fig10Configs() {
+		cfgs = append(cfgs, fc.Cfg(Config{Mode: fc.Mode}))
+	}
+	cfgs = append(cfgs, Config{Mode: ModeTEA, DisableEarlyFlush: true})
+	for _, p := range []SensParam{SensBlockCache, SensFillBuffer, SensH2PDecay, SensLead, SensFetchQueue} {
+		for _, v := range SensDefaults(p) {
+			patch, err := p.Patch(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			override := Config{Mode: ModeTEA}
+			switch p {
+			case SensBlockCache:
+				override.BlockCacheEntries = v
+			case SensFillBuffer:
+				override.FillBufferSize = v
+			case SensH2PDecay:
+				override.H2PDecayPeriod = uint64(v)
+			case SensLead:
+				override.MaxLeadBlocks = v
+			case SensFetchQueue:
+				override.FetchQueueSize = v
+			}
+			cfgs = append(cfgs, override, Config{Mode: ModeTEA, Set: []string{patch}})
+		}
+	}
+	want := make([]uint64, len(cfgs))
+	for i, c := range cfgs {
+		fp, err := freshFingerprint(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fp
+	}
+
+	presetFingerprints.mu.Lock()
+	clear(presetFingerprints.m)
+	presetFingerprints.mu.Unlock()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range cfgs {
+				i := (k + g) % len(cfgs) // stagger the goroutines across points
+				if got, err := cfgs[i].SpecFingerprint(); err != nil || got != want[i] {
+					t.Errorf("config %d: SpecFingerprint = %016x (err %v), want %016x", i, got, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -39,7 +39,23 @@ func MemoKeyOf(workload string, cfg Config) (key MemoKey, ok bool) {
 
 // String renders the key's canonical address.
 func (k MemoKey) String() string {
-	return fmt.Sprintf("%s/%s@%s/n%d/s%d", k.Workload, k.Mode, k.Spec, k.MaxInstr, k.Scale)
+	var buf [64]byte
+	return string(k.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the key's canonical address,
+// "workload/mode@fingerprint/n<budget>/s<scale>", to b and returns the
+// extended buffer. The store hashes these bytes to pick a key's shard.
+func (k MemoKey) AppendTo(b []byte) []byte {
+	b = append(b, k.Workload...)
+	b = append(b, '/')
+	b = append(b, k.Mode.String()...)
+	b = append(b, '@')
+	b = k.Spec.appendTo(b)
+	b = append(b, "/n"...)
+	b = strconv.AppendUint(b, k.MaxInstr, 10)
+	b = append(b, "/s"...)
+	return strconv.AppendInt(b, int64(k.Scale), 10)
 }
 
 // Fingerprint is a resolved machine spec's fingerprint. It prints and
@@ -47,10 +63,22 @@ func (k MemoKey) String() string {
 type Fingerprint uint64
 
 // String returns the fingerprint as 16 hex digits.
-func (f Fingerprint) String() string { return fmt.Sprintf("%016x", uint64(f)) }
+func (f Fingerprint) String() string {
+	var buf [16]byte
+	return string(f.appendTo(buf[:0]))
+}
+
+// appendTo appends the fingerprint as 16 lower-case hex digits.
+func (f Fingerprint) appendTo(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[f>>shift&0xf])
+	}
+	return b
+}
 
 // MarshalText renders the fingerprint as 16 hex digits.
-func (f Fingerprint) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+func (f Fingerprint) MarshalText() ([]byte, error) { return f.appendTo(nil), nil }
 
 // UnmarshalText parses a hex fingerprint.
 func (f *Fingerprint) UnmarshalText(b []byte) error {

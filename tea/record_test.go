@@ -3,6 +3,7 @@ package tea
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,5 +130,23 @@ func TestSeedJournalSkipsBadAndDuplicateRecords(t *testing.T) {
 	ms := e.MemoStats()
 	if ms.Entries != 2 || ms.Seeded != 2 {
 		t.Errorf("MemoStats = %+v, want 2 entries, 2 seeded", ms)
+	}
+}
+
+// TestMemoKeyString pins a key's canonical address, which picks its store
+// shard, against the format it has always had.
+func TestMemoKeyString(t *testing.T) {
+	for _, k := range []MemoKey{
+		{Workload: "bfs", Mode: ModeTEA, Spec: 0x0629c0a37fa329ab, MaxInstr: 50_000, Scale: 1},
+		{Workload: "mcf", Mode: ModeBaseline, Spec: 0, MaxInstr: 0, Scale: 0},
+		{Workload: strings.Repeat("w", 200), Mode: Mode(99), Spec: 0xffffffffffffffff, MaxInstr: 1<<64 - 1, Scale: -3},
+	} {
+		want := fmt.Sprintf("%s/%s@%016x/n%d/s%d", k.Workload, k.Mode, uint64(k.Spec), k.MaxInstr, k.Scale)
+		if got := k.String(); got != want {
+			t.Errorf("MemoKey.String() = %q, want %q", got, want)
+		}
+		if got, want := k.Spec.String(), fmt.Sprintf("%016x", uint64(k.Spec)); got != want {
+			t.Errorf("Fingerprint.String() = %q, want %q", got, want)
+		}
 	}
 }

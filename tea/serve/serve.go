@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"teasim/internal/telemetry"
+	"teasim/internal/workloads"
 	"teasim/tea"
 	"teasim/tea/spec"
 	"teasim/tea/store"
@@ -299,12 +300,8 @@ func (s *Server) parseRequest(r *http.Request) (Request, tea.ExpOptions, tea.For
 		format = f
 	}
 
-	known := make(map[string]bool)
-	for _, w := range tea.Workloads() {
-		known[w] = true
-	}
 	for _, w := range req.Workloads {
-		if !known[w] {
+		if _, ok := workloads.ByName(w); !ok {
 			return req, tea.ExpOptions{}, 0, badRequest("unknown workload %q (see /v1/experiments docs; suite: %v)", w, tea.Workloads())
 		}
 	}
@@ -348,6 +345,11 @@ func (s *Server) parseRequest(r *http.Request) (Request, tea.ExpOptions, tea.For
 			opts.Spec = &m
 		}
 		opts.Set = req.Patches
+		// Resolve the machine as tea.Custom will, so an invalid spec or
+		// patch is the client's 400, not a failed run's 500.
+		if _, err := (tea.Config{Spec: opts.Spec, Set: opts.Set}).ResolvedSpec(); err != nil {
+			return req, tea.ExpOptions{}, 0, badRequest("%v", err)
+		}
 	} else if hasMachine {
 		return req, tea.ExpOptions{}, 0, badRequest(
 			"spec/preset/patches only apply to the %q experiment; %q derives its machines from its modes",

@@ -115,6 +115,9 @@ func TestRunValidation(t *testing.T) {
 		{"patches on non-custom", Request{Experiment: "fig6", Patches: []string{"tea.lead=5"}}, "only apply"},
 		{"unknown preset", Request{Experiment: "custom", Preset: "nope"}, "preset"},
 		{"spec and preset", Request{Experiment: "custom", Preset: "tea", Spec: json.RawMessage(`{}`)}, "mutually exclusive"},
+		{"invalid inline spec", Request{Experiment: "custom", Spec: json.RawMessage(`{"frontend":{"width":0}}`)}, "frontend.width must be positive"},
+		{"unknown patch path", Request{Experiment: "custom", Patches: []string{"frontend.nope=3"}}, "nope"},
+		{"patches invalidate preset", Request{Experiment: "custom", Preset: "tea", Patches: []string{"backend.rob_size=0"}}, "backend.rob_size must be positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,6 +130,40 @@ func TestRunValidation(t *testing.T) {
 				t.Errorf("body %q does not mention %q", body, tc.want)
 			}
 		})
+	}
+}
+
+// maxStoreHitAllocs bounds the heap allocations of one 3-kernel Fig 8
+// request served entirely from the store, through the handler: request
+// decoding, a per-request engine, nine store hits (baseline, TEA and
+// runahead per kernel) and the JSON render.
+const maxStoreHitAllocs = 170
+
+// TestStoreHitAllocs is an allocation tripwire for the daemon's commonest
+// request, a small Fig 8 matrix whose every cell is a store hit.
+func TestStoreHitAllocs(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	h := New(Config{RunFunc: stubRun, Store: st, Workers: 1}).Handler()
+	body, err := json.Marshal(Request{Experiment: "fig8", Workloads: []string{"bfs", "mcf", "xz"}, MaxInstructions: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		return rec
+	}
+	post() // simulate and store the nine cells
+	if rec := post(); rec.Code != http.StatusOK || rec.Header().Get("X-Tea-Store-Hits") != "9" {
+		t.Fatalf("re-POST: status %d, store hits %q; want 200 with 9 hits (body %q)",
+			rec.Code, rec.Header().Get("X-Tea-Store-Hits"), rec.Body)
+	}
+	if n := testing.AllocsPerRun(20, func() { post() }); n > maxStoreHitAllocs {
+		t.Errorf("a store-hit Fig 8 request makes %.0f allocations, want <= %d", n, maxStoreHitAllocs)
 	}
 }
 

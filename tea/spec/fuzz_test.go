@@ -10,6 +10,7 @@ package spec
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,6 +43,11 @@ func FuzzValidate(f *testing.F) {
 			return // rejected input is fine; panicking on it is not
 		}
 		verr := s.Validate()
+		// Violations come in a fixed order, so a second call reports the
+		// same text.
+		if again := s.Validate(); fmt.Sprint(again) != fmt.Sprint(verr) {
+			t.Fatalf("Validate reported differently on a second call:\n%v\n%v", verr, again)
+		}
 		// Whatever Validate thought, the spec must canonicalize
 		// deterministically: fingerprinting drives memo keys and journal
 		// resume, so instability here silently corrupts results.

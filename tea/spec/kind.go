@@ -2,7 +2,7 @@ package spec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -40,8 +40,12 @@ type KindInfo struct {
 	Validate func(s *MachineSpec, bad func(string, ...any))
 }
 
-// kindRegistry holds every registered companion kind.
-var kindRegistry = map[CompanionKind]KindInfo{}
+// kindRegistry holds every registered companion kind; kindOrder lists the
+// kinds sorted by name, the order Kinds returns and Validate walks.
+var (
+	kindRegistry = map[CompanionKind]KindInfo{}
+	kindOrder    []CompanionKind
+)
 
 // RegisterKind adds a companion kind to the registry. It panics on a
 // duplicate kind: two packages claiming one kind is a wiring bug.
@@ -53,16 +57,13 @@ func RegisterKind(info KindInfo) {
 		panic(fmt.Sprintf("spec: companion kind %q registered twice", info.Kind))
 	}
 	kindRegistry[info.Kind] = info
+	kindOrder = append(kindOrder, info.Kind)
+	slices.Sort(kindOrder)
 }
 
 // Kinds returns the registered companion kinds, sorted by name.
 func Kinds() []CompanionKind {
-	kinds := make([]CompanionKind, 0, len(kindRegistry))
-	for k := range kindRegistry {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
+	return slices.Clone(kindOrder)
 }
 
 // LookupKind returns the registered info for a kind.
@@ -73,8 +74,8 @@ func LookupKind(k CompanionKind) (KindInfo, bool) {
 
 // kindList renders the registered kind names for unknown-kind errors.
 func kindList() string {
-	names := make([]string, 0, len(kindRegistry))
-	for _, k := range Kinds() {
+	names := make([]string, 0, len(kindOrder))
+	for _, k := range kindOrder {
 		names = append(names, string(k))
 	}
 	return strings.Join(names, ", ")

@@ -84,7 +84,7 @@ func (s *MachineSpec) setKind(value string) error {
 	}
 	c := &s.Companion
 	c.Kind = info.Kind
-	for _, k := range Kinds() {
+	for _, k := range kindOrder {
 		if other := kindRegistry[k]; other.Kind != info.Kind && other.Clear != nil {
 			other.Clear(c)
 		}

@@ -12,11 +12,16 @@ import (
 // code.
 var presets = map[string]func() MachineSpec{}
 
-// Register adds (or replaces) a named preset. The builder must return a
-// fresh value on every call.
+// Register adds a named preset. The builder must return a fresh value on
+// every call. It panics on a duplicate name: a preset is immutable once
+// registered, because callers may cache what it resolves to (tea caches each
+// preset point's fingerprint for the life of the process).
 func Register(name string, build func() MachineSpec) {
 	if name == "" || build == nil {
 		panic("spec: Register requires a name and a builder")
+	}
+	if _, dup := presets[name]; dup {
+		panic(fmt.Sprintf("spec: preset %q registered twice", name))
 	}
 	presets[name] = build
 }

@@ -49,7 +49,13 @@ func TestPresetGoldens(t *testing.T) {
 	}
 }
 
-// TestPresetsValidate asserts every registered preset passes Validate.
+// maxValidateAllocs bounds Validate's allocations on a valid spec: its
+// violation collector (a closure and the slice it appends to) escapes into
+// the kind validators; the field tables stay on the stack.
+const maxValidateAllocs = 2
+
+// TestPresetsValidate asserts every registered preset passes Validate, and
+// that validating one allocates no more than the violation collector.
 func TestPresetsValidate(t *testing.T) {
 	for _, name := range Presets() {
 		s, err := Preset(name)
@@ -59,6 +65,33 @@ func TestPresetsValidate(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("preset %q fails validation: %v", name, err)
 		}
+		if n := testing.AllocsPerRun(100, func() { _ = s.Validate() }); n > maxValidateAllocs {
+			t.Errorf("preset %q: Validate makes %.0f allocations, want <= %d", name, n, maxValidateAllocs)
+		}
+	}
+}
+
+// TestRegisterRejectsDuplicate asserts a preset cannot be replaced once
+// registered: callers cache what a preset resolves to.
+func TestRegisterRejectsDuplicate(t *testing.T) {
+	before, err := Preset("tea")
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Register replaced an existing preset without panicking")
+			}
+		}()
+		Register("tea", Baseline)
+	}()
+	after, err := Preset("tea")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Fingerprint() != before.Fingerprint() {
+		t.Error("the rejected registration still changed the preset")
 	}
 }
 
@@ -250,6 +283,122 @@ func TestValidateErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestValidateOrder pins the order Validate reports violations in: its rules
+// run in a fixed order and each walks its section's fields in declaration
+// order, so one spec always yields the same message (a daemon answering the
+// same invalid request twice answers the same bytes).
+func TestValidateOrder(t *testing.T) {
+	breakCore := func(s *MachineSpec) {
+		s.Frontend.Width = 0
+		s.Frontend.FetchQueueSize = -1
+		s.Frontend.FrontQCap = 0
+		s.Backend.ROBSize = 0
+		s.Backend.SQSize = 0
+		s.Backend.FDivLat = 0
+		s.Backend.LDPorts = -1
+		s.Memory.L1IWays = 0
+		s.Memory.L1DWays = 5
+		s.Memory.LLCLat = 0
+		s.Memory.LLCMSHRs = 0
+		s.Predictor.TageTables = 13
+		s.Predictor.BTBEntries = 0
+		s.Predictor.RASEntries = 0
+	}
+	core := []string{
+		"frontend.width must be positive, got 0",
+		"frontend.fetch_queue_size must be positive, got -1",
+		"frontend.front_q_cap must be positive, got 0",
+		"backend.rob_size must be positive, got 0",
+		"backend.sq_size must be positive, got 0",
+		"backend.fdiv_lat must be positive, got 0",
+		"backend.ld_ports must be non-negative, got -1",
+		"memory.l1i_ways must be positive, got 0",
+		"memory.llc_lat must be positive, got 0",
+		"memory.llc_mshrs must be positive, got 0",
+		"memory: l1d set count 153 (size 49152 / ways 5 / 64B lines) must be a positive power of two",
+		"predictor.tage_tables must be in [1,12], got 13",
+		"predictor.tage_hist_lens has 12 lengths for 13 tables (they must match)",
+		"predictor.btb_entries must be positive, got 0",
+		"predictor.ras_entries must be positive, got 0",
+	}
+	cases := []struct {
+		preset string
+		mut    func(c *Companion)
+		want   []string
+	}{
+		{"tea", func(c *Companion) {
+			c.TEA.H2PWays = 0
+			c.TEA.WrongLimit = 0
+			c.TEA.H2PSets = 3
+			c.TEA.EmptyTagSets = 0
+			c.TEA.H2PThreshold = 9
+		}, []string{
+			"companion.tea.h2p_ways must be positive, got 0",
+			"companion.tea.wrong_limit must be positive, got 0",
+			"companion.tea.h2p_sets must be a power of two (indices are computed by masking), got 3",
+			"companion.tea.empty_tag_sets must be a power of two (indices are computed by masking), got 0",
+			"companion.tea.h2p_threshold (9) must be below h2p_max (7) or no branch ever qualifies",
+		}},
+		{"runahead", func(c *Companion) {
+			c.Runahead.MaxChains = 0
+			c.Runahead.HistSize = 0
+			c.Runahead.QueueDepth = -2
+		}, []string{
+			"companion.runahead.max_chains must be positive, got 0",
+			"companion.runahead.queue_depth must be positive, got -2",
+			"companion.runahead.hist_size must be positive, got 0",
+		}},
+		{"bullseye", func(c *Companion) {
+			c.Bullseye.H2PWays = 0
+			c.Bullseye.ConfMax = 0
+			c.Bullseye.H2PSets = 0
+			c.Bullseye.TableEntries = 100
+		}, []string{
+			"companion.bullseye.h2p_ways must be positive, got 0",
+			"companion.bullseye.conf_max must be positive, got 0",
+			"companion.bullseye.h2p_sets must be a power of two (indices are computed by masking), got 0",
+			"companion.bullseye.table_entries must be a power of two (indices are computed by masking), got 100",
+			"companion.bullseye.conf_threshold (4) must not exceed conf_max (0) or no prediction ever qualifies",
+		}},
+		{"ldbp", func(c *Companion) {
+			c.LDBP.WindowSize = 0
+			c.LDBP.StrideConf = 0
+			c.LDBP.H2PSets = 6
+		}, []string{
+			"companion.ldbp.window_size must be positive, got 0",
+			"companion.ldbp.stride_conf must be positive, got 0",
+			"companion.ldbp.h2p_sets must be a power of two (indices are computed by masking), got 6",
+		}},
+		{"twowin", func(c *Companion) {
+			c.TwoWin.WindowSize = 0
+			c.TwoWin.EvalsPerCyc = 0
+		}, []string{
+			"companion.twowin.window_size must be positive, got 0",
+			"companion.twowin.evals_per_cyc must be positive, got 0",
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.preset, func(t *testing.T) {
+			s, err := Preset(tc.preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			breakCore(&s)
+			tc.mut(&s.Companion)
+			want := strings.Join(append(append([]string(nil), core...), tc.want...), "\n")
+			for i := 0; i < 20; i++ {
+				err := s.Validate()
+				if err == nil {
+					t.Fatal("Validate accepted a broken spec")
+				}
+				if got := err.Error(); got != want {
+					t.Fatalf("call %d reported:\n%s\nwant:\n%s", i, got, want)
+				}
 			}
 		})
 	}

@@ -9,66 +9,83 @@ import (
 // per-prediction context carries fixed-size per-table state).
 const maxTageTables = 12
 
+// field is one named integer parameter in a validation table. Tables list
+// their fields in the section's declaration order, so Validate reports
+// violations in a fixed order.
+type field struct {
+	name string
+	v    int
+}
+
+// positive reports every field of the table that is not positive.
+func positive(bad func(string, ...any), section string, fields []field) {
+	for _, f := range fields {
+		if f.v <= 0 {
+			bad("%s.%s must be positive, got %d", section, f.name, f.v)
+		}
+	}
+}
+
+// powersOfTwo reports every field of the table that is not a positive power
+// of two.
+func powersOfTwo(bad func(string, ...any), section string, fields []field) {
+	for _, f := range fields {
+		if f.v <= 0 || f.v&(f.v-1) != 0 {
+			bad("%s.%s must be a power of two (indices are computed by masking), got %d", section, f.name, f.v)
+		}
+	}
+}
+
 // Validate checks the spec against the simulator's structural requirements
 // and the companion cross-field rules, returning every violation (joined)
-// with an actionable message. A spec that validates builds without panics.
+// with an actionable message. The rules run in a fixed order, each walking
+// its section's fields in declaration order, so one spec always yields the
+// same message. A spec that validates builds without panics.
 func (s *MachineSpec) Validate() error {
 	var errs []error
 	bad := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-	positive := func(section string, fields map[string]int) {
-		for name, v := range fields {
-			if v <= 0 {
-				bad("%s.%s must be positive, got %d", section, name, v)
-			}
-		}
-	}
-	pow2 := func(section, name string, v int) {
-		if v <= 0 || v&(v-1) != 0 {
-			bad("%s.%s must be a power of two (indices are computed by masking), got %d", section, name, v)
-		}
-	}
 
-	positive("frontend", map[string]int{
-		"width":               s.Frontend.Width,
-		"retire_width":        s.Frontend.RetireWidth,
-		"fetch_queue_size":    s.Frontend.FetchQueueSize,
-		"max_block_instrs":    s.Frontend.MaxBlockInstrs,
-		"fetch_lines_per_cyc": s.Frontend.FetchLinesPerCyc,
-		"front_q_cap":         s.Frontend.FrontQCap,
+	positive(bad, "frontend", []field{
+		{"width", s.Frontend.Width},
+		{"retire_width", s.Frontend.RetireWidth},
+		{"fetch_queue_size", s.Frontend.FetchQueueSize},
+		{"max_block_instrs", s.Frontend.MaxBlockInstrs},
+		{"fetch_lines_per_cyc", s.Frontend.FetchLinesPerCyc},
+		{"front_q_cap", s.Frontend.FrontQCap},
 	})
 
-	positive("backend", map[string]int{
-		"rob_size":  s.Backend.ROBSize,
-		"rs_size":   s.Backend.RSSize,
-		"num_pregs": s.Backend.NumPRegs,
-		"lq_size":   s.Backend.LQSize,
-		"sq_size":   s.Backend.SQSize,
-		"alu_lat":   int(s.Backend.ALULat),
-		"mul_lat":   int(s.Backend.MulLat),
-		"div_lat":   int(s.Backend.DivLat),
-		"fp_lat":    int(s.Backend.FPLat),
-		"fdiv_lat":  int(s.Backend.FDivLat),
+	positive(bad, "backend", []field{
+		{"rob_size", s.Backend.ROBSize},
+		{"rs_size", s.Backend.RSSize},
+		{"num_pregs", s.Backend.NumPRegs},
+		{"lq_size", s.Backend.LQSize},
+		{"sq_size", s.Backend.SQSize},
+		{"alu_lat", int(s.Backend.ALULat)},
+		{"mul_lat", int(s.Backend.MulLat)},
+		{"div_lat", int(s.Backend.DivLat)},
+		{"fp_lat", int(s.Backend.FPLat)},
+		{"fdiv_lat", int(s.Backend.FDivLat)},
 	})
 	if s.Backend.Ports() <= 0 {
 		bad("backend: at least one execution port is required (alu+ld+ldst+fp = %d)", s.Backend.Ports())
 	}
-	for name, v := range map[string]int{
-		"alu_ports": s.Backend.ALUPorts, "ld_ports": s.Backend.LDPorts,
-		"ldst_ports": s.Backend.LDSTPorts, "fp_ports": s.Backend.FPPorts,
+	for _, f := range []field{
+		{"alu_ports", s.Backend.ALUPorts}, {"ld_ports", s.Backend.LDPorts},
+		{"ldst_ports", s.Backend.LDSTPorts}, {"fp_ports", s.Backend.FPPorts},
 	} {
-		if v < 0 {
-			bad("backend.%s must be non-negative, got %d", name, v)
+		if f.v < 0 {
+			bad("backend.%s must be non-negative, got %d", f.name, f.v)
 		}
 	}
 
-	positive("memory", map[string]int{
-		"l1i_size": s.Memory.L1ISize, "l1i_ways": s.Memory.L1IWays,
-		"l1d_size": s.Memory.L1DSize, "l1d_ways": s.Memory.L1DWays,
-		"llc_size": s.Memory.LLCSize, "llc_ways": s.Memory.LLCWays,
-		"l1_lat": int(s.Memory.L1Lat), "llc_lat": int(s.Memory.LLCLat),
-		"l1_mshrs": s.Memory.L1MSHRs, "llc_mshrs": s.Memory.LLCMSHRs,
+	positive(bad, "memory", []field{
+		{"l1i_size", s.Memory.L1ISize}, {"l1i_ways", s.Memory.L1IWays},
+		{"l1d_size", s.Memory.L1DSize}, {"l1d_ways", s.Memory.L1DWays},
+		{"llc_size", s.Memory.LLCSize}, {"llc_ways", s.Memory.LLCWays},
+		{"l1_lat", int(s.Memory.L1Lat)}, {"llc_lat", int(s.Memory.LLCLat)},
+		{"l1_mshrs", s.Memory.L1MSHRs}, {"llc_mshrs", s.Memory.LLCMSHRs},
 	})
 	// Cache sets = size / (ways × 64B line); indices are masked.
 	for _, c := range []struct {
@@ -94,12 +111,12 @@ func (s *MachineSpec) Validate() error {
 		bad(`memory.model %q unknown (want "" for the exact tier or "quick" for the statistical tier)`, s.Memory.Model)
 	}
 	if s.Memory.Quick() {
-		for name, v := range map[string]int{
-			"quick_l1_hit_pct":  s.Memory.QuickL1HitPct,
-			"quick_llc_hit_pct": s.Memory.QuickLLCHitPct,
+		for _, f := range []field{
+			{"quick_l1_hit_pct", s.Memory.QuickL1HitPct},
+			{"quick_llc_hit_pct", s.Memory.QuickLLCHitPct},
 		} {
-			if v < 0 || v > 100 {
-				bad("memory.%s must be a percentage in [0,100] (0 means the default), got %d", name, v)
+			if f.v < 0 || f.v > 100 {
+				bad("memory.%s must be a percentage in [0,100] (0 means the default), got %d", f.name, f.v)
 			}
 		}
 	} else if s.Memory.QuickL1HitPct != 0 || s.Memory.QuickLLCHitPct != 0 || s.Memory.QuickMemLat != 0 {
@@ -119,13 +136,13 @@ func (s *MachineSpec) Validate() error {
 			bad("predictor.tage_hist_lens[%d] must be positive", i)
 		}
 	}
-	positive("predictor", map[string]int{
-		"btb_entries": p.BTBEntries,
-		"btb_ways":    p.BTBWays,
-		"ras_entries": p.RASEntries,
+	positive(bad, "predictor", []field{
+		{"btb_entries", p.BTBEntries},
+		{"btb_ways", p.BTBWays},
+		{"ras_entries", p.RASEntries},
 	})
 	if p.BTBEntries > 0 && p.BTBWays > 0 {
-		pow2("predictor", "btb_entries/btb_ways (set count)", p.BTBEntries/p.BTBWays)
+		powersOfTwo(bad, "predictor", []field{{"btb_entries/btb_ways (set count)", p.BTBEntries / p.BTBWays}})
 	}
 
 	s.validateCompanion(&errs, bad)
@@ -142,7 +159,7 @@ func (s *MachineSpec) validateCompanion(errs *[]error, bad func(string, ...any))
 		bad("companion.kind %q unknown (registered kinds: %s)", c.Kind, kindList())
 		return
 	}
-	for _, k := range Kinds() {
+	for _, k := range kindOrder {
 		other := kindRegistry[k]
 		if other.Kind == c.Kind || other.Has == nil || !other.Has(c) {
 			continue
@@ -178,36 +195,28 @@ func (s *MachineSpec) validateCompanion(errs *[]error, bad func(string, ...any))
 }
 
 func validateTEA(t *TEA, bad func(string, ...any)) {
-	for name, v := range map[string]int{
-		"h2p_ways":          t.H2PWays,
-		"fill_buf_size":     t.FillBufSize,
-		"walk_cycles":       int(t.WalkCycles),
-		"source_mem_size":   t.SourceMemSize,
-		"block_cache_ways":  t.BlockCacheWays,
-		"empty_tag_ways":    t.EmptyTagWays,
-		"seg_max_uops":      t.SegMaxUops,
-		"max_lead_blocks":   t.MaxLeadBlocks,
-		"rs_partition":      t.RSPartition,
-		"pr_partition":      t.PRPartition,
-		"store_cache_lines": t.StoreCacheLines,
-		"store_wait_window": t.StoreWaitWindow,
-		"late_limit":        t.LateLimit,
-		"wrong_limit":       t.WrongLimit,
-		"h2p_decay_period":  int(t.H2PDecayPeriod),
-	} {
-		if v <= 0 {
-			bad("companion.tea.%s must be positive, got %d", name, v)
-		}
-	}
-	for name, v := range map[string]int{
-		"h2p_sets":         t.H2PSets,
-		"block_cache_sets": t.BlockCacheSets,
-		"empty_tag_sets":   t.EmptyTagSets,
-	} {
-		if v <= 0 || v&(v-1) != 0 {
-			bad("companion.tea.%s must be a power of two (indices are computed by masking), got %d", name, v)
-		}
-	}
+	positive(bad, "companion.tea", []field{
+		{"h2p_ways", t.H2PWays},
+		{"h2p_decay_period", int(t.H2PDecayPeriod)},
+		{"fill_buf_size", t.FillBufSize},
+		{"walk_cycles", int(t.WalkCycles)},
+		{"source_mem_size", t.SourceMemSize},
+		{"block_cache_ways", t.BlockCacheWays},
+		{"empty_tag_ways", t.EmptyTagWays},
+		{"seg_max_uops", t.SegMaxUops},
+		{"max_lead_blocks", t.MaxLeadBlocks},
+		{"rs_partition", t.RSPartition},
+		{"pr_partition", t.PRPartition},
+		{"store_cache_lines", t.StoreCacheLines},
+		{"store_wait_window", t.StoreWaitWindow},
+		{"late_limit", t.LateLimit},
+		{"wrong_limit", t.WrongLimit},
+	})
+	powersOfTwo(bad, "companion.tea", []field{
+		{"h2p_sets", t.H2PSets},
+		{"block_cache_sets", t.BlockCacheSets},
+		{"empty_tag_sets", t.EmptyTagSets},
+	})
 	if t.H2PThreshold >= t.H2PMax {
 		bad("companion.tea.h2p_threshold (%d) must be below h2p_max (%d) or no branch ever qualifies",
 			t.H2PThreshold, t.H2PMax)
@@ -215,18 +224,14 @@ func validateTEA(t *TEA, bad func(string, ...any)) {
 }
 
 func validateRunahead(r *Runahead, bad func(string, ...any)) {
-	for name, v := range map[string]int{
-		"max_chains":      r.MaxChains,
-		"max_chain_uops":  r.MaxChainUops,
-		"queue_depth":     r.QueueDepth,
-		"max_instances":   r.MaxInstances,
-		"engine_width":    r.EngineWidth,
-		"recapture_every": r.RecaptureEvery,
-		"disable_after":   r.DisableAfter,
-		"hist_size":       r.HistSize,
-	} {
-		if v <= 0 {
-			bad("companion.runahead.%s must be positive, got %d", name, v)
-		}
-	}
+	positive(bad, "companion.runahead", []field{
+		{"max_chains", r.MaxChains},
+		{"max_chain_uops", r.MaxChainUops},
+		{"queue_depth", r.QueueDepth},
+		{"max_instances", r.MaxInstances},
+		{"engine_width", r.EngineWidth},
+		{"recapture_every", r.RecaptureEvery},
+		{"disable_after", r.DisableAfter},
+		{"hist_size", r.HistSize},
+	})
 }

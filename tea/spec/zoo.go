@@ -177,26 +177,18 @@ func init() {
 }
 
 func validateBullseye(b *Bullseye, bad func(string, ...any)) {
-	for name, v := range map[string]int{
-		"h2p_ways":         b.H2PWays,
-		"h2p_decay_period": int(b.H2PDecayPeriod),
-		"hist_bits":        b.HistBits,
-		"max_branches":     b.MaxBranches,
-		"conf_max":         b.ConfMax,
-		"conf_threshold":   b.ConfThreshold,
-	} {
-		if v <= 0 {
-			bad("companion.bullseye.%s must be positive, got %d", name, v)
-		}
-	}
-	for name, v := range map[string]int{
-		"h2p_sets":      b.H2PSets,
-		"table_entries": b.TableEntries,
-	} {
-		if v <= 0 || v&(v-1) != 0 {
-			bad("companion.bullseye.%s must be a power of two (indices are computed by masking), got %d", name, v)
-		}
-	}
+	positive(bad, "companion.bullseye", []field{
+		{"h2p_ways", b.H2PWays},
+		{"h2p_decay_period", int(b.H2PDecayPeriod)},
+		{"hist_bits", b.HistBits},
+		{"max_branches", b.MaxBranches},
+		{"conf_max", b.ConfMax},
+		{"conf_threshold", b.ConfThreshold},
+	})
+	powersOfTwo(bad, "companion.bullseye", []field{
+		{"h2p_sets", b.H2PSets},
+		{"table_entries", b.TableEntries},
+	})
 	if b.HistBits > 62 {
 		bad("companion.bullseye.hist_bits must fit a uint64 history register, got %d", b.HistBits)
 	}
@@ -207,32 +199,22 @@ func validateBullseye(b *Bullseye, bad func(string, ...any)) {
 }
 
 func validateLDBP(l *LDBP, bad func(string, ...any)) {
-	for name, v := range map[string]int{
-		"h2p_ways":         l.H2PWays,
-		"h2p_decay_period": int(l.H2PDecayPeriod),
-		"window_size":      l.WindowSize,
-		"max_chains":       l.MaxChains,
-		"max_chain_uops":   l.MaxChainUops,
-		"queue_depth":      l.QueueDepth,
-		"lookahead":        l.Lookahead,
-		"stride_conf":      l.StrideConf,
-	} {
-		if v <= 0 {
-			bad("companion.ldbp.%s must be positive, got %d", name, v)
-		}
-	}
-	if v := l.H2PSets; v <= 0 || v&(v-1) != 0 {
-		bad("companion.ldbp.h2p_sets must be a power of two (indices are computed by masking), got %d", v)
-	}
+	positive(bad, "companion.ldbp", []field{
+		{"h2p_ways", l.H2PWays},
+		{"h2p_decay_period", int(l.H2PDecayPeriod)},
+		{"window_size", l.WindowSize},
+		{"max_chains", l.MaxChains},
+		{"max_chain_uops", l.MaxChainUops},
+		{"queue_depth", l.QueueDepth},
+		{"lookahead", l.Lookahead},
+		{"stride_conf", l.StrideConf},
+	})
+	powersOfTwo(bad, "companion.ldbp", []field{{"h2p_sets", l.H2PSets}})
 }
 
 func validateTwoWindow(w *TwoWindow, bad func(string, ...any)) {
-	for name, v := range map[string]int{
-		"window_size":   w.WindowSize,
-		"evals_per_cyc": w.EvalsPerCyc,
-	} {
-		if v <= 0 {
-			bad("companion.twowin.%s must be positive, got %d", name, v)
-		}
-	}
+	positive(bad, "companion.twowin", []field{
+		{"window_size", w.WindowSize},
+		{"evals_per_cyc", w.EvalsPerCyc},
+	})
 }

@@ -167,10 +167,13 @@ func (s *Store) shardPath(i int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("shard-%03d.jsonl", i))
 }
 
-// shardOf maps a key onto its owning shard.
+// shardOf maps a key onto its owning shard by the FNV-1a hash of its
+// canonical address, formatted into a stack buffer so a lookup does not
+// allocate.
 func (s *Store) shardOf(k tea.MemoKey) *shard {
+	var buf [128]byte
 	h := fnv.New64a()
-	h.Write([]byte(k.String()))
+	h.Write(k.AppendTo(buf[:0]))
 	return s.shards[h.Sum64()%uint64(len(s.shards))]
 }
 

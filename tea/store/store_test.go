@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -444,6 +445,46 @@ func TestStorePutGolden(t *testing.T) {
 		if !bytes.Contains(golden, append(line[:len(line):len(line)], '\n')) {
 			t.Errorf("Put wrote a line the v1 writer did not:\n%s", line)
 		}
+	}
+}
+
+// TestShardOfLayout pins shard placement to the layout existing stores were
+// written with: the FNV-1a 64 hash of the key's canonical address, modulo
+// the shard count.
+func TestShardOfLayout(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, wl := range []string{"bfs", "mcf", "xz", "omnetpp"} {
+		for _, mode := range tea.Modes() {
+			for _, n := range []uint64{10_000, 1_000_000} {
+				k := tea.MemoKey{Workload: wl, Mode: mode, Spec: 0x0629c0a37fa329ab, MaxInstr: n, Scale: 1}
+				h := fnv.New64a()
+				fmt.Fprintf(h, "%s/%s@%016x/n%d/s%d", k.Workload, k.Mode, uint64(k.Spec), k.MaxInstr, k.Scale)
+				if s.shardOf(k) != s.shards[h.Sum64()%uint64(len(s.shards))] {
+					t.Errorf("%v moved to another shard", k)
+				}
+			}
+		}
+	}
+}
+
+// TestStoreGetAllocs is an allocation tripwire for the store-hit path: a Get
+// that hits allocates nothing.
+func TestStoreGetAllocs(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := testRec(1)
+	if err := s.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Get(rec.MemoKey) }); n != 0 {
+		t.Errorf("a store hit makes %.0f allocations, want 0", n)
 	}
 }
 

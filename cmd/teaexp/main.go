@@ -101,7 +101,7 @@ func realMain() int {
 		traceOut = flag.String("trace-out", "", "write per-cell JSONL event traces to <base>-<workload>-<mode>.jsonl")
 		progress = flag.Bool("progress", false, "stream per-job progress to stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		memProf  = flag.String("memprofile", "", "write an exact allocation profile (every allocation recorded) to this file at exit")
 		config   = flag.String("config", "", "machine spec JSON file: run it vs the baseline instead of -exp")
 
 		journal  = flag.String("journal", "", "store every finished cell in this result store directory (the teasrvd -store format)")
@@ -164,6 +164,9 @@ func realMain() int {
 		defer pprof.StopCPUProfile()
 	}
 	if *memProf != "" {
+		// Record every allocation, not one per 512 KiB: the profile then
+		// counts allocations exactly. Set before any simulation work.
+		runtime.MemProfileRate = 1
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {

@@ -298,13 +298,14 @@ func (b *B) OnRetire(u *pipeline.Uop) {
 
 	// Prune the speculative-instance log: retired branches can no longer be
 	// rewound by a flush, and they leave the in-flight window.
-	if len(b.specLog) > 0 {
-		cut := 0
-		for cut < len(b.specLog) && b.specLog[cut].seq <= u.Seq {
-			b.inFlight[b.specLog[cut].pc]--
-			cut++
-		}
-		b.specLog = b.specLog[cut:]
+	cut := 0
+	for cut < len(b.specLog) && b.specLog[cut].seq <= u.Seq {
+		b.inFlight[b.specLog[cut].pc]--
+		cut++
+	}
+	if cut > 0 {
+		// Compact in place so appends keep reusing one backing array.
+		b.specLog = b.specLog[:copy(b.specLog, b.specLog[cut:])]
 	}
 
 	if !u.In.IsBranch() || u.Rec == nil {

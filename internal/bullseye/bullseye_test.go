@@ -233,3 +233,36 @@ func TestBullseyeLRUEviction(t *testing.T) {
 	}
 	t.Logf("allocs=%d evictions=%d", by.Stats.Allocs, by.Stats.Evictions)
 }
+
+// TestSpecLogSteadyStateAllocs pins the speculative-instance log to one
+// backing array: a steady window of fetched-and-retired instances of a
+// tracked branch allocates nothing. Slicing the retired head off instead
+// abandons the array's front, so appends reallocate every window's worth.
+func TestSpecLogSteadyStateAllocs(t *testing.T) {
+	bld := asm.NewBuilder()
+	bld.Label("main")
+	bld.Halt()
+	by := New(DefaultConfig(), pipeline.New(pipeline.DefaultConfig(), bld.MustBuild()))
+	const pc, window = 0x1000, 32
+	by.branches[pc] = &branchEnt{tbl: make([]patEnt, by.Cfg.TableEntries)}
+	retiring := &pipeline.Uop{In: &isa.Inst{Op: isa.OpNop}}
+	seq := uint64(0)
+	for ; seq < window; seq++ {
+		by.OverridePrediction(pc, seq)
+	}
+	steps := func() {
+		for i := 0; i < 1000; i++ {
+			by.OverridePrediction(pc, seq)
+			retiring.Seq = seq - window
+			by.OnRetire(retiring)
+			seq++
+		}
+	}
+	steps() // reach the working size
+	if n := testing.AllocsPerRun(10, steps); n != 0 {
+		t.Errorf("1000 fetch/retire steps make %.0f allocations, want 0", n)
+	}
+	if got := by.inFlight[pc]; got != window {
+		t.Errorf("in-flight instances = %d, want %d", got, window)
+	}
+}

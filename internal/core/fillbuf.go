@@ -26,6 +26,11 @@ type FillBuffer struct {
 	entries  []FillEntry
 	cap      int
 	paranoia bool // Config.Paranoia: capacity tripwire in Add
+
+	// Walk scratch, reused by every walk: the Source List (its address
+	// buffer sized once, to Config.SourceMemSize) and walkOnlyLoops' marks.
+	src       sourceList
+	loopMarks []bool
 }
 
 // NewFillBuffer returns an empty buffer of the configured capacity.
@@ -99,6 +104,17 @@ func (s *sourceList) delMem(addr uint64) {
 	}
 }
 
+// emptySourceList returns the walk's Source List, emptied, over the reused
+// address buffer.
+func (f *FillBuffer) emptySourceList(cfg *Config) *sourceList {
+	mem := f.src.mem[:0]
+	if cap(mem) < cfg.SourceMemSize {
+		mem = make([]uint64, 0, cfg.SourceMemSize)
+	}
+	f.src = sourceList{mem: mem, memCap: cfg.SourceMemSize, useMem: !cfg.NoMem}
+	return &f.src
+}
+
 // Walk performs the Backward Dataflow Walk (§III-A) over the buffer,
 // youngest to oldest, marking dependence-chain instructions. It returns the
 // number of marked entries. Configuration switches implement the Fig. 10
@@ -113,13 +129,13 @@ func (f *FillBuffer) Walk(cfg *Config) int {
 	if cfg.OnlyLoops {
 		return f.walkOnlyLoops(cfg)
 	}
-	src := sourceList{memCap: cfg.SourceMemSize, useMem: !cfg.NoMem}
+	src := f.emptySourceList(cfg)
 	marked := 0
 	for i := len(f.entries) - 1; i >= 0; i-- {
 		e := &f.entries[i]
 		e.marked = false
 		seed := e.IsH2P || (e.ChainBit && !cfg.NoMasks)
-		if f.visit(e, &src, seed) {
+		if f.visit(e, src, seed) {
 			e.marked = true
 			marked++
 		}
@@ -176,16 +192,17 @@ func (f *FillBuffer) walkOnlyLoops(cfg *Config) int {
 		f.entries[i].marked = false
 	}
 	marked := 0
-	scratch := make([]bool, len(f.entries))
+	if cap(f.loopMarks) < len(f.entries) {
+		f.loopMarks = make([]bool, len(f.entries))
+	}
+	scratch := f.loopMarks[:len(f.entries)]
 	for i := len(f.entries) - 1; i >= 0; i-- {
 		root := &f.entries[i]
 		if !root.IsH2P {
 			continue
 		}
-		src := sourceList{memCap: cfg.SourceMemSize, useMem: !cfg.NoMem}
-		for k := range scratch {
-			scratch[k] = false
-		}
+		src := f.emptySourceList(cfg)
+		clear(scratch)
 		bounded := false
 		for j := i; j >= 0; j-- {
 			e := &f.entries[j]
@@ -193,7 +210,7 @@ func (f *FillBuffer) walkOnlyLoops(cfg *Config) int {
 				bounded = true // reached the previous instance: loop boundary
 				break
 			}
-			if f.visit(e, &src, j == i) {
+			if f.visit(e, src, j == i) {
 				scratch[j] = true
 			}
 		}

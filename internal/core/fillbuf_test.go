@@ -189,3 +189,28 @@ func TestSourceListMemEviction(t *testing.T) {
 		t.Fatal("delMem failed")
 	}
 }
+
+// TestWalkReusesScratch pins the walk's scratch to the buffer: once the
+// first walk has sized the Source List's address buffer (and the loop
+// walk's marks), walking again allocates nothing, in every walk mode.
+func TestWalkReusesScratch(t *testing.T) {
+	f := NewFillBuffer(64)
+	// A chain of dependent loads from distinct addresses fills the Source
+	// List's address buffer past its capacity.
+	for i := 0; i < 63; i++ {
+		e := entry(0x100+uint64(4*i), ldInst(isa.R1, isa.R1))
+		e.Addr = 0x8000 + uint64(8*i)
+		f.Add(e)
+	}
+	root := entry(0x100+4*63, brInst(isa.R1, isa.R2))
+	root.IsH2P = true
+	f.Add(root)
+	for _, onlyLoops := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.OnlyLoops = onlyLoops
+		f.Walk(&cfg)
+		if n := testing.AllocsPerRun(10, func() { f.Walk(&cfg) }); n != 0 {
+			t.Errorf("OnlyLoops=%v: a walk makes %.0f allocations, want 0", onlyLoops, n)
+		}
+	}
+}

@@ -57,11 +57,7 @@ type Machine struct {
 // New creates a machine with the program loaded, memory initialized from the
 // program's data segments, and PC at the entry point.
 func New(p *isa.Program) *Machine {
-	m := &Machine{Prog: p, Mem: mem.NewImage(), PC: p.Entry}
-	for _, seg := range p.Data {
-		m.Mem.WriteBytes(seg.Addr, seg.Bytes)
-	}
-	return m
+	return &Machine{Prog: p, Mem: mem.LoadImage(p.Data), PC: p.Entry}
 }
 
 // NewWithMem creates a machine over an existing memory image (no data

@@ -36,7 +36,8 @@ type Cache struct {
 
 	lruTick uint32
 	// fills holds completion cycles of outstanding misses (the MSHR file);
-	// entries are pruned lazily.
+	// entries are pruned lazily. A miss is noted only after mshrAvailable
+	// pruned the file below mshrCap, so it never outgrows its capacity.
 	fills []uint64
 }
 
@@ -54,6 +55,7 @@ func NewCache(name string, sizeBytes, ways int, hitLat uint64, mshrs int) *Cache
 		hitLat:  hitLat,
 		lines:   make([]cacheLine, sets*ways),
 		mshrCap: mshrs,
+		fills:   make([]uint64, 0, mshrs),
 	}
 }
 

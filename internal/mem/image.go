@@ -3,7 +3,11 @@
 // cache hierarchy and DRAM timing model used by the pipeline.
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"teasim/internal/isa"
+)
 
 const (
 	pageShift = 12
@@ -23,6 +27,47 @@ type Image struct {
 // NewImage returns an empty memory image.
 func NewImage() *Image {
 	return &Image{pages: make(map[uint64]*[pageSize]byte)}
+}
+
+// LoadImage returns an image holding a program's data segments. The page
+// map is sized from the segments, and every page they touch is carved from
+// one slab, so loading costs a few allocations however large the data is.
+// Pages first touched later are allocated on demand, as in any image.
+func LoadImage(segs []isa.DataSeg) *Image {
+	spans := 0
+	for _, seg := range segs {
+		if first, last, ok := pageSpan(seg); ok {
+			spans += int(last-first) + 1
+		}
+	}
+	m := &Image{pages: make(map[uint64]*[pageSize]byte, spans)}
+	// Claim the touched pages first (segments may share one), then carve
+	// exactly that many from the slab.
+	for _, seg := range segs {
+		first, last, ok := pageSpan(seg)
+		for pn := first; ok && pn <= last; pn++ {
+			m.pages[pn] = nil
+		}
+	}
+	slab := make([][pageSize]byte, len(m.pages))
+	i := 0
+	for pn := range m.pages {
+		m.pages[pn] = &slab[i]
+		i++
+	}
+	for _, seg := range segs {
+		m.WriteBytes(seg.Addr, seg.Bytes)
+	}
+	return m
+}
+
+// pageSpan returns the first and last page numbers seg touches; ok is false
+// for an empty segment.
+func pageSpan(seg isa.DataSeg) (first, last uint64, ok bool) {
+	if len(seg.Bytes) == 0 {
+		return 0, 0, false
+	}
+	return seg.Addr >> pageShift, (seg.Addr + uint64(len(seg.Bytes)) - 1) >> pageShift, true
 }
 
 func (m *Image) page(addr uint64, alloc bool) *[pageSize]byte {
@@ -120,12 +165,15 @@ func (m *Image) WriteBytes(addr uint64, b []byte) {
 
 // Clone returns a deep copy of the image. Used to snapshot the initial state
 // so the timing model and the golden emulator run on independent memories.
+// The copy's pages come from one slab, as LoadImage's do.
 func (m *Image) Clone() *Image {
-	c := NewImage()
+	c := &Image{pages: make(map[uint64]*[pageSize]byte, len(m.pages))}
+	slab := make([][pageSize]byte, len(m.pages))
+	i := 0
 	for pn, p := range m.pages {
-		cp := new([pageSize]byte)
-		*cp = *p
-		c.pages[pn] = cp
+		slab[i] = *p
+		c.pages[pn] = &slab[i]
+		i++
 	}
 	return c
 }

@@ -1,8 +1,12 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"teasim/internal/isa"
 )
 
 func TestImageReadWrite(t *testing.T) {
@@ -66,6 +70,123 @@ func TestImageClone(t *testing.T) {
 	}
 	if got := c.ReadU64(0x40); got != 99 {
 		t.Fatalf("clone write lost: %d", got)
+	}
+}
+
+// readBytes returns n bytes of m starting at addr.
+func readBytes(m *Image, addr uint64, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = m.Byte(addr + uint64(i))
+	}
+	return b
+}
+
+// checkSegs asserts that m holds every segment's bytes.
+func checkSegs(t *testing.T, m *Image, segs []isa.DataSeg) {
+	t.Helper()
+	for i, seg := range segs {
+		if got := readBytes(m, seg.Addr, len(seg.Bytes)); !bytes.Equal(got, seg.Bytes) {
+			t.Fatalf("segment %d at %#x reads back %x, want %x", i, seg.Addr, got, seg.Bytes)
+		}
+	}
+}
+
+func TestLoadImageSharedPage(t *testing.T) {
+	segs := []isa.DataSeg{
+		{Addr: 0x1000, Bytes: []byte{1, 2, 3, 4}},
+		{Addr: 0x1800, Bytes: []byte{5, 6, 7, 8}},
+	}
+	m := LoadImage(segs)
+	checkSegs(t, m, segs)
+	if m.Pages() != 1 {
+		t.Fatalf("pages = %d, want 1 (both segments are on page 1)", m.Pages())
+	}
+	if got := m.Read(0x1004, 4); got != 0 {
+		t.Fatalf("gap between segments = %#x, want 0", got)
+	}
+}
+
+func TestLoadImageStraddle(t *testing.T) {
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	segs := []isa.DataSeg{{Addr: 2*pageSize - 32, Bytes: data}}
+	m := LoadImage(segs)
+	checkSegs(t, m, segs)
+	if m.Pages() != 2 {
+		t.Fatalf("pages = %d, want 2", m.Pages())
+	}
+	if got := m.Read(2*pageSize-4, 8); got != 0x24232221201f1e1d {
+		t.Fatalf("read across the page boundary = %#x", got)
+	}
+}
+
+func TestLoadImageEmptySegment(t *testing.T) {
+	segs := []isa.DataSeg{
+		{Addr: 0x5000, Bytes: nil},
+		{Addr: 0x9000, Bytes: []byte{}},
+		{Addr: 0x3000, Bytes: []byte{0xAA}},
+	}
+	m := LoadImage(segs)
+	checkSegs(t, m, segs)
+	if m.Pages() != 1 {
+		t.Fatalf("pages = %d, want 1 (empty segments touch no page)", m.Pages())
+	}
+	if m := LoadImage(nil); m.Pages() != 0 || m.ReadU64(0x5000) != 0 {
+		t.Fatalf("image of no segments: %d pages", m.Pages())
+	}
+}
+
+func TestLoadImageUntouchedPage(t *testing.T) {
+	segs := []isa.DataSeg{{Addr: 0x1000, Bytes: []byte{9}}}
+	m := LoadImage(segs)
+	if got := m.ReadU64(0x7000); got != 0 {
+		t.Fatalf("untouched page reads %#x, want 0", got)
+	}
+	if m.Pages() != 1 {
+		t.Fatalf("a read allocated a page: pages = %d", m.Pages())
+	}
+	m.WriteU64(0x7008, 0xFEEDFACE)
+	if got := m.ReadU64(0x7008); got != 0xFEEDFACE {
+		t.Fatalf("write to a new page reads back %#x", got)
+	}
+	if m.Pages() != 2 {
+		t.Fatalf("pages = %d, want 2 after writing a new page", m.Pages())
+	}
+	checkSegs(t, m, segs)
+}
+
+func TestCloneSlabImageIndependent(t *testing.T) {
+	data := make([]byte, 3*pageSize)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	segs := []isa.DataSeg{{Addr: 0x10000, Bytes: data}, {Addr: 0x40000, Bytes: []byte{7}}}
+	m := LoadImage(segs)
+	c := m.Clone()
+	checkSegs(t, c, segs)
+	if c.Pages() != m.Pages() {
+		t.Fatalf("clone has %d pages, original %d", c.Pages(), m.Pages())
+	}
+	// Neither image may see the other's stores, on a loaded page or a
+	// fresh one.
+	m.WriteU64(0x10000, 1)
+	c.WriteU64(0x11000, 2)
+	m.WriteU64(0x80000, 3)
+	c.WriteU64(0x90000, 4)
+	if got := c.ReadU64(0x10000); got != binary.LittleEndian.Uint64(data) {
+		t.Fatalf("clone sees the original's store: %#x", got)
+	}
+	if got := m.ReadU64(0x11000); got != binary.LittleEndian.Uint64(data[pageSize:]) {
+		t.Fatalf("original sees the clone's store: %#x", got)
+	}
+	if c.ReadU64(0x80000) != 0 || m.ReadU64(0x90000) != 0 {
+		t.Fatal("a store to a fresh page leaked across the clone")
+	}
+	if m.ReadU64(0x10000) != 1 || c.ReadU64(0x11000) != 2 {
+		t.Fatal("own stores lost")
 	}
 }
 

@@ -22,6 +22,10 @@ package pipeline
 // so the steady-state footprint is too.
 const poolSlab = 256
 
+// Each free list can hold every object its slabs have handed out, so a put
+// never grows it: it is resized once per slab, when the slab is allocated
+// (the free list is empty then, or get would have taken from it), to its
+// old capacity plus poolSlab.
 type pools struct {
 	uops   []*Uop
 	recs   []*BranchRec
@@ -30,6 +34,12 @@ type pools struct {
 	uopSlab   []Uop
 	recSlab   []BranchRec
 	blockSlab []FetchBlock
+
+	// branchesPerBlock is each fetch block's Branches capacity: the most
+	// branches a block can hold (Config.MaxBlockInstrs), so predict never
+	// grows it. A slab's blocks carve their Branches from one backing array
+	// allocated with the slab.
+	branchesPerBlock int
 }
 
 func (p *pools) getUop() *Uop {
@@ -41,6 +51,7 @@ func (p *pools) getUop() *Uop {
 	}
 	if len(p.uopSlab) == 0 {
 		p.uopSlab = make([]Uop, poolSlab)
+		p.uops = make([]*Uop, 0, cap(p.uops)+poolSlab)
 	}
 	u := &p.uopSlab[0]
 	p.uopSlab = p.uopSlab[1:]
@@ -64,6 +75,7 @@ func (p *pools) getRec() *BranchRec {
 	}
 	if len(p.recSlab) == 0 {
 		p.recSlab = make([]BranchRec, poolSlab)
+		p.recs = make([]*BranchRec, 0, cap(p.recs)+poolSlab)
 	}
 	r := &p.recSlab[0]
 	p.recSlab = p.recSlab[1:]
@@ -87,11 +99,22 @@ func (p *pools) getBlock() *FetchBlock {
 		return b
 	}
 	if len(p.blockSlab) == 0 {
-		p.blockSlab = make([]FetchBlock, poolSlab)
+		p.newBlockSlab()
 	}
 	b := &p.blockSlab[0]
 	p.blockSlab = p.blockSlab[1:]
 	return b
+}
+
+// newBlockSlab allocates a slab of blocks with their branch lists.
+func (p *pools) newBlockSlab() {
+	n := p.branchesPerBlock
+	p.blockSlab = make([]FetchBlock, poolSlab)
+	p.blocks = make([]*FetchBlock, 0, cap(p.blocks)+poolSlab)
+	branches := make([]blockBranch, poolSlab*n)
+	for i := range p.blockSlab {
+		p.blockSlab[i].Branches = branches[i*n : i*n : (i+1)*n]
+	}
 }
 
 func (p *pools) putBlock(b *FetchBlock) {

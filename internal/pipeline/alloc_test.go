@@ -1,0 +1,61 @@
+package pipeline
+
+import (
+	"runtime"
+	"testing"
+
+	"teasim/internal/asm"
+	"teasim/internal/telemetry"
+	"teasim/internal/workloads"
+)
+
+// TestNewAllocs is an allocation tripwire for building a core: every
+// structure the configuration bounds is sized in one allocation, and the
+// data image is carved from one slab, so the count stays flat however many
+// pages the program's data spans (mcf's span about 200).
+func TestNewAllocs(t *testing.T) {
+	const maxAllocs = 100
+	w, ok := workloads.ByName("mcf")
+	if !ok {
+		t.Fatal("mcf workload missing")
+	}
+	prog := w.Shared(1)
+	cfg := DefaultConfig()
+	if n := testing.AllocsPerRun(5, func() { New(cfg, prog) }); n > maxAllocs {
+		t.Errorf("pipeline.New on mcf makes %.0f allocations, want <= %d", n, maxAllocs)
+	}
+}
+
+// TestWarmCoreAllocs is the tripwire for the core's warm-up, on
+// BenchmarkCorePerCycle's torture program and configuration: from the
+// moment New returns, filling the pools, queues, scheduler lists and caches
+// to their working sizes allocates nothing beyond a few pool slabs.
+func TestWarmCoreAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const (
+		maxPerKinstr = 0.05
+		cycles       = 1_500_000
+	)
+	b := asm.NewBuilder()
+	buildTorture(b, 42, 24, 1_000_000_000) // effectively unbounded
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.NewCollector(telemetry.Config{Sink: telemetry.NullSink{}})
+	c := New(cfg, b.MustBuild())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	kinstr := float64(c.Stats.Retired) / 1000
+	per := float64(after.Mallocs-before.Mallocs) / kinstr
+	t.Logf("%d allocations over %.0f kinstr: %.3f allocs/kinstr",
+		after.Mallocs-before.Mallocs, kinstr, per)
+	if per > maxPerKinstr {
+		t.Errorf("warming core: %.3f allocs/kinstr, want <= %.2f", per, maxPerKinstr)
+	}
+}

@@ -67,17 +67,21 @@ type Core struct {
 
 	// Bitset scheduler state (sched_bitset.go; active unless
 	// Cfg.NoBitsetSched). Entries live in fixed slots allocated from a
-	// free bitmap; waiter lists and the ready list hold packed
-	// (stamp<<16|slot) references, so age order is numeric order.
+	// free bitmap; the ready lists hold packed (stamp<<16|slot)
+	// references, so age order is numeric order. wHead holds, per physical
+	// register, the first slot of its waiter list (linked through the
+	// slots; noSlot when empty).
 	bitset      bool
 	slots       []schedSlot
 	slotFree    []uint64
 	readyList   []uint64
 	readySorted int // prefix of readyList already in stamp order
-	pwaiters    [][]uint64
-	teaAgeP     []uint64
-	teaAgePHead int
-	candScratch []*Uop // per-cycle select candidates, reused
+	wHead       []int32
+	// ageHead/ageTail bound the age list: every live companion residency,
+	// linked through the slots in insertion (= fetch) order, for the
+	// RS-timeout sweep.
+	ageHead, ageTail int32
+	candScratch      []*Uop // per-cycle select candidates, reused
 	// Split-ready fast path (bitset only; active unless Cfg.NoSplitReady):
 	// companion residencies keep their own ready list, so main select never
 	// filters TEA refs (or revalidates anything — main readiness is
@@ -190,7 +194,7 @@ func New(cfg Config, prog *isa.Program) *Core {
 	c := &Core{
 		Cfg:        cfg,
 		Prog:       prog,
-		Mem:        mem.NewImage(),
+		Mem:        mem.LoadImage(prog.Data),
 		Hier:       mem.NewHierarchy(cfg.Mem),
 		BP:         bpred.NewWithConfig(bpCfg),
 		streamPC:   prog.Entry,
@@ -205,15 +209,13 @@ func New(cfg Config, prog *isa.Program) *Core {
 		codeBase:   prog.CodeBase,
 		codeEnd:    prog.CodeEnd(),
 	}
+	c.initQueues()
 	c.waiters = make([][]rsRef, cfg.NumPRegs+teaRegs)
 	if c.bitset {
 		c.initSched(cfg.NumPRegs + teaRegs)
 	}
 	if !cfg.NoBlockCache {
 		c.dec = emu.Predecode(prog)
-	}
-	for _, seg := range prog.Data {
-		c.Mem.WriteBytes(seg.Addr, seg.Bytes)
 	}
 	for i := 0; i < isa.NumRegs; i++ {
 		c.rat[i] = uint16(i)
@@ -226,6 +228,39 @@ func New(cfg Config, prog *isa.Program) *Core {
 		c.telemRegister()
 	}
 	return c
+}
+
+// companionReserve estimates the most backend entries a companion holds
+// beside the main thread's: a dedicated engine's RS reservation (TEA
+// reserves 192). Structures sized from it still grow if a configuration
+// exceeds it.
+const companionReserve = 256
+
+// rsBound is the most RS residencies a core holds at once: the main
+// partition plus a dedicated companion engine's reservation.
+func rsBound(cfg *Config) int { return cfg.RSSize + companionReserve }
+
+// initQueues sizes every queue and list whose occupancy the configuration
+// bounds, so a warming-up core never grows one append by append.
+func (c *Core) initQueues() {
+	cfg := &c.Cfg
+	c.fetchQ = newQueue[*FetchBlock](cfg.FetchQueueSize)
+	c.frontQ = newQueue[*Uop](cfg.FrontQCap)
+	c.rob = newQueue[*Uop](cfg.ROBSize)
+	c.sq = newQueue[*Uop](cfg.SQSize)
+	// Branch records live from prediction to retirement: in the fetch queue
+	// (about one per block), the frontend pipe and the ROB.
+	c.recList = newQueue[*BranchRec](cfg.FetchQueueSize + cfg.FrontQCap + cfg.ROBSize)
+	// insertRS compacts rs once it passes twice the live count plus 64.
+	n := 2*rsBound(cfg) + 65
+	c.rs = make([]*Uop, 0, n)
+	c.rsStamps = make([]uint64, 0, n)
+	// One completion-ring slot drains at most every uop in flight.
+	c.complScratch = make([]*Uop, 0, cfg.ROBSize+companionReserve)
+	// A decode re-steer waits two cycles; fetch files at most FrontWidth a
+	// cycle.
+	c.pendingRedirects = make([]pendingRedirect, 0, 3*cfg.FrontWidth)
+	c.pool.branchesPerBlock = cfg.MaxBlockInstrs
 }
 
 // Attach connects a precomputation companion (TEA thread or runahead).

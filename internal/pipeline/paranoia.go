@@ -261,14 +261,15 @@ func (c *Core) checkScheduler() {
 // checkSchedulerBitset: the bitset scheduler's redundant state. Every live RS
 // entry (keys of cnt, re-derived from the shared rs list) owns exactly one
 // slot whose cached fields match the uop, the free bitmap agrees with slot
-// occupancy, every live entry is registered in exactly one wakeup home
-// (readyList or one pwaiters list), no waiter sits on a ready register, the
-// sorted prefix of readyList is in packed (age) order, main-thread entries in
-// readyList have both sources ready (the monotonicity claim select's fast
-// path relies on), and the packed companion age list covers every live
-// companion entry in fetch order.
+// occupancy, every live entry is registered in exactly one wakeup home (a
+// ready list, a parked list or one register's waiter list), the waiter lists
+// link exactly the slots marked waiting, no waiter sits on a ready register,
+// the sorted prefix of readyList is in packed (age) order, main-thread
+// entries in readyList have both sources ready (the monotonicity claim
+// select's fast path relies on), and the companion age list links exactly
+// the live companion entries, in fetch order, with consistent back-links.
 func (c *Core) checkSchedulerBitset(cnt map[*Uop]int, live int) {
-	occupied := 0
+	occupied, waiting := 0, 0
 	for i := range c.slots {
 		s := &c.slots[i]
 		freeBit := c.slotFree[i>>6]>>(uint(i)&63)&1 != 0
@@ -276,9 +277,15 @@ func (c *Core) checkSchedulerBitset(cnt map[*Uop]int, live int) {
 			if !freeBit {
 				c.paranoiac("slot %d is empty but marked allocated in the free bitmap", i)
 			}
+			if s.waiting {
+				c.paranoiac("free slot %d is still marked waiting", i)
+			}
 			continue
 		}
 		occupied++
+		if s.waiting {
+			waiting++
+		}
 		if freeBit {
 			c.paranoiac("slot %d is occupied (stamp %d) but marked free in the bitmap", i, s.stamp)
 		}
@@ -382,11 +389,20 @@ func (c *Core) checkSchedulerBitset(cnt map[*Uop]int, live int) {
 		refs++
 		cnt[s.u]++
 	}
-	for preg, ws := range c.pwaiters {
-		for _, ref := range ws {
-			s := refLive(ref)
-			if s == nil {
-				continue
+	linked := 0
+	for preg, head := range c.wHead {
+		for slot := head; slot != noSlot; slot = c.slots[slot].wnext {
+			s := &c.slots[slot]
+			if linked++; linked > waiting {
+				c.paranoiac("waiter lists link %d slots, only %d are waiting (cycle or stray link)",
+					linked, waiting)
+			}
+			if !s.waiting || int(s.wreg) != preg {
+				c.paranoiac("slot %d on p%d's waiter list has waiting=%v wreg=p%d",
+					slot, preg, s.waiting, s.wreg)
+			}
+			if s.stamp == 0 {
+				c.paranoiac("waiter list of p%d links freed slot %d", preg, slot)
 			}
 			if c.PRF.Ready[preg] {
 				c.paranoiac("live seq %d waits on p%d, which is already ready (lost wakeup)",
@@ -396,29 +412,40 @@ func (c *Core) checkSchedulerBitset(cnt map[*Uop]int, live int) {
 			cnt[s.u]++
 		}
 	}
+	if linked != waiting {
+		c.paranoiac("waiter lists link %d slots, %d are marked waiting", linked, waiting)
+	}
 	if refs != live {
 		c.paranoiac("wakeup registration: %d live refs for %d live RS entries", refs, live)
 	}
 	for u, n := range cnt {
 		if n != 1 {
-			c.paranoiac("seq %d registered %d times across ready lists+parked+pwaiters, want exactly 1",
+			c.paranoiac("seq %d registered %d times across ready lists+parked+waiter lists, want exactly 1",
 				u.Seq, n)
 		}
 	}
 
 	teaLive := 0
 	var prevFetch uint64
-	for i := c.teaAgePHead; i < len(c.teaAgeP); i++ {
-		s := refLive(c.teaAgeP[i])
-		if s == nil {
-			continue
+	prev := int32(noSlot)
+	for slot := c.ageHead; slot != noSlot; slot = c.slots[slot].anext {
+		s := &c.slots[slot]
+		if teaLive++; teaLive > occupied {
+			c.paranoiac("companion age list links more slots than the %d occupied (cycle)", occupied)
 		}
-		teaLive++
+		if s.stamp == 0 || !s.tea || s.aprev != prev {
+			c.paranoiac("age list slot %d: stamp %d, tea=%v, aprev %d (want live, companion, %d)",
+				slot, s.stamp, s.tea, s.aprev, prev)
+		}
 		if s.u.FetchCycle < prevFetch {
 			c.paranoiac("companion age list out of order: seq %d fetched at %d after %d",
 				s.u.Seq, s.u.FetchCycle, prevFetch)
 		}
 		prevFetch = s.u.FetchCycle
+		prev = slot
+	}
+	if c.ageTail != prev {
+		c.paranoiac("companion age list tail is slot %d, its last link is %d", c.ageTail, prev)
 	}
 	if teaLive != c.rsTEACount {
 		c.paranoiac("companion age list covers %d live entries, rsTEACount=%d",

@@ -9,6 +9,14 @@ type queue[T any] struct {
 	head int
 }
 
+// newQueue returns a queue that never reallocates while at most bound
+// elements are queued at once. popFront compacts once head passes 64 and
+// half the buffer, so the buffer spans at most max(bound+64, 2*bound-1)
+// elements.
+func newQueue[T any](bound int) queue[T] {
+	return queue[T]{buf: make([]T, 0, 2*bound+65)}
+}
+
 func (q *queue[T]) len() int { return len(q.buf) - q.head }
 
 func (q *queue[T]) at(i int) T { return q.buf[q.head+i] }

@@ -8,8 +8,8 @@ import "math/bits"
 //
 // RS residencies live in fixed slots of a flat array. A free-slot bitmap
 // allocated with bits.TrailingZeros64 replaces pointer-chasing list
-// membership; every reference to a residency is a packed 64-bit word
-// (rsStamp<<16 | slot), so
+// membership; every queued reference to a residency (ready and parked
+// lists) is a packed 64-bit word (rsStamp<<16 | slot), so
 //
 //   - liveness is one load: slots[slot].stamp == ref>>16 — a freed or
 //     recycled slot has a different (or zero) stamp, exactly the stale-ref
@@ -19,6 +19,11 @@ import "math/bits"
 //     preserve. Waiter-list and bitmap iteration order are free to differ
 //     from the reference path because the final candidate order comes from
 //     this sort alone.
+//
+// The per-register waiter lists and the companion age list are instead
+// threaded through the slots (schedSlot's links), and freeing a slot
+// unlinks it, so they hold live residencies only and need no storage of
+// their own: a warming-up core never grows them.
 //
 // Selection skips the per-cycle PRF.Ready revalidation for main-thread
 // entries: main readiness is monotonic. A main uop's source register cannot
@@ -37,11 +42,24 @@ type schedSlot struct {
 	u          *Uop
 	stamp      uint64 // == u.rsStamp while the slot is live; 0 when free
 	prs1, prs2 uint16
-	tea        bool
-	load       bool // main-thread load (parkable on an SQ-blocked verdict)
+	// Intrusive lists, linked by slot index with noSlot as the terminator.
+	// While waiting is set, the residency is on the waiter list of register
+	// wreg (Core.wHead) through wnext. A companion residency is on the age
+	// list (Core.ageHead/ageTail) through aprev/anext for as long as it is
+	// live. Freeing a slot unlinks it from both, so neither list ever holds
+	// a dead residency or needs a stamp guard.
+	wreg         uint16
+	tea          bool
+	load         bool // main-thread load (parkable on an SQ-blocked verdict)
+	waiting      bool
+	wnext        int32
+	aprev, anext int32
 }
 
-// packed waiter/ready reference layout.
+// noSlot terminates a slot list.
+const noSlot = -1
+
+// packed ready/parked reference layout.
 const (
 	slotBits = 16
 	slotMask = 1<<slotBits - 1
@@ -51,33 +69,33 @@ const (
 	maxSlots = 1 << slotBits
 )
 
-// initSched sizes the slot array and per-register waiter lists. Slots cover
-// the worst-case combined RS occupancy (main partition + a dedicated
-// companion engine's reservation), rounded up to whole bitmap words; the
-// array grows on demand if a configuration exceeds the estimate.
+// initSched sizes the slot array, the per-register waiter-list heads and
+// the scheduler's lists. Slots cover the worst-case combined RS occupancy
+// (main partition + a dedicated companion engine's reservation), rounded up
+// to whole bitmap words; the array grows on demand if a configuration
+// exceeds the estimate. Waiter lists are threaded through the slots
+// themselves, so they need no storage of their own. Every list that holds
+// packed refs is sized for the slot count: each live residency has exactly
+// one wakeup home, so only a configuration past the estimate grows them.
 func (c *Core) initSched(nPR int) {
-	n := (c.Cfg.RSSize + 256 + 63) &^ 63
+	n := (rsBound(&c.Cfg) + 63) &^ 63
 	c.slots = make([]schedSlot, n)
 	c.slotFree = make([]uint64, n/64)
 	for i := range c.slotFree {
 		c.slotFree[i] = ^uint64(0)
 	}
-	// Waiter lists get a small capacity each, carved from one backing array;
-	// the per-list slices keep whatever capacity they grow to for the life
-	// of the core.
-	const wcap = 4
-	c.pwaiters = make([][]uint64, nPR)
-	backing := make([]uint64, nPR*wcap)
-	for i := range c.pwaiters {
-		c.pwaiters[i] = backing[i*wcap : i*wcap : (i+1)*wcap]
+	c.wHead = make([]int32, nPR)
+	for i := range c.wHead {
+		c.wHead[i] = noSlot
 	}
-	c.readyList = make([]uint64, 0, 256)
-	c.teaAgeP = make([]uint64, 0, 256)
-	c.candScratch = make([]*Uop, 0, 64)
-	c.complScratch = make([]*Uop, 0, 64)
+	c.ageHead, c.ageTail = noSlot, noSlot
+	c.readyList = make([]uint64, 0, n)
+	c.sqParked = make([]uint64, 0, n)
+	c.memParked = make([]uint64, 0, n)
+	c.candScratch = make([]*Uop, 0, n)
 	if c.split {
-		c.teaReadyList = make([]uint64, 0, 64)
-		c.teaCandScratch = make([]*Uop, 0, 32)
+		c.teaReadyList = make([]uint64, 0, n)
+		c.teaCandScratch = make([]*Uop, 0, n)
 	}
 }
 
@@ -105,9 +123,65 @@ func (c *Core) allocSlot() int {
 // freeSlot releases a residency's slot. Zeroing the stamp kills every packed
 // reference still pointing at it.
 func (c *Core) freeSlot(u *Uop) {
-	s := int(u.rsSlot)
+	s := u.rsSlot
+	if sl := &c.slots[s]; sl.waiting || sl.tea {
+		c.unlink(s)
+	}
 	c.slots[s] = schedSlot{}
 	c.slotFree[s>>6] |= 1 << uint(s&63)
+}
+
+// unlink takes a residency off its waiter list and, for a companion one,
+// off the age list. Waiter lists are singly linked, so waiting costs no
+// write to another slot; the walk to the predecessor is paid only when a
+// waiting residency is squashed, and a register rarely has many waiters.
+func (c *Core) unlink(slot int32) {
+	s := &c.slots[slot]
+	if s.waiting {
+		p := &c.wHead[s.wreg]
+		for *p != slot {
+			p = &c.slots[*p].wnext
+		}
+		*p = s.wnext
+	}
+	if s.tea {
+		if s.aprev != noSlot {
+			c.slots[s.aprev].anext = s.anext
+		} else {
+			c.ageHead = s.anext
+		}
+		if s.anext != noSlot {
+			c.slots[s.anext].aprev = s.aprev
+		} else {
+			c.ageTail = s.aprev
+		}
+	}
+}
+
+// waitOn links slot into register p's waiter list. Lists are LIFO: order
+// inside a list never reaches a result, because every ready list is
+// stamp-sorted before select reads it.
+func (c *Core) waitOn(p uint16, slot int32) {
+	s := &c.slots[slot]
+	s.waiting, s.wreg, s.wnext = true, p, c.wHead[p]
+	c.wHead[p] = slot
+}
+
+// home registers a live residency that is on no list in its one wakeup
+// home: the waiter list of its first unready source, else the ready list
+// its thread selects from.
+func (c *Core) home(slot int32) {
+	s := &c.slots[slot]
+	switch {
+	case !c.PRF.Ready[s.prs1]:
+		c.waitOn(s.prs1, slot)
+	case !c.PRF.Ready[s.prs2]:
+		c.waitOn(s.prs2, slot)
+	case s.tea && c.split:
+		c.teaReadyList = append(c.teaReadyList, s.stamp<<slotBits|uint64(slot))
+	default:
+		c.readyList = append(c.readyList, s.stamp<<slotBits|uint64(slot))
+	}
 }
 
 // insertRSBitset is insertRS's registration half for the bitset scheduler
@@ -115,21 +189,22 @@ func (c *Core) freeSlot(u *Uop) {
 func (c *Core) insertRSBitset(u *Uop) {
 	slot := c.allocSlot()
 	u.rsSlot = int32(slot)
-	c.slots[slot] = schedSlot{u: u, stamp: u.rsStamp, prs1: u.Prs1, prs2: u.Prs2,
-		tea: u.TEA, load: !u.TEA && u.isLoad()}
-	ref := u.rsStamp<<slotBits | uint64(slot)
+	// A free slot is all zero (freeSlot clears it), so only the fields a
+	// residency sets need writing.
+	s := &c.slots[slot]
+	s.u, s.stamp, s.prs1, s.prs2 = u, u.rsStamp, u.Prs1, u.Prs2
+	s.tea, s.load = u.TEA, !u.TEA && u.isLoad()
 	if u.TEA {
-		c.teaAgeP = append(c.teaAgeP, ref)
+		// Append to the age list: insertion order is fetch order.
+		s.aprev, s.anext = c.ageTail, noSlot
+		if c.ageTail != noSlot {
+			c.slots[c.ageTail].anext = int32(slot)
+		} else {
+			c.ageHead = int32(slot)
+		}
+		c.ageTail = int32(slot)
 	}
-	if !c.PRF.Ready[u.Prs1] {
-		c.pwaiters[u.Prs1] = append(c.pwaiters[u.Prs1], ref)
-	} else if !c.PRF.Ready[u.Prs2] {
-		c.pwaiters[u.Prs2] = append(c.pwaiters[u.Prs2], ref)
-	} else if u.TEA && c.split {
-		c.teaReadyList = append(c.teaReadyList, ref)
-	} else {
-		c.readyList = append(c.readyList, ref)
-	}
+	c.home(int32(slot))
 }
 
 // wakeWaitersBitset re-homes or readies every entry waiting on p. With the
@@ -138,25 +213,14 @@ func (c *Core) insertRSBitset(u *Uop) {
 // stamp-sorted before use and execute issues the two groups in the same
 // relative order the filtered shared-list passes did.
 func (c *Core) wakeWaitersBitset(p uint16) {
-	ws := c.pwaiters[p]
-	if len(ws) == 0 {
-		return
-	}
-	c.pwaiters[p] = ws[:0]
-	for _, ref := range ws {
-		s := &c.slots[ref&slotMask]
-		if s.stamp != ref>>slotBits {
-			continue // freed (or recycled) residency
-		}
-		if !c.PRF.Ready[s.prs1] {
-			c.pwaiters[s.prs1] = append(c.pwaiters[s.prs1], ref)
-		} else if !c.PRF.Ready[s.prs2] {
-			c.pwaiters[s.prs2] = append(c.pwaiters[s.prs2], ref)
-		} else if s.tea && c.split {
-			c.teaReadyList = append(c.teaReadyList, ref)
-		} else {
-			c.readyList = append(c.readyList, ref)
-		}
+	slot := c.wHead[p]
+	c.wHead[p] = noSlot
+	for slot != noSlot {
+		s := &c.slots[slot]
+		next := s.wnext
+		s.waiting = false
+		c.home(slot)
+		slot = next
 	}
 }
 
@@ -214,15 +278,9 @@ func (c *Core) selectCandsBitset() []*Uop {
 				continue
 			}
 		}
-		if s.tea {
-			if !c.PRF.Ready[s.prs1] {
-				c.pwaiters[s.prs1] = append(c.pwaiters[s.prs1], ref)
-				continue
-			}
-			if !c.PRF.Ready[s.prs2] {
-				c.pwaiters[s.prs2] = append(c.pwaiters[s.prs2], ref)
-				continue
-			}
+		if s.tea && (!c.PRF.Ready[s.prs1] || !c.PRF.Ready[s.prs2]) {
+			c.home(int32(ref & slotMask))
+			continue
 		}
 		q = append(q, ref)
 		cands = append(cands, s.u)
@@ -262,12 +320,8 @@ func (c *Core) selectTEACandsBitset() []*Uop {
 		if s.stamp != ref>>slotBits {
 			continue
 		}
-		if !c.PRF.Ready[s.prs1] {
-			c.pwaiters[s.prs1] = append(c.pwaiters[s.prs1], ref)
-			continue
-		}
-		if !c.PRF.Ready[s.prs2] {
-			c.pwaiters[s.prs2] = append(c.pwaiters[s.prs2], ref)
+		if !c.PRF.Ready[s.prs1] || !c.PRF.Ready[s.prs2] {
+			c.home(int32(ref & slotMask))
 			continue
 		}
 		q = append(q, ref)
@@ -292,40 +346,29 @@ func (c *Core) selectTEACandsBitset() []*Uop {
 	return cands
 }
 
-// sweepCompanionTimeoutsBitset mirrors sweepCompanionTimeouts on the packed
-// age list.
+// sweepCompanionTimeoutsBitset mirrors sweepCompanionTimeouts on the age
+// list, which links exactly the live companion residencies in insertion
+// order: only its head can newly expire, and squashing the head unlinks it.
 func (c *Core) sweepCompanionTimeoutsBitset() {
-	for c.teaAgePHead < len(c.teaAgeP) {
-		ref := c.teaAgeP[c.teaAgePHead]
-		s := &c.slots[ref&slotMask]
-		if s.stamp == ref>>slotBits {
-			u := s.u
-			if c.Cycle-u.FetchCycle <= companionRSTimeout {
-				break
-			}
-			u.Squashed = true
-			u.InRS = false
-			c.freeSlot(u)
-			c.rsTEACount--
-			c.comp.UopSquashed(u)
+	for c.ageHead != noSlot {
+		u := c.slots[c.ageHead].u
+		if c.Cycle-u.FetchCycle <= companionRSTimeout {
+			break
 		}
-		c.teaAgePHead++
-	}
-	if c.teaAgePHead == len(c.teaAgeP) {
-		c.teaAgeP, c.teaAgePHead = c.teaAgeP[:0], 0
+		u.Squashed = true
+		u.InRS = false
+		c.freeSlot(u)
+		c.rsTEACount--
+		c.comp.UopSquashed(u)
 	}
 }
 
 // companionTimeoutHorizonBitset mirrors companionTimeoutHorizon.
 func (c *Core) companionTimeoutHorizonBitset() uint64 {
-	for i := c.teaAgePHead; i < len(c.teaAgeP); i++ {
-		ref := c.teaAgeP[i]
-		s := &c.slots[ref&slotMask]
-		if s.stamp == ref>>slotBits {
-			return s.u.FetchCycle + companionRSTimeout + 1
-		}
+	if c.ageHead == noSlot {
+		return 0
 	}
-	return 0
+	return c.slots[c.ageHead].u.FetchCycle + companionRSTimeout + 1
 }
 
 // complNextWake returns the earliest outstanding completion cycle strictly

@@ -137,7 +137,9 @@ type FetchBlock struct {
 	SeqBase uint64
 	Count   int
 	// Branches holds the in-flight branch records for every branch
-	// instruction in the block, in program order (index within block).
+	// instruction in the block, in program order (index within block). Its
+	// capacity is MaxBlockInstrs, carved with the block's pool slab, so
+	// predict never grows it.
 	Branches []blockBranch
 	// NextPC is where the stream continues after this block.
 	NextPC uint64

@@ -116,8 +116,7 @@ func realMain() int {
 		fabricN   = flag.Int("fabric", 0, "dispatch cells to this many teaworker processes (0 = in-process); crashed or hung workers are absorbed (see DESIGN.md §16)")
 		fabricCmd = flag.String("fabric-worker", "", "worker command for -fabric (default: teaworker beside this binary, else from PATH)")
 
-		quick = flag.Bool("quick", false, "statistical memory tier (shorthand for -set memory.model=quick; rows are fidelity-marked and must not be mixed into paper tables)")
-		list  = flag.Bool("list", false, "print the experiment registry (name, title, description) and exit")
+		list = flag.Bool("list", false, "print the experiment registry (name, title, description) and exit")
 
 		sets stringList
 	)
@@ -270,13 +269,9 @@ func realMain() int {
 		Ctx:             ctx,
 		Partial:         *partial,
 		Paranoia:        *paranoia,
-		Quick:           *quick,
 	}
 	if *wl != "" {
 		opts.Workloads = strings.Split(*wl, ",")
-	}
-	if *quick {
-		fmt.Fprintln(os.Stderr, "[quick fidelity tier: statistical memory model — rows are not comparable to exact-tier results and must not enter paper tables]")
 	}
 
 	var traces *traceFiles

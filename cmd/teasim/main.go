@@ -84,14 +84,10 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a JSONL event trace to this file")
 		trStart  = flag.Uint64("trace-start", 0, "first traced cycle (with -trace-out)")
 		trEnd    = flag.Uint64("trace-end", 0, "last traced cycle, 0 = unbounded (with -trace-out)")
-		quick    = flag.Bool("quick", false, "statistical memory tier (shorthand for -set memory.model=quick; NOT comparable to exact runs)")
 		sets     stringList
 	)
 	flag.Var(&sets, "set", "spec patch section.field=value (repeatable)")
 	flag.Parse()
-	if *quick {
-		sets = append(sets, "memory.model=quick")
-	}
 
 	if *list {
 		for _, name := range tea.Workloads() {

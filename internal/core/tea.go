@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
 	"teasim/internal/telemetry"
@@ -113,8 +111,6 @@ type TEA struct {
 	// paying the double-flush penalty over and over (§IV-G's intent).
 	wrongTbl wrongTable
 
-	debugWrong int // test hook: print the first N wrong precomputations
-
 	// Telemetry (see telemetry.go): interval snapshot and the cycles-saved
 	// histogram (nil when no collector is attached).
 	ivLast    ivSnapshot
@@ -122,36 +118,6 @@ type TEA struct {
 
 	Stats Stats
 }
-
-func debugf(format string, args ...any) { fmt.Printf(format, args...) }
-
-// debugResolve prints the first N TEA branch resolutions (test diagnostics).
-var debugResolve int
-
-// debugBCMiss prints the first N Block Cache miss terminations.
-var debugBCMiss int
-
-// debugEmptySeg/debugEmptyPC trace empty-mask segment fetches (diagnostics).
-var debugEmptySeg int
-var debugEmptyPC uint64
-
-// debugFlushLo/Hi bound the OnFlush trace window (diagnostics).
-var debugFlushLo, debugFlushHi uint64
-
-// SetDebugFlushWindow arms the OnFlush trace.
-func SetDebugFlushWindow(lo, hi uint64) { debugFlushLo, debugFlushHi = lo, hi }
-
-// SetDebugBCMiss arms the Block Cache miss trace (test diagnostics).
-func SetDebugBCMiss(n int) { debugBCMiss = n }
-
-// SetDebugWrong arms the wrong-precomputation trace (test diagnostics).
-func (t *TEA) SetDebugWrong(n int) { t.debugWrong = n }
-
-// SetDebugEmptySeg traces empty-mask fetches of the block at pc.
-func SetDebugEmptySeg(n int, pc uint64) { debugEmptySeg, debugEmptyPC = n, pc }
-
-// debugClassify prints the first N retired-misprediction classifications.
-var debugClassify int
 
 // refcntMax is the 5-bit reference-counter saturation point. Saturated
 // counters pin their register until the next thread restart (the paper
@@ -300,11 +266,6 @@ func (t *TEA) OnRetire(u *pipeline.Uop) {
 				e.wrong++
 				t.winWrong++
 				t.Stats.PreWrong++
-				if t.debugWrong > 0 {
-					t.debugWrong--
-					debugf("WRONG pc=%#x seq=%d preTaken=%v preTgt=%#x actTaken=%v actTgt=%#x preCycle=%d resCycle=%d flushed=%v\n",
-						rec.PC, rec.Seq, rec.PreTaken, rec.PreTarget, rec.ActualTaken, rec.ActualTarget, rec.PreCycle, rec.ResolveCycle, rec.PreFlushed)
-				}
 			}
 		}
 	}
@@ -340,11 +301,6 @@ func precomputeCorrect(rec *pipeline.BranchRec) bool {
 }
 
 func (t *TEA) classifyMisprediction(rec *pipeline.BranchRec) {
-	if debugClassify > 0 {
-		debugClassify--
-		debugf("MISP pc=%#x seq=%d pre=%v preCyc=%d resCyc=%d flushed=%v\n",
-			rec.PC, rec.Seq, rec.Precomputed, rec.PreCycle, rec.ResolveCycle, rec.PreFlushed)
-	}
 	switch {
 	case !rec.Precomputed:
 		t.Stats.UncoveredMisp++
@@ -435,10 +391,6 @@ func (t *TEA) OnFlush(seq uint64, branchRenamed bool) {
 	// ahead and partially flushed the frontend — recover from the shadow
 	// RAT checkpoint taken when the TEA branch renamed (§IV-F).
 	ckpt, hasCkpt := t.ckptLookup(seq)
-	if debugFlushLo <= seq && seq <= debugFlushHi {
-		debugf("ONFLUSH seq=%d renamed=%v ckpt=%v cyc=%d frontQ=%d r8map=%d\n",
-			seq, branchRenamed, hasCkpt, t.core.Cycle, len(t.frontQ), t.shadowRAT[8])
-	}
 	switch {
 	case branchRenamed:
 		t.Stats.FlushMainSync++
@@ -640,19 +592,9 @@ func (t *TEA) fetchChainUops() {
 			m, count, hit := t.BC.Lookup(pc)
 			lookups++
 			if !hit {
-				if debugBCMiss > 0 {
-					debugBCMiss--
-					debugf("BCMISS pc=%#x off=%d blkStart=%#x blkCount=%d cyc=%d segValid=%v segBase=%d blkBase=%d segStart=%d segEnd=%d\n",
-						pc, off, blk.StartPC, blk.Count, t.core.Cycle,
-						t.curSeg.valid, t.curSeg.seqBase, blk.SeqBase, t.curSeg.startOff, t.curSeg.end)
-				}
 				t.Stats.TermBCMiss++
 				t.terminate(false)
 				return
-			}
-			if debugEmptySeg > 0 && m == 0 && blk.StartPC == debugEmptyPC {
-				debugEmptySeg--
-				debugf("EMPTYSEG pc=%#x off=%d cyc=%d count=%d\n", pc, off, t.core.Cycle, count)
 			}
 			mask, segStart = m, off
 			segEnd = off + count
@@ -892,11 +834,6 @@ func (t *TEA) BranchResolved(u *pipeline.Uop, taken bool, target uint64) {
 	}
 	rec.Precomputed = true
 	rec.PreTaken, rec.PreTarget, rec.PreCycle = taken, target, t.core.Cycle
-	if debugResolve > 0 {
-		debugResolve--
-		debugf("RESOLVE cyc=%d seq=%d pc=%#x taken=%v prs1=%d v1=%d predNext=%#x\n",
-			t.core.Cycle, u.Seq, u.PC, taken, u.Prs1, int64(t.core.PRF.Val[u.Prs1]), rec.PredNext)
-	}
 
 	next := target
 	if !taken {

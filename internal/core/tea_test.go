@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+	"os"
 	"testing"
 
 	"teasim/internal/asm"
@@ -320,5 +322,44 @@ func TestTEAAdaptiveDefensesEngage(t *testing.T) {
 	defended := s.BlockedFlushes > 0 || s.LoadWaitEnables > 0 || s.Backoffs > 0
 	if s.PreWrong > 200 && !defended {
 		t.Fatalf("wrongness %d with no adaptive defense engaged", s.PreWrong)
+	}
+}
+
+// TestFirstInstructionFlushIsSilent runs, with TEA attached, a program whose
+// first instruction is a mispredicted branch, so the first flush is at seq 0.
+// The simulator reports through its stats and telemetry only: nothing may be
+// written to stdout.
+func TestFirstInstructionFlushIsSilent(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	out := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	var c *pipeline.Core
+	func() {
+		defer func() {
+			os.Stdout = stdout
+			w.Close()
+		}()
+		teaCfg := DefaultConfig()
+		c, _ = runKernel(t, &teaCfg, func(b *asm.Builder) {
+			b.Beqz(isa.R0, "done") // always taken; a cold predictor says not taken
+			b.Nop()
+			b.Label("done")
+			b.Halt()
+		})
+	}()
+	if got := <-out; len(got) != 0 {
+		t.Errorf("simulation wrote %q to stdout", got)
+	}
+	if c.Stats.CondMispredicts == 0 {
+		t.Fatal("the first branch was not mispredicted; the test no longer flushes at seq 0")
 	}
 }

@@ -12,15 +12,6 @@ type HierarchyConfig struct {
 	LLCSize, LLCWays  int
 	L1Lat, LLCLat     uint64
 	L1MSHRs, LLCMSHRs int
-
-	// Quick selects the statistical fidelity tier (see quick.go): hit/miss
-	// by deterministic draw at the configured percentages, fixed latencies,
-	// no MSHR/LRU/DRAM-channel state. Outside the bit-identity contract.
-	// Zero Quick* parameters take the quickDefault* values.
-	Quick          bool
-	QuickL1HitPct  int    // percent of accesses served at L1 latency
-	QuickLLCHitPct int    // percent of L1 misses served at LLC latency
-	QuickMemLat    uint64 // flat latency of everything deeper
 }
 
 // DefaultHierarchyConfig returns the Table I memory system.
@@ -40,39 +31,16 @@ type Hierarchy struct {
 	L1D  *Cache
 	LLC  *Cache
 	DRAM *DRAM
-
-	// quick, when non-nil, replaces the full hierarchy walk with the
-	// statistical fidelity tier (see quick.go). One predictable branch at
-	// the top of access(); nil on every exact-tier run.
-	quick *quickModel
 }
 
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	h := &Hierarchy{
+	return &Hierarchy{
 		L1I:  NewCache("L1I", cfg.L1ISize, cfg.L1IWays, cfg.L1Lat, cfg.L1MSHRs),
 		L1D:  NewCache("L1D", cfg.L1DSize, cfg.L1DWays, cfg.L1Lat, cfg.L1MSHRs),
 		LLC:  NewCache("LLC", cfg.LLCSize, cfg.LLCWays, cfg.LLCLat, cfg.LLCMSHRs),
 		DRAM: &DRAM{},
 	}
-	if cfg.Quick {
-		q := &quickModel{
-			l1HitPct:  uint64(cfg.QuickL1HitPct),
-			llcHitPct: uint64(cfg.QuickLLCHitPct),
-			memLat:    cfg.QuickMemLat,
-		}
-		if cfg.QuickL1HitPct == 0 {
-			q.l1HitPct = quickDefaultL1HitPct
-		}
-		if cfg.QuickLLCHitPct == 0 {
-			q.llcHitPct = quickDefaultLLCHitPct
-		}
-		if cfg.QuickMemLat == 0 {
-			q.memLat = quickDefaultMemLat
-		}
-		h.quick = q
-	}
-	return h
 }
 
 // access performs a load-type access through l1 → LLC → DRAM. ok=false means
@@ -82,9 +50,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // MSHR-full load parking relies on this); hit/miss counters count accepted
 // accesses once, not per retry attempt.
 func (h *Hierarchy) access(l1 *Cache, addr uint64, now uint64, dirty bool) (AccessResult, bool) {
-	if h.quick != nil {
-		return h.quickAccess(l1, addr, now)
-	}
 	line := LineOf(addr)
 	if l := l1.lookup(line); l != nil {
 		l1.Accesses++
@@ -205,9 +170,6 @@ func (h *Hierarchy) Load(addr uint64, now uint64) (AccessResult, bool) {
 // when an outstanding fill completes (see NextEvent), so the core's idle
 // skipper can sleep a blocked load until then.
 func (h *Hierarchy) LoadWouldAccept(addr uint64, now uint64) bool {
-	if h.quick != nil {
-		return true // quick tier accepts every access
-	}
 	line := LineOf(addr)
 	if h.L1D.lookup(line) != nil {
 		return true // hit, or merge with the line's outstanding fill

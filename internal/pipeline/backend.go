@@ -7,13 +7,6 @@ import (
 	"teasim/internal/isa"
 )
 
-// DebugTEA prints the first N uop completions within [DebugSeqLo,
-// DebugSeqHi] (test diagnostics).
-var DebugTEA int
-
-// DebugSeqLo and DebugSeqHi bound the DebugTEA trace window.
-var DebugSeqLo, DebugSeqHi uint64
-
 // completionRing bounds how far in the future a uop may complete. DRAM
 // backlogs stay well under this; exceeding it is a simulator bug.
 const completionRing = 16384
@@ -459,15 +452,6 @@ func (c *Core) complete() {
 		if u.HasDest {
 			c.PRF.Write(u.Prd, u.Val)
 			c.wakeWaiters(u.Prd)
-		}
-		if DebugTEA > 0 && u.Seq >= DebugSeqLo && u.Seq <= DebugSeqHi {
-			DebugTEA--
-			who := "MAIN"
-			if u.TEA {
-				who = "TEA "
-			}
-			println(who, "cyc", int(c.Cycle), "seq", int(u.Seq), u.In.String(),
-				"v1", int64(c.PRF.Val[u.Prs1]), "val", int64(u.Val), "addr", int64(u.Addr), "sq", u.Squashed)
 		}
 		if u.TEA {
 			if u.isStore() {

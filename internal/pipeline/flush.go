@@ -13,9 +13,6 @@ import "teasim/internal/isa"
 // has not reached rename yet naturally becomes a *partial frontend flush* —
 // instructions older than the branch are untouched (paper §IV-F).
 func (c *Core) flushAfter(seq uint64, redirectPC uint64, rec *BranchRec, actualTaken bool, actualTarget uint64) {
-	if DebugTEA > 0 && seq >= DebugSeqLo && seq <= DebugSeqHi {
-		println("FLUSH cyc", int(c.Cycle), "seq", int(seq), "redirect", int64(redirectPC), "taken", actualTaken)
-	}
 	// Predictor recovery: rewind speculative history/RAS to just before the
 	// branch and re-apply its actual outcome.
 	if rec != nil {

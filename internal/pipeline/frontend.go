@@ -214,9 +214,11 @@ func (c *Core) fetch() {
 			if !ok {
 				return // I-cache MSHRs full; retry next cycle
 			}
-			hitReady := c.Cycle + 4 // L1I hit latency is folded into the frontend depth
-			if res.ReadyAt > hitReady {
-				c.fetchStallTil = res.ReadyAt - 4
+			// The L1I hit latency is folded into the frontend depth, so only
+			// the part of a miss beyond it stalls fetch.
+			hitLat := c.Cfg.Mem.L1Lat
+			if res.ReadyAt > c.Cycle+hitLat {
+				c.fetchStallTil = res.ReadyAt - hitLat
 				return
 			}
 			lines[nLines] = line

@@ -16,9 +16,6 @@ func teaDebug(name string, n uint64) {
 	cfg.MaxCycles = 100_000_000
 	c := pipeline.New(cfg, prog)
 	t := core.New(core.DefaultConfig(), c)
-	t.SetDebugWrong(0)
-	t.SetDebugWrong(4)
-	pipeline.DebugSeqLo, pipeline.DebugSeqHi = 22120, 22290
 	if err := c.Run(); err != nil {
 		fmt.Println(err)
 		return

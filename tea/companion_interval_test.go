@@ -27,7 +27,6 @@ func TestCompanionOnIntervalAllKinds(t *testing.T) {
 				Spec:            &p,
 				MaxInstructions: 50_000,
 				Scale:           1,
-				Set:             []string{"memory.model=quick"},
 			}
 			plain, err := Run("mcf", cfg)
 			if err != nil {

@@ -206,11 +206,6 @@ func pipelineConfig(s *spec.MachineSpec) pipeline.Config {
 			LLCSize: s.Memory.LLCSize, LLCWays: s.Memory.LLCWays,
 			L1Lat: s.Memory.L1Lat, LLCLat: s.Memory.LLCLat,
 			L1MSHRs: s.Memory.L1MSHRs, LLCMSHRs: s.Memory.LLCMSHRs,
-
-			Quick:          s.Memory.Quick(),
-			QuickL1HitPct:  s.Memory.QuickL1HitPct,
-			QuickLLCHitPct: s.Memory.QuickLLCHitPct,
-			QuickMemLat:    s.Memory.QuickMemLat,
 		},
 
 		CompanionDedicated:  s.Companion.Dedicated,

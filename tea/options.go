@@ -47,13 +47,6 @@ type ExpOptions struct {
 	// on top of Spec (see Config.Set).
 	Set []string
 
-	// Quick runs every cell on the statistical memory tier (spec patch
-	// memory.model=quick, see internal/mem/quick.go): much faster cells,
-	// fidelity-marked rows (Result.Fidelity), NOT comparable to exact-tier
-	// results — never mix quick rows into paper-figure tables
-	// (EXPERIMENTS.md).
-	Quick bool
-
 	// Ctx cancels the experiment cooperatively (nil = context.Background()):
 	// completed cells keep their results, in-flight cells finish, and the
 	// experiment returns the context's error with whatever rows it built.
@@ -134,12 +127,6 @@ func WithSet(patches ...string) ExpOption {
 	return func(o *ExpOptions) { o.Set = append(o.Set, patches...) }
 }
 
-// WithQuick runs every cell on the statistical memory tier (fast,
-// fidelity-marked, not comparable to exact-tier results).
-func WithQuick() ExpOption {
-	return func(o *ExpOptions) { o.Quick = true }
-}
-
 // WithContext cancels the experiment cooperatively through ctx.
 func WithContext(ctx context.Context) ExpOption {
 	return func(o *ExpOptions) { o.Ctx = ctx }
@@ -178,9 +165,6 @@ func (o ExpOptions) fill() ExpOptions {
 // cfg builds one cell's simulation config.
 func (o ExpOptions) cfg(mode Mode) Config {
 	c := Config{Mode: mode, MaxInstructions: o.MaxInstructions, Scale: o.Scale, Paranoia: o.Paranoia}
-	if o.Quick {
-		c.Set = append(c.Set, "memory.model=quick")
-	}
 	if o.Intervals {
 		c.Intervals = true
 		c.IntervalPeriod = o.IntervalPeriod

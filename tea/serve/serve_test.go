@@ -118,6 +118,8 @@ func TestRunValidation(t *testing.T) {
 		{"invalid inline spec", Request{Experiment: "custom", Spec: json.RawMessage(`{"frontend":{"width":0}}`)}, "frontend.width must be positive"},
 		{"unknown patch path", Request{Experiment: "custom", Patches: []string{"frontend.nope=3"}}, "nope"},
 		{"patches invalidate preset", Request{Experiment: "custom", Preset: "tea", Patches: []string{"backend.rob_size=0"}}, "backend.rob_size must be positive"},
+		{"removed memory model patch", Request{Experiment: "custom", Patches: []string{"memory.model=quick"}}, `unknown field "model" under "memory"`},
+		{"removed memory model in spec", Request{Experiment: "custom", Spec: json.RawMessage(`{"memory":{"model":"quick"}}`)}, `unknown field "model"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

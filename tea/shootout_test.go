@@ -96,7 +96,6 @@ func TestShootoutMatchesFig8Rows(t *testing.T) {
 		return ExpOptions{
 			MaxInstructions: 50_000,
 			Workloads:       []string{"mcf", "bfs"},
-			Quick:           true,
 			Engine:          NewEngine(2),
 		}
 	}

@@ -101,10 +101,17 @@ func init() {
 			}
 		},
 		Validate: func(s *MachineSpec, bad func(string, ...any)) {
-			validateTEA(s.Companion.TEA, bad)
-			if t := s.Companion.TEA; t.RSPartition > 0 && t.RSPartition >= s.Backend.RSSize {
+			t := s.Companion.TEA
+			validateTEA(t, bad)
+			if t.RSPartition > 0 && t.RSPartition >= s.Backend.RSSize {
 				bad("companion.tea.rs_partition (%d) must leave the main thread reservation stations (backend.rs_size %d)",
 					t.RSPartition, s.Backend.RSSize)
+			}
+			// On-core TEA carves its registers out of the main thread's
+			// share; a dedicated engine brings its own.
+			if !s.Companion.Dedicated && t.PRPartition > 0 && s.Backend.NumPRegs-t.PRPartition <= archRegs {
+				bad("companion.tea.pr_partition (%d) must leave the main thread more than %d physical registers (backend.num_pregs %d) unless companion.dedicated is set",
+					t.PRPartition, archRegs, s.Backend.NumPRegs)
 			}
 		},
 	})

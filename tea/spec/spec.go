@@ -98,22 +98,7 @@ type Memory struct {
 
 	L1MSHRs  int `json:"l1_mshrs"`
 	LLCMSHRs int `json:"llc_mshrs"`
-
-	// Model selects the memory fidelity tier: "" (exact, the default — the
-	// full hierarchy walk) or "quick" (statistical hit/miss draw with fixed
-	// latencies; see internal/mem/quick.go). Quick runs are reproducible but
-	// OUTSIDE the bit-identity contract: the fast-path equivalence harness
-	// rejects them, and their rows must never be mixed into paper-figure
-	// tables (EXPERIMENTS.md). All fields omitempty so exact-tier spec
-	// fingerprints and goldens are unchanged.
-	Model          string `json:"model,omitempty"`
-	QuickL1HitPct  int    `json:"quick_l1_hit_pct,omitempty"`  // default 90
-	QuickLLCHitPct int    `json:"quick_llc_hit_pct,omitempty"` // default 60
-	QuickMemLat    uint64 `json:"quick_mem_lat,omitempty"`     // default 180
 }
-
-// Quick reports whether the spec selects the statistical memory tier.
-func (m *Memory) Quick() bool { return m.Model == "quick" }
 
 // Predictor describes the decoupled branch-prediction stack (TAGE-SC-L
 // class). TageHistLens is the geometric history series of the tagged

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"teasim/internal/isa"
 )
 
 var update = flag.Bool("update", false, "rewrite golden spec files")
@@ -267,6 +269,16 @@ func TestValidateErrors(t *testing.T) {
 			want: "must leave the main thread reservation stations",
 		},
 		{
+			name: "pregs within architectural registers",
+			spec: teaSpec(func(s *MachineSpec) { s.Backend.NumPRegs = 32 }),
+			want: "backend.num_pregs (32) must exceed the 32 architectural registers",
+		},
+		{
+			name: "pr partition swallows backend",
+			spec: teaSpec(func(s *MachineSpec) { s.Backend.NumPRegs = 224 }),
+			want: "companion.tea.pr_partition (192) must leave the main thread more than 32 physical registers (backend.num_pregs 224)",
+		},
+		{
 			name: "zero runahead field",
 			spec: teaSpec(func(s *MachineSpec) {
 				s.Companion = Companion{Kind: CompanionRunahead, Runahead: DefaultRunahead()}
@@ -285,6 +297,14 @@ func TestValidateErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestArchRegs pins the validator's register rules to the µISA's
+// architectural register count.
+func TestArchRegs(t *testing.T) {
+	if archRegs != isa.NumRegs {
+		t.Fatalf("archRegs = %d, isa.NumRegs = %d", archRegs, isa.NumRegs)
 	}
 }
 

@@ -9,6 +9,11 @@ import (
 // per-prediction context carries fixed-size per-table state).
 const maxTageTables = 12
 
+// archRegs is the µISA's architectural register count (isa.NumRegs, kept
+// here so the package stays stdlib-only). Rename needs a free physical
+// register beyond the ones that hold architectural state.
+const archRegs = 32
+
 // field is one named integer parameter in a validation table. Tables list
 // their fields in the section's declaration order, so Validate reports
 // violations in a fixed order.
@@ -68,6 +73,10 @@ func (s *MachineSpec) Validate() error {
 		{"fp_lat", int(s.Backend.FPLat)},
 		{"fdiv_lat", int(s.Backend.FDivLat)},
 	})
+	if n := s.Backend.NumPRegs; n > 0 && n <= archRegs {
+		bad("backend.num_pregs (%d) must exceed the %d architectural registers or rename never finds a free one",
+			n, archRegs)
+	}
 	if s.Backend.Ports() <= 0 {
 		bad("backend: at least one execution port is required (alu+ld+ldst+fp = %d)", s.Backend.Ports())
 	}
@@ -103,24 +112,6 @@ func (s *MachineSpec) Validate() error {
 			bad("memory: %s set count %d (size %d / ways %d / 64B lines) must be a positive power of two",
 				c.name, sets, c.size, c.ways)
 		}
-	}
-
-	switch s.Memory.Model {
-	case "", "quick":
-	default:
-		bad(`memory.model %q unknown (want "" for the exact tier or "quick" for the statistical tier)`, s.Memory.Model)
-	}
-	if s.Memory.Quick() {
-		for _, f := range []field{
-			{"quick_l1_hit_pct", s.Memory.QuickL1HitPct},
-			{"quick_llc_hit_pct", s.Memory.QuickLLCHitPct},
-		} {
-			if f.v < 0 || f.v > 100 {
-				bad("memory.%s must be a percentage in [0,100] (0 means the default), got %d", f.name, f.v)
-			}
-		}
-	} else if s.Memory.QuickL1HitPct != 0 || s.Memory.QuickLLCHitPct != 0 || s.Memory.QuickMemLat != 0 {
-		bad(`memory: quick_* parameters require memory.model "quick"`)
 	}
 
 	p := &s.Predictor

@@ -167,11 +167,6 @@ type Result struct {
 	// SpecHash is the resolved machine spec's fingerprint (hex), tying the
 	// result to the exact machine point that produced it.
 	SpecHash string `json:"spec_hash,omitempty"`
-	// Fidelity marks rows produced outside the exact tier ("quick" for the
-	// statistical memory model; empty for exact runs, so existing goldens
-	// are unchanged). Quick rows must never be mixed into paper-figure
-	// tables — see EXPERIMENTS.md.
-	Fidelity string `json:"fidelity,omitempty"`
 
 	Cycles       uint64  `json:"cycles"`
 	Instructions uint64  `json:"instructions"`
@@ -362,7 +357,6 @@ func runContext(ctx context.Context, workload string, cfg Config,
 		Workload:        workload,
 		Mode:            mode,
 		SpecHash:        machine.FingerprintString(),
-		Fidelity:        machine.Memory.Model,
 		Cycles:          c.Stats.Cycles,
 		Instructions:    c.Stats.Retired,
 		IPC:             c.Stats.IPC(),

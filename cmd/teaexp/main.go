@@ -223,6 +223,10 @@ func realMain() int {
 				}
 				fmt.Fprintf(os.Stderr, "[job %d] %s/%s %s in %v\n", ev.Index, ev.Job.Workload, ev.Job.Cfg.Mode,
 					status, ev.Wall.Round(time.Millisecond))
+			case tea.JobAttemptFailed:
+				msg, _, _ := strings.Cut(ev.Err.Error(), "\n") // a panic's stack follows its first line
+				fmt.Fprintf(os.Stderr, "[job %d] %s/%s attempt %d failed (after %v backoff): %s\n", ev.Index,
+					ev.Job.Workload, ev.Job.Cfg.Mode, ev.Attempt, ev.Backoff, msg)
 			}
 		}))
 	}

@@ -11,11 +11,14 @@
 //	teasim -w bfs -mode tea -trace-out trace.jsonl -trace-start 60000 -trace-end 61000
 //	teasim -w bfs -config machine.json                  # custom machine spec
 //	teasim -w bfs -mode tea -set companion.tea.fill_buf_size=1024
+//	teasim -w bfs -mode tea -set companion.tea.only_loops=true  # a Fig 10 ablation
 //	teasim -list
 //
 // -config loads a full machine spec (see tea/spec and the preset goldens
 // under tea/spec/testdata/specs); repeatable -set flags patch individual
-// fields of the spec (or of the -mode preset when -config is absent).
+// fields of the spec (or of the -mode preset when -config is absent). The
+// Fig 10 ablations and the §V-B prefetch-only variant are the patches
+// companion.tea.only_loops, no_masks, no_mem and disable_early_flush=true.
 package main
 
 import (
@@ -71,10 +74,6 @@ func main() {
 		scale    = flag.Int("scale", 1, "workload input scale (0 = tiny)")
 		cosim    = flag.Bool("cosim", false, "verify against the golden functional model")
 		list     = flag.Bool("list", false, "list workloads and exit")
-		onlyLoop = flag.Bool("onlyloops", false, "ablation: loop-confined chains")
-		noMasks  = flag.Bool("nomasks", false, "ablation: no mask combining")
-		noMem    = flag.Bool("nomem", false, "ablation: no memory dependencies")
-		noFlush  = flag.Bool("noflush", false, "ablation: disable early flushes")
 		paranoia = flag.Bool("paranoia", false, "run with the per-cycle invariant checker (slow)")
 		speedup  = flag.Bool("speedup", false, "also run the baseline and report the speedup")
 		workers  = flag.Int("workers", 0, "engine worker pool size (0 = TEASIM_WORKERS or GOMAXPROCS)")
@@ -107,20 +106,16 @@ func main() {
 	}
 
 	cfg := tea.Config{
-		Mode:              m,
-		Set:               sets,
-		MaxInstructions:   *n,
-		Scale:             *scale,
-		CoSim:             *cosim,
-		OnlyLoops:         *onlyLoop,
-		NoMasks:           *noMasks,
-		NoMem:             *noMem,
-		DisableEarlyFlush: *noFlush,
-		Paranoia:          *paranoia,
-		Intervals:         *ivals,
-		IntervalPeriod:    *ivPeriod,
-		TraceStart:        *trStart,
-		TraceEnd:          *trEnd,
+		Mode:            m,
+		Set:             sets,
+		MaxInstructions: *n,
+		Scale:           *scale,
+		CoSim:           *cosim,
+		Paranoia:        *paranoia,
+		Intervals:       *ivals,
+		IntervalPeriod:  *ivPeriod,
+		TraceStart:      *trStart,
+		TraceEnd:        *trEnd,
 	}
 	if *config != "" {
 		s, err := spec.Load(*config)

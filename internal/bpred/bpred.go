@@ -29,17 +29,6 @@ type Config struct {
 	NoHistRewind bool
 }
 
-// DefaultConfig returns the Table I predictor stack configuration.
-func DefaultConfig() Config {
-	return Config{
-		TageTables:   nTables,
-		TageHistLens: defaultHistLens[:],
-		BTBEntries:   btbEntries,
-		BTBWays:      btbWays,
-		RASEntries:   rasEntries,
-	}
-}
-
 // normalize fills zero fields with their defaults and rejects geometry the
 // implementation cannot index.
 func (c Config) normalize() Config {

@@ -36,14 +36,8 @@ type Config struct {
 	ConfThreshold int
 }
 
-// DefaultConfig mirrors spec.DefaultBullseye.
-func DefaultConfig() Config {
-	return Config{
-		H2PSets: 32, H2PWays: 8, H2PDecayPeriod: 50_000,
-		TableEntries: 4096, HistBits: 24, MaxBranches: 64,
-		ConfMax: 8, ConfThreshold: 4,
-	}
-}
+// DefaultConfig returns the default Bullseye structures (spec.DefaultBullseye).
+func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultBullseye()) }
 
 // Stats counts predictor activity and the retired-misprediction
 // classification (the shared Fig. 7 buckets).

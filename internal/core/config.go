@@ -17,6 +17,8 @@
 // fail-safe and by RAT poisoning (§IV-G).
 package core
 
+import "teasim/tea/spec"
+
 // Config holds the TEA thread parameters (defaults = Table II) plus the
 // ablation switches used by Fig. 10.
 type Config struct {
@@ -78,34 +80,6 @@ type Config struct {
 	Paranoia bool
 }
 
-// DefaultConfig returns the Table II TEA thread configuration.
-func DefaultConfig() Config {
-	return Config{
-		H2PSets:        32,
-		H2PWays:        8,
-		H2PMax:         7,
-		H2PThreshold:   1,
-		H2PDecayPeriod: 50_000,
-
-		FillBufSize:   512,
-		WalkCycles:    500,
-		SourceMemSize: 16,
-
-		BlockCacheSets:  64,
-		BlockCacheWays:  8,
-		EmptyTagSets:    32,
-		EmptyTagWays:    8,
-		MaskResetPeriod: 500_000,
-		SegMaxUops:      8,
-
-		FrontLatency:  7, // + 1 predict + 1 block read = 9-cycle TEA frontend
-		MaxLeadBlocks: 2,
-		RSPartition:   192,
-		PRPartition:   192,
-
-		StoreCacheLines: 16,
-		StoreWaitWindow: 4096,
-		LateLimit:       4,
-		WrongLimit:      4,
-	}
-}
+// DefaultConfig returns the Table II TEA thread configuration
+// (spec.DefaultTEA).
+func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultTEA()) }

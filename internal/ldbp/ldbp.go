@@ -39,14 +39,8 @@ type Config struct {
 	StrideConf int
 }
 
-// DefaultConfig mirrors spec.DefaultLDBP.
-func DefaultConfig() Config {
-	return Config{
-		H2PSets: 32, H2PWays: 8, H2PDecayPeriod: 50_000,
-		WindowSize: 512, MaxChains: 64, MaxChainUops: 8,
-		QueueDepth: 16, Lookahead: 8, StrideConf: 3,
-	}
-}
+// DefaultConfig returns the default LDBP structures (spec.DefaultLDBP).
+func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultLDBP()) }
 
 // Stats counts chain and prediction activity plus the retired-misprediction
 // classification (the shared Fig. 7 buckets).

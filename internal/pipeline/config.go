@@ -21,6 +21,7 @@ import (
 	"teasim/internal/bpred"
 	"teasim/internal/mem"
 	"teasim/internal/telemetry"
+	"teasim/tea/spec"
 )
 
 // Config holds all core parameters (defaults = Table I).
@@ -143,34 +144,64 @@ type Config struct {
 	Heartbeat *telemetry.Heartbeat
 }
 
-// DefaultConfig returns the Table I baseline core.
+// DefaultConfig returns the Table I baseline core (spec.Baseline).
 func DefaultConfig() Config {
-	return Config{
-		FrontWidth:       8,
-		RetireWidth:      16,
-		FetchQueueSize:   128,
-		FetchToRenameLat: 10,
-		MaxBlockInstrs:   32,
-		FetchLinesPerCyc: 2,
-		FrontQCap:        96,
+	b := spec.Baseline()
+	return ConfigFromSpec(&b)
+}
 
-		ROBSize:  512,
-		RSSize:   352,
-		NumPRegs: 400,
-		LQSize:   256,
-		SQSize:   192,
+// ConfigFromSpec converts the spec's frontend/backend/memory/predictor and
+// companion-engine shape into the pipeline configuration. Behavioral fields
+// (CoSim, telemetry, budgets) stay with the caller.
+func ConfigFromSpec(s *spec.MachineSpec) Config {
+	cfg := Config{
+		FrontWidth:       s.Frontend.Width,
+		RetireWidth:      s.Frontend.RetireWidth,
+		FetchQueueSize:   s.Frontend.FetchQueueSize,
+		FetchToRenameLat: s.Frontend.FetchToRenameLat,
+		MaxBlockInstrs:   s.Frontend.MaxBlockInstrs,
+		FetchLinesPerCyc: s.Frontend.FetchLinesPerCyc,
+		FrontQCap:        s.Frontend.FrontQCap,
 
-		ALUPorts:  6,
-		LDPorts:   2,
-		LDSTPorts: 2,
-		FPPorts:   2,
+		ROBSize:  s.Backend.ROBSize,
+		RSSize:   s.Backend.RSSize,
+		NumPRegs: s.Backend.NumPRegs,
+		LQSize:   s.Backend.LQSize,
+		SQSize:   s.Backend.SQSize,
 
-		ALULat: 1, MulLat: 3, DivLat: 12, FPLat: 3, FDivLat: 12,
+		ALUPorts:  s.Backend.ALUPorts,
+		LDPorts:   s.Backend.LDPorts,
+		LDSTPorts: s.Backend.LDSTPorts,
+		FPPorts:   s.Backend.FPPorts,
 
-		MispredictExtraLat: 3,
+		ALULat: s.Backend.ALULat, MulLat: s.Backend.MulLat,
+		DivLat: s.Backend.DivLat, FPLat: s.Backend.FPLat,
+		FDivLat: s.Backend.FDivLat,
 
-		BP:             bpred.DefaultConfig(),
-		Mem:            mem.DefaultHierarchyConfig(),
-		CompanionPRegs: 192,
+		MispredictExtraLat: s.Backend.MispredictExtraLat,
+
+		BP: bpred.Config{
+			TageTables:   s.Predictor.TageTables,
+			TageHistLens: s.Predictor.TageHistLens,
+			BTBEntries:   s.Predictor.BTBEntries,
+			BTBWays:      s.Predictor.BTBWays,
+			RASEntries:   s.Predictor.RASEntries,
+		},
+		Mem: mem.HierarchyConfig{
+			L1ISize: s.Memory.L1ISize, L1IWays: s.Memory.L1IWays,
+			L1DSize: s.Memory.L1DSize, L1DWays: s.Memory.L1DWays,
+			LLCSize: s.Memory.LLCSize, LLCWays: s.Memory.LLCWays,
+			L1Lat: s.Memory.L1Lat, LLCLat: s.Memory.LLCLat,
+			L1MSHRs: s.Memory.L1MSHRs, LLCMSHRs: s.Memory.LLCMSHRs,
+		},
+
+		CompanionDedicated:  s.Companion.Dedicated,
+		CompanionPorts:      s.Companion.Ports,
+		CompanionNoPriority: s.Companion.NoPriority,
+		CompanionPRegs:      192,
 	}
+	if t := s.Companion.TEA; t != nil {
+		cfg.CompanionPRegs = t.PRPartition
+	}
+	return cfg
 }

@@ -30,6 +30,7 @@ import (
 	"teasim/internal/pipeline"
 	"teasim/internal/ring"
 	"teasim/internal/telemetry"
+	"teasim/tea/spec"
 )
 
 // Config holds the Branch Runahead parameters (the scaled-up configuration
@@ -45,19 +46,9 @@ type Config struct {
 	HistSize       int // retired-instruction window for chain capture
 }
 
-// DefaultConfig returns the scaled-up Branch Runahead engine used in §V-C.
-func DefaultConfig() Config {
-	return Config{
-		MaxChains:      64,
-		MaxChainUops:   64,
-		QueueDepth:     16,
-		MaxInstances:   12,
-		EngineWidth:    16,
-		RecaptureEvery: 64,
-		DisableAfter:   4,
-		HistSize:       512,
-	}
-}
+// DefaultConfig returns the scaled-up Branch Runahead engine used in §V-C
+// (spec.DefaultRunahead).
+func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultRunahead()) }
 
 // Stats mirrors the coverage/accuracy accounting of the TEA thread so
 // Fig. 8/10 can compare the two schemes directly. "Covered" means the TAGE

@@ -13,12 +13,6 @@ const (
 	EvFlush
 	// EvEarlyFlush is a companion-triggered early flush (§IV-F).
 	EvEarlyFlush
-	// EvJobFailure is an experiment-harness event: one job attempt died (by
-	// panic, deadline, or hang watchdog). Emitted by the engine, not the
-	// simulated core, so Cycle/Seq are zero; Job and Err identify the cell
-	// and the failure, Attempt and BackoffMS distinguish a retried cell from
-	// a first failure.
-	EvJobFailure
 )
 
 // String returns the event kind's wire name.
@@ -30,8 +24,6 @@ func (k EventKind) String() string {
 		return "flush"
 	case EvEarlyFlush:
 		return "early-flush"
-	case EvJobFailure:
-		return "job-failure"
 	}
 	return "event(" + strconv.Itoa(int(k)) + ")"
 }
@@ -72,16 +64,6 @@ type Event struct {
 	ROB      int    `json:"rob,omitempty"`
 	RS       int    `json:"rs,omitempty"`
 	FQ       int    `json:"fq,omitempty"`
-
-	// Job-failure fields (EvJobFailure): the failed cell as
-	// "workload/mode@spec" and the first line of its error. Attempt is the
-	// 1-based attempt number and BackoffMS the cumulative retry backoff the
-	// cell has accrued, so traces distinguish retried cells from first
-	// failures.
-	Job       string `json:"job,omitempty"`
-	Err       string `json:"err,omitempty"`
-	Attempt   int    `json:"attempt,omitempty"`
-	BackoffMS int64  `json:"backoff_ms,omitempty"`
 }
 
 // Metric is one named registry sample inside an interval.

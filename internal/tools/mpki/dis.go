@@ -7,10 +7,10 @@ import (
 	"teasim/internal/workloads"
 )
 
-func disasm(name string, lo, hi uint64) {
-	w, _ := workloads.ByName(name)
+// disasm prints the instructions at the start of the workload's code.
+func disasm(w workloads.Workload) {
 	prog := w.Build(1)
-	for pc := lo; pc <= hi; pc += isa.InstBytes {
+	for pc := uint64(0x10000); pc <= 0x10060; pc += isa.InstBytes {
 		in := prog.InstAt(pc)
 		if in == nil {
 			continue

@@ -1,86 +1,50 @@
-// Command mpki is the developer probe for the simulator: per-workload
-// IPC/MPKI sweeps, TEA-thread internals dumps, configuration knob sweeps,
-// pipeline stats comparisons, and disassembly. It is a diagnostics tool,
-// not part of the public surface.
+// Command mpki is the developer probe for simulator internals that no other
+// tool prints: TEA-thread structure counters, baseline pipeline and cache
+// counters, and the disassembly of a workload's hot region. It is a
+// diagnostics tool, not part of the public surface.
 //
-//	go run ./internal/tools/mpki              # IPC/MPKI for all workloads
 //	go run ./internal/tools/mpki tea bfs      # TEA internals on bfs
-//	go run ./internal/tools/mpki knobs xz     # config knob sweep
 //	go run ./internal/tools/mpki base mcf     # baseline pipeline stats
 //	go run ./internal/tools/mpki dis nab      # disassemble a hot region
+//
+// Everything else lives in the public tools: IPC and MPKI per workload are
+// `teaexp -exp fig6`, structure-size sweeps `teaexp -exp sens-*`, ablations
+// and engine variants `teasim -mode M -set companion.tea.F=V`, and CPU
+// profiles `teaexp -exp fig6 -w W -cpuprofile F`.
 package main
 
 import (
 	"fmt"
 	"os"
-	"runtime/pprof"
-	"time"
+	"strings"
 
-	"teasim/internal/pipeline"
 	"teasim/internal/workloads"
 )
 
 func main() {
-	if len(os.Args) > 2 && os.Args[1] == "dis" {
-		disasm(os.Args[2], 0x10000, 0x10060)
-		return
-	}
-	if len(os.Args) > 2 && os.Args[1] == "tea" {
-		teaDebug(os.Args[2], 400_000)
-		return
-	}
-	if len(os.Args) > 2 && os.Args[1] == "knobs" {
-		knobProbe(os.Args[2])
-		return
-	}
-	if len(os.Args) > 2 && os.Args[1] == "hang" {
-		hangProbe(os.Args[2])
-		return
-	}
-	if len(os.Args) > 2 && os.Args[1] == "base" {
-		w, _ := workloads.ByName(os.Args[2])
-		prog := w.Build(1)
-		cfg := pipeline.DefaultConfig()
-		cfg.MaxInstructions = 400_000
-		cfg.MaxCycles = 100_000_000
-		c := pipeline.New(cfg, prog)
-		if err := c.Run(); err != nil {
-			fmt.Println(err)
+	var probe func(workloads.Workload)
+	if len(os.Args) == 3 {
+		switch os.Args[1] {
+		case "dis":
+			probe = disasm
+		case "tea":
+			probe = teaDebug
+		case "base":
+			probe = baseDebug
 		}
-		fmt.Printf("%s baseline: cyc=%d\n", os.Args[2], c.Stats.Cycles)
-		dumpPipe(c)
-		return
 	}
-	if len(os.Args) > 1 {
-		f, _ := os.Create("/tmp/bc.prof")
-		pprof.StartCPUProfile(f)
-		defer pprof.StopCPUProfile()
-		w, _ := workloads.ByName(os.Args[1])
-		prog := w.Build(1)
-		cfg := pipeline.DefaultConfig()
-		cfg.MaxInstructions = 300_000
-		cfg.MaxCycles = 50_000_000
-		c := pipeline.New(cfg, prog)
-		if err := c.Run(); err != nil {
-			fmt.Println(err)
+	if probe == nil {
+		fmt.Fprintln(os.Stderr, "usage: mpki dis|tea|base WORKLOAD")
+		os.Exit(2)
+	}
+	w, ok := workloads.ByName(os.Args[2])
+	if !ok {
+		var names []string
+		for _, w := range workloads.All() {
+			names = append(names, w.Name)
 		}
-		fmt.Printf("cycles=%d retired=%d\n", c.Stats.Cycles, c.Stats.Retired)
-		return
+		fmt.Fprintf(os.Stderr, "mpki: unknown workload %q (have %s)\n", os.Args[2], strings.Join(names, " "))
+		os.Exit(2)
 	}
-	for _, w := range workloads.All() {
-		prog := w.Build(1)
-		cfg := pipeline.DefaultConfig()
-		cfg.MaxInstructions = 300_000
-		cfg.MaxCycles = 50_000_000
-		c := pipeline.New(cfg, prog)
-		start := time.Now()
-		if err := c.Run(); err != nil {
-			fmt.Printf("%-10s ERROR %v\n", w.Name, err)
-			continue
-		}
-		s := &c.Stats
-		fmt.Printf("%-10s IPC=%.2f MPKI=%5.1f cond=%d condM=%d indM=%d resteer=%d wall=%v\n",
-			w.Name, s.IPC(), s.MPKI(), s.CondBranches, s.CondMispredicts, s.IndMispredicts,
-			s.ResteerDecode, time.Since(start).Round(time.Millisecond))
-	}
+	probe(w)
 }

@@ -8,13 +8,20 @@ import (
 	"teasim/internal/workloads"
 )
 
-func teaDebug(name string, n uint64) {
-	w, _ := workloads.ByName(name)
-	prog := w.Build(1)
+// probeInstrs is the instruction budget of the tea and base probes.
+const probeInstrs = 400_000
+
+// newCore builds a Table I core for the workload at the probe budget.
+func newCore(w workloads.Workload) *pipeline.Core {
 	cfg := pipeline.DefaultConfig()
-	cfg.MaxInstructions = n
+	cfg.MaxInstructions = probeInstrs
 	cfg.MaxCycles = 100_000_000
-	c := pipeline.New(cfg, prog)
+	return pipeline.New(cfg, w.Build(1))
+}
+
+// teaDebug dumps the TEA thread's internal counters and Block Cache state.
+func teaDebug(w workloads.Workload) {
+	c := newCore(w)
 	t := core.New(core.DefaultConfig(), c)
 	if err := c.Run(); err != nil {
 		fmt.Println(err)
@@ -22,7 +29,7 @@ func teaDebug(name string, n uint64) {
 	}
 	s := t.Stats
 	fmt.Printf("%s: cyc=%d act=%d inact=%d armMiss=%d termBC=%d termInc=%d termLate=%d\n",
-		name, c.Stats.Cycles, s.Activations, s.InactiveCycles, s.ArmMiss, s.TermBCMiss, s.TermIncorrect, s.TermLate)
+		w.Name, c.Stats.Cycles, s.Activations, s.InactiveCycles, s.ArmMiss, s.TermBCMiss, s.TermIncorrect, s.TermLate)
 	fmt.Printf("   walks=%d marked=%d bcHits=%d bcEmpty=%d bcLook=%d bcUpd=%d uopsF=%d uopsR=%d prstall=%d\n",
 		s.WalksDone, s.WalkMarked, t.BC.Hits, t.BC.EmptyHits, t.BC.Lookups, t.BC.Updates, s.UopsFetched, s.UopsRenamed, s.PRStallCycles)
 	for _, pc := range []uint64{0x100d0, 0x10028, 0x1003c} {
@@ -31,6 +38,16 @@ func teaDebug(name string, n uint64) {
 	}
 	fmt.Printf("   resolved=%d early=%d agree=%d late=%d blocked=%d cov=%.2f acc=%.2f flushMain=%d flushCkpt=%d flushNo=%d poisonViol=%d\n",
 		s.Resolved, s.EarlyFlushes, s.Agreements, s.LateEvents, s.BlockedFlushes, s.Coverage(), s.Accuracy(), s.FlushMainSync, s.FlushCkptSync, s.FlushNoSync, s.PoisonViolations)
+	dumpPipe(c)
+}
+
+// baseDebug dumps the baseline core's pipeline and cache counters.
+func baseDebug(w workloads.Workload) {
+	c := newCore(w)
+	if err := c.Run(); err != nil {
+		fmt.Println(err)
+	}
+	fmt.Printf("%s baseline: cyc=%d\n", w.Name, c.Stats.Cycles)
 	dumpPipe(c)
 }
 

@@ -24,10 +24,8 @@ type Config struct {
 	EvalsPerCyc int
 }
 
-// DefaultConfig mirrors spec.DefaultTwoWindow.
-func DefaultConfig() Config {
-	return Config{WindowSize: 2, EvalsPerCyc: 2}
-}
+// DefaultConfig returns the reference two-entry window (spec.DefaultTwoWindow).
+func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultTwoWindow()) }
 
 // Stats counts window activity and the retired-misprediction
 // classification (the shared Fig. 7 buckets, including TEA's Late bucket —

@@ -59,7 +59,6 @@ type Engine struct {
 	seeded  int
 	policy  JobPolicy
 	journal JournalWriter
-	sink    telemetry.Sink
 
 	pmu      sync.Mutex // serializes progress callbacks
 	progress func(JobEvent)
@@ -93,17 +92,10 @@ func WithJournal(j JournalWriter) EngineOption {
 	return func(e *Engine) { e.journal = j }
 }
 
-// WithTelemetry attaches a sink that receives an EvJobFailure event for
-// every failed job attempt, making post-hoc failure diagnosis possible even
-// when the process's stderr is gone.
-func WithTelemetry(s telemetry.Sink) EngineOption {
-	return func(e *Engine) { e.sink = s }
-}
-
 // WithProgress installs a callback invoked at the start and end of every job
-// a Map or MapContext call runs. Callbacks are serialized — they may safely
-// write to a terminal or mutate shared state — and run on worker goroutines,
-// so they should return quickly.
+// a Map or MapContext call runs, and after every failed attempt. Callbacks
+// are serialized — they may safely write to a terminal or mutate shared
+// state — and run on worker goroutines, so they should return quickly.
 func WithProgress(fn func(JobEvent)) EngineOption {
 	return func(e *Engine) { e.progress = fn }
 }
@@ -124,6 +116,9 @@ const (
 	JobStarted JobPhase = iota
 	// JobDone fires when the job finishes (Err reports its outcome).
 	JobDone
+	// JobAttemptFailed fires after each failed attempt, before any retry:
+	// Err, Attempt and Backoff tell a retried cell from a first failure.
+	JobAttemptFailed
 )
 
 // String returns the phase name.
@@ -133,6 +128,8 @@ func (p JobPhase) String() string {
 		return "started"
 	case JobDone:
 		return "done"
+	case JobAttemptFailed:
+		return "attempt-failed"
 	}
 	return fmt.Sprintf("phase(%d)", int(p))
 }
@@ -141,9 +138,13 @@ func (p JobPhase) String() string {
 type JobEvent struct {
 	Index int           // job index in the Map slice
 	Job   Job           // the cell being simulated
-	Phase JobPhase      // started or done
-	Err   error         // outcome, JobDone only
+	Phase JobPhase      // started, done or attempt-failed
+	Err   error         // outcome (JobDone) or the attempt's failure
 	Wall  time.Duration // wall time, JobDone only (near-zero for memo hits)
+	// Attempt is the failed attempt's 1-based number and Backoff the retry
+	// backoff the cell accrued before it (JobAttemptFailed only).
+	Attempt int
+	Backoff time.Duration
 }
 
 // notify delivers a progress event, serialized under pmu.
@@ -170,7 +171,8 @@ type JobPolicy struct {
 	HangTimeout time.Duration
 	// Retries bounds re-attempts after a panic. Simulations are
 	// deterministic, so retries exist for quarantine and diagnosis — the
-	// final failure still surfaces, with the attempt count in the error.
+	// final failure still surfaces, and every failed attempt reaches
+	// WithProgress as a JobAttemptFailed event.
 	Retries int
 	// RetryBackoff is the wait before the first retry, doubling per attempt
 	// (0 = immediate).
@@ -310,7 +312,7 @@ func specHashOf(cfg Config) string {
 	return "unresolved"
 }
 
-// firstLine truncates an error message to its first line for telemetry.
+// firstLine truncates an error message to its first line for error rows.
 func firstLine(s string) string {
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
 		s = s[:i]
@@ -318,31 +320,9 @@ func firstLine(s string) string {
 	return s
 }
 
-// emitFailure forwards one failed attempt to the telemetry sink, if any.
-// attempt is 1-based; backoff is the cumulative retry backoff the cell has
-// accrued before this attempt, so traces distinguish retried cells (attempt
-// > 1, nonzero backoff) from first failures.
-func (e *Engine) emitFailure(j Job, err error, attempt int, backoff time.Duration) {
-	e.mu.Lock()
-	s := e.sink
-	e.mu.Unlock()
-	if s == nil {
-		return
-	}
-	ev := telemetry.Event{
-		Kind:      telemetry.EvJobFailure,
-		Job:       fmt.Sprintf("%s/%s@%s", j.Workload, j.Cfg.Mode, specHashOf(j.Cfg)),
-		Err:       firstLine(err.Error()),
-		Attempt:   attempt,
-		BackoffMS: backoff.Milliseconds(),
-	}
-	s.Event(&ev)
-}
-
 // runAttempt executes one attempt of a job under the policy's deadline and
-// hang watchdog, capturing panics with their stack. attempt and backoff
-// annotate the attempt's telemetry (see emitFailure).
-func (e *Engine) runAttempt(ctx context.Context, j Job, p JobPolicy, attempt int, backoff time.Duration) (res Result, err error) {
+// hang watchdog, capturing panics with their stack.
+func (e *Engine) runAttempt(ctx context.Context, j Job, p JobPolicy) (res Result, err error) {
 	jobCtx := ctx
 	if p.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -367,7 +347,6 @@ func (e *Engine) runAttempt(ctx context.Context, j Job, p JobPolicy, attempt int
 				Workload: j.Workload, Mode: j.Cfg.Mode,
 				SpecHash: specHashOf(j.Cfg), Val: r, Stack: stack,
 			}
-			e.emitFailure(j, err, attempt, backoff)
 		}
 	}()
 	res, err = e.runFn(jobCtx, j.Workload, j.Cfg)
@@ -376,7 +355,6 @@ func (e *Engine) runAttempt(ctx context.Context, j Job, p JobPolicy, attempt int
 		// cancellation): name the policy failure rather than the bare
 		// context error.
 		err = fmt.Errorf("job %s/%s: %w", j.Workload, j.Cfg.Mode, context.Cause(jobCtx))
-		e.emitFailure(j, err, attempt, backoff)
 	}
 	return res, err
 }
@@ -426,10 +404,10 @@ func retryable(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// runResilient runs one cell under the engine's policy: attempt, bounded
-// retry with backoff for panics, and a repro bundle once the cell fails
-// permanently.
-func (e *Engine) runResilient(ctx context.Context, j Job) (Result, error) {
+// runResilient runs job i under the engine's policy: attempt, bounded retry
+// with backoff for panics, and a repro bundle once the cell fails
+// permanently. Every failed attempt is reported as a JobAttemptFailed event.
+func (e *Engine) runResilient(ctx context.Context, i int, j Job) (Result, error) {
 	e.mu.Lock()
 	p := e.policy
 	e.mu.Unlock()
@@ -437,7 +415,7 @@ func (e *Engine) runResilient(ctx context.Context, j Job) (Result, error) {
 	var res Result
 	var cumBackoff time.Duration
 	for attempt := 0; ; attempt++ {
-		res, err = e.runAttempt(ctx, j, p, attempt+1, cumBackoff)
+		res, err = e.runAttempt(ctx, j, p)
 		if err == nil {
 			return res, nil
 		}
@@ -445,6 +423,8 @@ func (e *Engine) runResilient(ctx context.Context, j Job) (Result, error) {
 			// Batch cancelled: stop immediately, no retries or bundles.
 			return Result{}, err
 		}
+		e.notify(JobEvent{Index: i, Job: j, Phase: JobAttemptFailed, Err: err,
+			Attempt: attempt + 1, Backoff: cumBackoff})
 		if attempt >= p.Retries || !retryable(err) {
 			break
 		}
@@ -457,7 +437,6 @@ func (e *Engine) runResilient(ctx context.Context, j Job) (Result, error) {
 			case <-time.After(backoff):
 			}
 		}
-		err = fmt.Errorf("attempt %d/%d: %w", attempt+2, p.Retries+1, err)
 	}
 	if p.ReproDir != "" {
 		if path, werr := writeReproBundle(p.ReproDir, j, err); werr == nil {
@@ -513,14 +492,14 @@ func writeReproBundle(dir string, j Job, jobErr error) (string, error) {
 	return specPath, nil
 }
 
-// runJob executes one cell, consulting the result memo cache. Cells that
+// runJob executes job i, consulting the result memo cache. Cells that
 // are not memoizable (Config.Memoizable: telemetry, co-simulation, idle-skip
 // debugging, paranoia) always simulate, as do cells whose spec fails to
 // resolve — the direct run surfaces the resolution error with full context.
-func (e *Engine) runJob(ctx context.Context, j Job) (Result, error) {
+func (e *Engine) runJob(ctx context.Context, i int, j Job) (Result, error) {
 	key, ok := MemoKeyOf(j.Workload, j.Cfg)
 	if !ok {
-		return e.runResilient(ctx, j)
+		return e.runResilient(ctx, i, j)
 	}
 	e.mu.Lock()
 	ent := e.memo[key]
@@ -536,7 +515,7 @@ func (e *Engine) runJob(ctx context.Context, j Job) (Result, error) {
 	if ent.done {
 		return ent.res, ent.err
 	}
-	res, err := e.runResilient(ctx, j)
+	res, err := e.runResilient(ctx, i, j)
 	if err != nil && ctx.Err() != nil {
 		// Batch cancelled mid-cell: report but do not latch, so a resumed
 		// run (or a later Map on this engine) still simulates the cell.
@@ -667,7 +646,7 @@ func (e *Engine) runJobInto(ctx context.Context, i int, j Job, res *Result, errp
 		}
 		e.notify(JobEvent{Index: i, Job: j, Phase: JobDone, Err: *errp, Wall: time.Since(start)})
 	}()
-	*res, err = e.runJob(ctx, j)
+	*res, err = e.runJob(ctx, i, j)
 	*errp = err
 	return err
 }

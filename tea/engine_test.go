@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"teasim/tea/spec"
 )
 
 // countingEngine returns an engine whose runFn tallies invocations per
@@ -88,26 +90,28 @@ func TestFig8BaselineMemoized(t *testing.T) {
 
 // TestEngineMemoByFingerprint asserts the memo cache keys on the resolved
 // machine spec: configs describing the same machine share one simulation no
-// matter how they spell it (override field, -set patch, or plain preset),
+// matter how they spell it (hand-edited spec, -set patch, or plain preset),
 // while a config describing a different machine re-simulates.
 func TestEngineMemoByFingerprint(t *testing.T) {
 	e, snapshot := countingEngine(2)
 	base := Config{Mode: ModeBaseline, MaxInstructions: 1000, Scale: 1}
-	override := base
-	override.FetchQueueSize = 64
+	machine := spec.Baseline()
+	machine.Frontend.FetchQueueSize = 64
+	edited := base
+	edited.Spec = &machine
 	patched := base
 	patched.Set = []string{"frontend.fetch_queue_size=64"}
 	redundant := base
-	redundant.FetchQueueSize = 128 // the preset value: same machine as base
+	redundant.Set = []string{"frontend.fetch_queue_size=128"} // the preset value: same machine as base
 	jobs := []Job{
 		{"bfs", base}, {"bfs", base},
-		{"bfs", override}, {"bfs", override}, {"bfs", patched},
+		{"bfs", edited}, {"bfs", edited}, {"bfs", patched},
 		{"bfs", redundant},
 	}
 	if _, err := e.Map(jobs); err != nil {
 		t.Fatal(err)
 	}
-	// base + redundant share one cell; override (twice) + patched share
+	// base + redundant share one cell; edited (twice) + patched share
 	// another.
 	if n := snapshot()["bfs/baseline/1000"]; n != 2 {
 		t.Fatalf("six equivalent-machine jobs ran %d simulations, want 2 (one per distinct fingerprint)", n)

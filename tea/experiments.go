@@ -176,14 +176,24 @@ type Fig10Config struct {
 
 // Fig10Configs returns the five thread-construction configurations compared
 // in Fig. 10: full TEA, only-loops, no-masks, no-mem, and Branch Runahead.
+// Each ablation is one spec patch on the TEA preset.
 func Fig10Configs() []Fig10Config {
 	id := func(c Config) Config { return c }
 	return []Fig10Config{
 		{Name: "tea", Mode: ModeTEA, Cfg: id},
-		{Name: "onlyloops", Mode: ModeTEA, Cfg: func(c Config) Config { c.OnlyLoops = true; return c }},
-		{Name: "nomasks", Mode: ModeTEA, Cfg: func(c Config) Config { c.NoMasks = true; return c }},
-		{Name: "nomem", Mode: ModeTEA, Cfg: func(c Config) Config { c.NoMem = true; return c }},
+		{Name: "onlyloops", Mode: ModeTEA, Cfg: withPatch("companion.tea.only_loops=true")},
+		{Name: "nomasks", Mode: ModeTEA, Cfg: withPatch("companion.tea.no_masks=true")},
+		{Name: "nomem", Mode: ModeTEA, Cfg: withPatch("companion.tea.no_mem=true")},
 		{Name: "runahead", Mode: ModeBranchRunahead, Cfg: id},
+	}
+}
+
+// withPatch returns a Config edit that puts patch ahead of the config's own
+// Set patches, in a fresh slice so configs never share a backing array.
+func withPatch(patch string) func(Config) Config {
+	return func(c Config) Config {
+		c.Set = append([]string{patch}, c.Set...)
+		return c
 	}
 }
 
@@ -247,10 +257,7 @@ func Table3(o ExpOptions) ([]Result, error) {
 // disabled, isolating the data-prefetch side effect (paper: +1.2% overall).
 func PrefetchOnly(o ExpOptions) ([]SpeedupRow, error) {
 	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEA, func(c Config) Config {
-		c.DisableEarlyFlush = true
-		return c
-	})
+	return runSpeedups(o.ctx(), o, ModeTEA, withPatch("companion.tea.disable_early_flush=true"))
 }
 
 // Custom measures a user-supplied machine point against the baseline, per

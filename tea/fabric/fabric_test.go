@@ -148,11 +148,16 @@ func TestWireConfigRoundTrip(t *testing.T) {
 	}
 	cfgs := []tea.Config{
 		{Mode: tea.ModeBaseline, MaxInstructions: 1000, Scale: 1},
-		{Mode: tea.ModeTEA, MaxInstructions: 5000, Scale: 2, OnlyLoops: true, NoMasks: true},
-		{Mode: tea.ModeTEA, NoMem: true, DisableEarlyFlush: true, MaxInstructions: 100},
+		{Mode: tea.ModeTEA, MaxInstructions: 5000, Scale: 2,
+			Set: []string{"companion.tea.only_loops=true", "companion.tea.no_masks=true"}},
+		{Mode: tea.ModeTEA, MaxInstructions: 100,
+			Set: []string{"companion.tea.no_mem=true", "companion.tea.disable_early_flush=true"}},
 		{Mode: tea.ModeWide16, MaxInstructions: 1000, Scale: 1},
 		{Mode: tea.ModeTEABigEngine, MaxInstructions: 1000},
-		{Mode: tea.ModeTEA, BlockCacheEntries: 128, FillBufferSize: 256, H2PDecayPeriod: 10_000, MaxLeadBlocks: 4, FetchQueueSize: 64},
+		{Mode: tea.ModeTEA, Set: []string{
+			"companion.tea.block_cache_sets=16", "companion.tea.fill_buf_size=256",
+			"companion.tea.h2p_decay_period=10000", "companion.tea.max_lead_blocks=4",
+			"frontend.fetch_queue_size=64"}},
 		{Mode: tea.ModeTEA, Set: []string{"companion.tea.fill_buf_size=1024"}},
 		{Mode: tea.ModeBaseline, Spec: &custom, MaxInstructions: 2000},
 	}

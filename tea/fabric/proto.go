@@ -171,12 +171,11 @@ type WireCell struct {
 
 // WireConfig is the serializable subset of tea.Config — exactly the fields a
 // memoizable run can carry. The Config is sent faithfully (mode name, the
-// custom spec if any, patches, ablations, overrides) rather than pre-resolved
-// to a spec, because Result.Mode labeling depends on how the machine was
-// named: a wide16 cell resolved to a bare spec would come back labeled
-// "baseline". Non-memoizable configs (telemetry, co-sim, paranoia, fast-path
-// ablations) never cross the wire; the coordinator runs those through its
-// fallback.
+// custom spec if any, patches) rather than pre-resolved to a spec, because
+// Result.Mode labeling depends on how the machine was named: a wide16 cell
+// resolved to a bare spec would come back labeled "baseline".
+// Non-memoizable configs (telemetry, co-sim, paranoia, fast-path ablations)
+// never cross the wire; the coordinator runs those through its fallback.
 type WireConfig struct {
 	Mode tea.Mode        `json:"mode"`
 	Spec json.RawMessage `json:"spec,omitempty"` // canonical spec JSON, when Config.Spec != nil
@@ -184,17 +183,6 @@ type WireConfig struct {
 
 	MaxInstr uint64 `json:"max_instr,omitempty"`
 	Scale    int    `json:"scale,omitempty"`
-
-	OnlyLoops         bool `json:"only_loops,omitempty"`
-	NoMasks           bool `json:"no_masks,omitempty"`
-	NoMem             bool `json:"no_mem,omitempty"`
-	DisableEarlyFlush bool `json:"no_early_flush,omitempty"`
-
-	BlockCacheEntries int    `json:"block_cache,omitempty"`
-	FillBufferSize    int    `json:"fill_buf,omitempty"`
-	H2PDecayPeriod    uint64 `json:"h2p_decay,omitempty"`
-	MaxLeadBlocks     int    `json:"lead_blocks,omitempty"`
-	FetchQueueSize    int    `json:"fetch_queue,omitempty"`
 }
 
 // EncodeConfig serializes a memoizable config for the wire.
@@ -203,19 +191,10 @@ func EncodeConfig(cfg tea.Config) (WireConfig, error) {
 		return WireConfig{}, fmt.Errorf("fabric: config is not memoizable, cannot be dispatched remotely")
 	}
 	wc := WireConfig{
-		Mode:              cfg.Mode,
-		Set:               cfg.Set,
-		MaxInstr:          cfg.MaxInstructions,
-		Scale:             cfg.Scale,
-		OnlyLoops:         cfg.OnlyLoops,
-		NoMasks:           cfg.NoMasks,
-		NoMem:             cfg.NoMem,
-		DisableEarlyFlush: cfg.DisableEarlyFlush,
-		BlockCacheEntries: cfg.BlockCacheEntries,
-		FillBufferSize:    cfg.FillBufferSize,
-		H2PDecayPeriod:    cfg.H2PDecayPeriod,
-		MaxLeadBlocks:     cfg.MaxLeadBlocks,
-		FetchQueueSize:    cfg.FetchQueueSize,
+		Mode:     cfg.Mode,
+		Set:      cfg.Set,
+		MaxInstr: cfg.MaxInstructions,
+		Scale:    cfg.Scale,
 	}
 	if cfg.Spec != nil {
 		wc.Spec = cfg.Spec.Canonical()
@@ -228,19 +207,10 @@ func EncodeConfig(cfg tea.Config) (WireConfig, error) {
 // mode label (pinned by TestWireConfigRoundTrip).
 func DecodeConfig(wc WireConfig) (tea.Config, error) {
 	cfg := tea.Config{
-		Mode:              wc.Mode,
-		Set:               wc.Set,
-		MaxInstructions:   wc.MaxInstr,
-		Scale:             wc.Scale,
-		OnlyLoops:         wc.OnlyLoops,
-		NoMasks:           wc.NoMasks,
-		NoMem:             wc.NoMem,
-		DisableEarlyFlush: wc.DisableEarlyFlush,
-		BlockCacheEntries: wc.BlockCacheEntries,
-		FillBufferSize:    wc.FillBufferSize,
-		H2PDecayPeriod:    wc.H2PDecayPeriod,
-		MaxLeadBlocks:     wc.MaxLeadBlocks,
-		FetchQueueSize:    wc.FetchQueueSize,
+		Mode:            wc.Mode,
+		Set:             wc.Set,
+		MaxInstructions: wc.MaxInstr,
+		Scale:           wc.Scale,
 	}
 	if len(wc.Spec) > 0 {
 		s, err := spec.Parse(wc.Spec)

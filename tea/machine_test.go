@@ -1,9 +1,9 @@
 package tea
 
 // Machine-spec resolution tests: the converter contract that presets carry
-// exactly the literals the mode switches used to, and the resolution-order
+// exactly the shapes the mode switches used to, and the resolution-order
 // rules of Config.ResolvedSpec. Real-run equivalence (preset spec vs mode,
-// patch vs override) lives in spec_equivalence_test.go.
+// patch vs hand-edited spec) lives in spec_equivalence_test.go.
 
 import (
 	"reflect"
@@ -11,29 +11,9 @@ import (
 	"sync"
 	"testing"
 
-	"teasim/internal/core"
 	"teasim/internal/pipeline"
-	"teasim/internal/runahead"
 	"teasim/tea/spec"
 )
-
-// TestBaselineSpecMatchesDefaultConfigs pins the bit-identity foundation:
-// converting the baseline preset must reproduce the simulator packages'
-// DefaultConfig values exactly, field for field. If either side gains a
-// field or changes a literal, this fails before any golden drifts.
-func TestBaselineSpecMatchesDefaultConfigs(t *testing.T) {
-	s := spec.Baseline()
-	got := pipelineConfig(&s)
-	if want := pipeline.DefaultConfig(); !reflect.DeepEqual(got, want) {
-		t.Errorf("pipelineConfig(Baseline) != pipeline.DefaultConfig():\ngot:  %+v\nwant: %+v", got, want)
-	}
-	if got, want := core.ConfigFromSpec(spec.DefaultTEA()), core.DefaultConfig(); !reflect.DeepEqual(got, want) {
-		t.Errorf("core.ConfigFromSpec(DefaultTEA) != core.DefaultConfig():\ngot:  %+v\nwant: %+v", got, want)
-	}
-	if got, want := runahead.ConfigFromSpec(spec.DefaultRunahead()), runahead.DefaultConfig(); !reflect.DeepEqual(got, want) {
-		t.Errorf("runahead.ConfigFromSpec(DefaultRunahead) != runahead.DefaultConfig():\ngot:  %+v\nwant: %+v", got, want)
-	}
-}
 
 // TestModePresetsMatchModeSwitches pins each preset's pipeline-level shape
 // to what the old per-mode switch hardcoded.
@@ -74,7 +54,7 @@ func TestModePresetsMatchModeSwitches(t *testing.T) {
 			t.Errorf("%s: %v", tc.mode, err)
 			continue
 		}
-		if got, want := pipelineConfig(&s), tc.want(); !reflect.DeepEqual(got, want) {
+		if got, want := pipeline.ConfigFromSpec(&s), tc.want(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s preset pipeline config:\ngot:  %+v\nwant: %+v", tc.mode, got, want)
 		}
 	}
@@ -107,52 +87,75 @@ func TestModePresetRegistry(t *testing.T) {
 }
 
 // TestResolvedSpecOrder asserts the resolution order: explicit spec (or
-// preset) → ablations → size overrides → Set patches, with patches winning.
+// preset) → Set patches in order, with later patches winning, and an
+// explicit spec left untouched.
 func TestResolvedSpecOrder(t *testing.T) {
 	cfg := Config{
-		Mode:           ModeTEA,
-		OnlyLoops:      true,
-		FillBufferSize: 256,
-		Set:            []string{"companion.tea.fill_buf_size=1024"},
+		Mode: ModeTEA,
+		Set: []string{
+			"companion.tea.only_loops=true",
+			"companion.tea.fill_buf_size=256",
+			"companion.tea.fill_buf_size=1024",
+		},
 	}
 	s, err := cfg.ResolvedSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Companion.TEA.OnlyLoops {
-		t.Error("ablation switch did not reach the resolved spec")
+		t.Error("ablation patch did not reach the resolved spec")
 	}
 	if s.Companion.TEA.FillBufSize != 1024 {
-		t.Errorf("fill_buf_size = %d; the -set patch must win over the override field",
-			s.Companion.TEA.FillBufSize)
+		t.Errorf("fill_buf_size = %d; the later patch must win", s.Companion.TEA.FillBufSize)
 	}
 
-	// BlockCacheEntries rounds to geometry exactly as the old mode switch.
-	cfg = Config{Mode: ModeTEA, BlockCacheEntries: 1000}
+	custom, err := ModeTEA.Preset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom.Companion.TEA.FillBufSize = 256
+	cfg = Config{Spec: &custom, Set: []string{"companion.tea.fill_buf_size=1024"}}
 	if s, err = cfg.ResolvedSpec(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Companion.TEA.BlockCacheSets != 128 {
-		t.Errorf("BlockCacheEntries=1000 resolved to %d sets, want 128", s.Companion.TEA.BlockCacheSets)
+	if s.Companion.TEA.FillBufSize != 1024 || custom.Companion.TEA.FillBufSize != 256 {
+		t.Errorf("fill_buf_size resolved %d (spec now %d); the patch must win over the spec and leave it untouched",
+			s.Companion.TEA.FillBufSize, custom.Companion.TEA.FillBufSize)
+	}
+
+	// A Block Cache sweep point rounds up to a power-of-two set count at
+	// the preset's associativity, so each default point (a power of two)
+	// resolves to exactly its capacity.
+	for entries, want := range map[int]int{1000: 1024, 64: 64, 128: 128, 256: 256, 512: 512, 1024: 1024, 2048: 2048} {
+		patch, err := SensBlockCache.Patch(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err = (Config{Mode: ModeTEA, Set: []string{patch}}).ResolvedSpec(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Companion.TEA.BlockCacheEntries(); got != want {
+			t.Errorf("%d Block Cache entries resolved to %d, want %d", entries, got, want)
+		}
 	}
 }
 
 // TestResolvedSpecRejectsCompanionOverridesOnBaseline asserts TEA-only
-// knobs error on TEA-less machines instead of being silently dropped.
+// patches error on TEA-less machines instead of being silently dropped.
 func TestResolvedSpecRejectsCompanionOverridesOnBaseline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"ablation", Config{Mode: ModeBaseline, OnlyLoops: true}},
-		{"size override", Config{Mode: ModeBaseline, FillBufferSize: 256}},
-		{"wide16 ablation", Config{Mode: ModeWide16, NoMem: true}},
-		{"runahead tea override", Config{Mode: ModeBranchRunahead, BlockCacheEntries: 64}},
+		{"ablation", Config{Mode: ModeBaseline, Set: []string{"companion.tea.only_loops=true"}}},
+		{"size override", Config{Mode: ModeBaseline, Set: []string{"companion.tea.fill_buf_size=256"}}},
+		{"wide16 ablation", Config{Mode: ModeWide16, Set: []string{"companion.tea.no_mem=true"}}},
+		{"runahead tea override", Config{Mode: ModeBranchRunahead, Set: []string{"companion.tea.block_cache_sets=8"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := tc.cfg.ResolvedSpec()
-			if err == nil || !strings.Contains(err.Error(), "require a TEA companion") {
-				t.Fatalf("ResolvedSpec = %v, want a TEA-companion-required error", err)
+			if err == nil || !strings.Contains(err.Error(), "companion.tea is not populated") {
+				t.Fatalf("ResolvedSpec = %v, want a companion.tea-not-populated error", err)
 			}
 			// And the run itself fails the same way.
 			if _, err := Run("bfs", tc.cfg); err == nil {
@@ -169,8 +172,8 @@ func TestResolvedSpecRejectsCompanionOverridesOnBaseline(t *testing.T) {
 }
 
 // TestSpecFingerprintEquivalences asserts the identities the memo cache
-// relies on: override fields, their patch forms, and hand-edited specs all
-// fingerprint identically when they describe the same machine.
+// relies on: patch sequences and hand-edited specs fingerprint identically
+// when they describe the same machine.
 func TestSpecFingerprintEquivalences(t *testing.T) {
 	fp := func(c Config) uint64 {
 		t.Helper()
@@ -182,15 +185,16 @@ func TestSpecFingerprintEquivalences(t *testing.T) {
 	}
 
 	plain := fp(Config{Mode: ModeTEA})
-	if redundant := fp(Config{Mode: ModeTEA, FillBufferSize: 512}); redundant != plain {
-		t.Error("override set to the preset value changed the fingerprint")
+	if redundant := fp(Config{Mode: ModeTEA, Set: []string{"companion.tea.fill_buf_size=512"}}); redundant != plain {
+		t.Error("patch to the preset value changed the fingerprint")
 	}
-	override := fp(Config{Mode: ModeTEA, FillBufferSize: 1024})
 	patched := fp(Config{Mode: ModeTEA, Set: []string{"companion.tea.fill_buf_size=1024"}})
-	if override != patched {
-		t.Error("override field and its -set patch fingerprint differently")
+	repatched := fp(Config{Mode: ModeTEA, Set: []string{
+		"companion.tea.fill_buf_size=256", "companion.tea.fill_buf_size=1024"}})
+	if repatched != patched {
+		t.Error("a superseded patch changed the fingerprint")
 	}
-	if override == plain {
+	if patched == plain {
 		t.Error("changing the fill buffer did not change the fingerprint")
 	}
 
@@ -199,8 +203,8 @@ func TestSpecFingerprintEquivalences(t *testing.T) {
 		t.Fatal(err)
 	}
 	teaSpec.Companion.TEA.FillBufSize = 1024
-	if explicit := fp(Config{Spec: &teaSpec}); explicit != override {
-		t.Error("hand-edited spec and override field fingerprint differently")
+	if explicit := fp(Config{Spec: &teaSpec}); explicit != patched {
+		t.Error("hand-edited spec and its -set patch fingerprint differently")
 	}
 
 	// Behavioral knobs (CoSim, idle skip, telemetry) are not machine state.
@@ -269,27 +273,21 @@ func TestSpecFingerprintConcurrent(t *testing.T) {
 	for _, fc := range Fig10Configs() {
 		cfgs = append(cfgs, fc.Cfg(Config{Mode: fc.Mode}))
 	}
-	cfgs = append(cfgs, Config{Mode: ModeTEA, DisableEarlyFlush: true})
+	cfgs = append(cfgs, Config{Mode: ModeTEA, Set: []string{"companion.tea.disable_early_flush=true"}})
 	for _, p := range []SensParam{SensBlockCache, SensFillBuffer, SensH2PDecay, SensLead, SensFetchQueue} {
 		for _, v := range SensDefaults(p) {
 			patch, err := p.Patch(v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			override := Config{Mode: ModeTEA}
-			switch p {
-			case SensBlockCache:
-				override.BlockCacheEntries = v
-			case SensFillBuffer:
-				override.FillBufferSize = v
-			case SensH2PDecay:
-				override.H2PDecayPeriod = uint64(v)
-			case SensLead:
-				override.MaxLeadBlocks = v
-			case SensFetchQueue:
-				override.FetchQueueSize = v
+			edited, err := ModeTEA.Preset()
+			if err != nil {
+				t.Fatal(err)
 			}
-			cfgs = append(cfgs, override, Config{Mode: ModeTEA, Set: []string{patch}})
+			if err := edited.Set(patch); err != nil {
+				t.Fatal(err)
+			}
+			cfgs = append(cfgs, Config{Spec: &edited}, Config{Mode: ModeTEA, Set: []string{patch}})
 		}
 	}
 	want := make([]uint64, len(cfgs))

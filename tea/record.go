@@ -10,8 +10,8 @@ import (
 // MemoKey identifies one memoizable simulation: the workload, the machine
 // point (the resolved spec's fingerprint, plus the mode for the Result's
 // label), the run budget and the input scale. Two configs that resolve to
-// the same machine — a preset and the equivalent -set patches, or an
-// override field and its patch form — share one key and therefore one
+// the same machine — a preset and the equivalent -set patches, or a
+// hand-edited spec and its patch form — share one key and therefore one
 // simulation. The engine memo, persisted records, the result store, fabric
 // recovery and the daemon's request coalescing all key on it.
 type MemoKey struct {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"teasim/internal/telemetry"
 	"teasim/tea/spec"
 )
 
@@ -32,32 +32,6 @@ func stubResult(w string, c Config) Result {
 		Cycles:       uint64(len(w))*1000 + uint64(c.Mode) + 1,
 		Instructions: c.MaxInstructions,
 	}
-}
-
-// recordingSink captures telemetry events for assertions.
-type recordingSink struct {
-	mu     sync.Mutex
-	events []telemetry.Event
-}
-
-func (s *recordingSink) Event(e *telemetry.Event) {
-	s.mu.Lock()
-	s.events = append(s.events, *e)
-	s.mu.Unlock()
-}
-func (s *recordingSink) Interval(*telemetry.Interval) {}
-func (s *recordingSink) Close() error                 { return nil }
-
-func (s *recordingSink) failures() []telemetry.Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []telemetry.Event
-	for _, e := range s.events {
-		if e.Kind == telemetry.EvJobFailure {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 func TestJobDeadline(t *testing.T) {
@@ -117,9 +91,17 @@ func TestHangWatchdogSparesAdvancingJob(t *testing.T) {
 }
 
 func TestRetryRecoversFlakyPanic(t *testing.T) {
-	sink := &recordingSink{}
-	e := NewEngine(1, WithTelemetry(sink),
-		WithPolicy(JobPolicy{Retries: 3, RetryBackoff: time.Millisecond}))
+	var mu sync.Mutex
+	var fails []JobEvent
+	e := NewEngine(1,
+		WithPolicy(JobPolicy{Retries: 3, RetryBackoff: time.Millisecond}),
+		WithProgress(func(ev JobEvent) {
+			if ev.Phase == JobAttemptFailed {
+				mu.Lock()
+				fails = append(fails, ev)
+				mu.Unlock()
+			}
+		}))
 	var attempts atomic.Int32
 	e.runFn = func(ctx context.Context, w string, c Config) (Result, error) {
 		if attempts.Add(1) < 3 {
@@ -137,26 +119,33 @@ func TestRetryRecoversFlakyPanic(t *testing.T) {
 	if !reflect.DeepEqual(res[0], stubResult("bfs", Config{Mode: ModeTEA, MaxInstructions: 1000, Scale: 1})) {
 		t.Errorf("unexpected result after retry: %+v", res[0])
 	}
-	// Satellite: every failed attempt leaves a telemetry trace.
-	fails := sink.failures()
+	// Every failed attempt reaches the progress callback.
+	mu.Lock()
+	defer mu.Unlock()
 	if len(fails) != 2 {
-		t.Fatalf("got %d EvJobFailure events, want 2 (one per panicking attempt)", len(fails))
+		t.Fatalf("got %d %s events, want 2 (one per panicking attempt)", len(fails), JobAttemptFailed)
 	}
-	if !strings.Contains(fails[0].Job, "bfs/tea@") {
-		t.Errorf("failure event job id = %q, want workload/mode@spec", fails[0].Job)
-	}
-	if !strings.Contains(fails[0].Err, "transient corruption") {
-		t.Errorf("failure event err = %q, want the panic value", fails[0].Err)
+	for i, ev := range fails {
+		id := fmt.Sprintf("%s/%s@%s", ev.Job.Workload, ev.Job.Cfg.Mode, specHashOf(ev.Job.Cfg))
+		if !strings.HasPrefix(id, "bfs/tea@") || strings.HasSuffix(id, "unresolved") {
+			t.Errorf("failure %d names cell %q, want bfs/tea@<spec>", i, id)
+		}
+		if ev.Err == nil || !strings.Contains(ev.Err.Error(), "transient corruption") {
+			t.Errorf("failure %d err = %v, want the panic value", i, ev.Err)
+		}
+		if ev.Index != 0 {
+			t.Errorf("failure %d index = %d, want 0", i, ev.Index)
+		}
 	}
 	// Retried cells are distinguishable from first failures: the attempt
 	// number and cumulative backoff ride on the event.
-	if fails[0].Attempt != 1 || fails[0].BackoffMS != 0 {
-		t.Errorf("first failure carries attempt=%d backoff=%dms, want 1/0",
-			fails[0].Attempt, fails[0].BackoffMS)
+	if fails[0].Attempt != 1 || fails[0].Backoff != 0 {
+		t.Errorf("first failure carries attempt=%d backoff=%v, want 1/0",
+			fails[0].Attempt, fails[0].Backoff)
 	}
-	if fails[1].Attempt != 2 || fails[1].BackoffMS < 1 {
-		t.Errorf("second failure carries attempt=%d backoff=%dms, want 2 with accrued backoff",
-			fails[1].Attempt, fails[1].BackoffMS)
+	if fails[1].Attempt != 2 || fails[1].Backoff < time.Millisecond {
+		t.Errorf("second failure carries attempt=%d backoff=%v, want 2 with accrued backoff",
+			fails[1].Attempt, fails[1].Backoff)
 	}
 }
 

@@ -53,17 +53,14 @@ func SensDefaults(p SensParam) []int {
 // Patch renders one sweep point as a dotted-path spec patch (the
 // spec.MachineSpec.Set form), making every sweep a pure data edit of the TEA
 // preset. Capacity-valued parameters are converted to the spec's geometry:
-// SensBlockCache entries become a set count at the preset's 8-way
-// associativity, rounded up to the next power of two exactly as
-// spec.TEA.SetBlockCacheEntries does.
+// SensBlockCache entries become the set count spec.TEA.SetBlockCacheEntries
+// picks at the preset's associativity.
 func (p SensParam) Patch(value int) (string, error) {
 	switch p {
 	case SensBlockCache:
-		sets := 1
-		for sets*spec.DefaultTEA().BlockCacheWays < value {
-			sets *= 2
-		}
-		return fmt.Sprintf("companion.tea.block_cache_sets=%d", sets), nil
+		t := spec.DefaultTEA()
+		t.SetBlockCacheEntries(value)
+		return fmt.Sprintf("companion.tea.block_cache_sets=%d", t.BlockCacheSets), nil
 	case SensFillBuffer:
 		return fmt.Sprintf("companion.tea.fill_buf_size=%d", value), nil
 	case SensH2PDecay:

@@ -409,6 +409,7 @@ type jobEvent struct {
 	Mode     string `json:"mode"`
 	Phase    string `json:"phase"`
 	Error    string `json:"error,omitempty"`
+	Attempt  int    `json:"attempt,omitempty"` // attempt-failed only
 }
 
 // doneEvent is the SSE "done" payload.
@@ -533,6 +534,7 @@ func (s *Server) runStream(w http.ResponseWriter, r *http.Request, req Request, 
 				Workload: ev.Job.Workload,
 				Mode:     ev.Job.Cfg.Mode.String(),
 				Phase:    ev.Phase.String(),
+				Attempt:  ev.Attempt,
 			}
 			if ev.Err != nil {
 				je.Error = firstLine(ev.Err.Error())

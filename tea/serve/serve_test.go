@@ -526,3 +526,42 @@ func TestRealRunByteIdentity(t *testing.T) {
 		t.Errorf("re-POST X-Tea-Simulated = %s, want 0", got)
 	}
 }
+
+// TestSSEReportsRetries runs a cell whose first attempt panics under a
+// one-retry policy: the retry simulates the cell (the panicking attempt
+// must not leave its coalescing slot behind), and the stream carries the
+// failed attempt before the cell's done event.
+func TestSSEReportsRetries(t *testing.T) {
+	var calls sync.Mutex
+	panicked := false
+	flaky := func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
+		calls.Lock()
+		first := cfg.Mode == tea.ModeTEA && !panicked
+		panicked = panicked || first
+		calls.Unlock()
+		if first {
+			panic("flaky cell")
+		}
+		return stubRun(ctx, workload, cfg)
+	}
+	_, ts := newTestServer(t, Config{RunFunc: flaky, Workers: 1, Policy: tea.JobPolicy{Retries: 1}})
+	resp := postRun(t, ts.URL, Request{
+		Experiment:      "fig5",
+		Workloads:       []string{"bfs"},
+		MaxInstructions: 10_000,
+		Format:          "csv",
+		Stream:          true,
+	}, nil)
+	body := readBody(t, resp)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	failed := strings.Index(body, `"mode":"tea","phase":"attempt-failed","error":"panic in bfs/tea (spec `)
+	done := strings.Index(body, `data: {"index":1,"workload":"bfs","mode":"tea","phase":"done"}`)
+	if failed < 0 || done < failed || !strings.Contains(body[failed:done], `flaky cell","attempt":1}`) {
+		t.Errorf("stream lacks the failed attempt before a clean done:\n%s", body)
+	}
+	if !strings.Contains(body, `"simulated":3,"store_hits":0,"coalesced":0,"memo_hits":0,"error_rows":0`) {
+		t.Errorf("retried cell did not complete cleanly:\n%s", body)
+	}
+}

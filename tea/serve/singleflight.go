@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"teasim/tea"
@@ -23,11 +24,17 @@ type flightCall struct {
 	err  error
 }
 
+// errFlightPanicked is what waiters see when the execution they rode on
+// panicked; the panic itself propagates to the executing caller.
+var errFlightPanicked = errors.New("serve: coalesced simulation panicked")
+
 // do returns the result of fn for key, executing it at most once among
 // concurrent callers. coalesced reports that this caller rode on another
 // caller's execution. The executing caller runs under its own ctx; a waiter
 // whose ctx dies first returns its ctx error without disturbing the
 // execution (the leader — and the store — still finish and keep the result).
+// The slot is released even when fn panics, so a retry of the same key runs
+// instead of waiting on a call that will never finish.
 func (g *flightGroup) do(ctx context.Context, key tea.MemoKey, fn func() (tea.Result, error)) (res tea.Result, err error, coalesced bool) {
 	g.mu.Lock()
 	if g.calls == nil {
@@ -46,10 +53,13 @@ func (g *flightGroup) do(ctx context.Context, key tea.MemoKey, fn func() (tea.Re
 	g.calls[key] = c
 	g.mu.Unlock()
 
+	c.err = errFlightPanicked // replaced unless fn panics
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 	c.res, c.err = fn()
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.res, c.err, false
 }

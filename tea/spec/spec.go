@@ -6,12 +6,12 @@
 // The package is pure data: specs are built from presets (the named machine
 // points behind the paper's tables and figures), loaded from JSON, and
 // edited with dotted-path patches ("companion.tea.fill_buf_size=1024").
-// The tea package turns a resolved spec into simulator configuration; every
-// sensitivity study is therefore a data change, not a code change.
+// Each simulator package converts its part of a resolved spec into its own
+// configuration (ConfigFromSpec); every ablation and sensitivity study is
+// therefore a data change, not a code change.
 //
 // Resolution order for one run (see tea.Config): preset (or an explicit
-// spec) → ablation switches → structure-size overrides → -set patches, then
-// Validate. The resolved spec's Fingerprint keys experiment memoization and
+// spec) → -set patches, then Validate. The resolved spec's Fingerprint keys experiment memoization and
 // stamps results for provenance.
 package spec
 

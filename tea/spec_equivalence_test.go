@@ -3,8 +3,8 @@ package tea_test
 // Spec-equivalence contract (DESIGN.md §10): the declarative machine tree is
 // a pure re-expression of the old hardcoded mode switches. Running a mode
 // and running its preset spec must be bit-identical; a sensitivity sweep
-// expressed as spec patches must reproduce the override-field curves
-// exactly; and a custom, non-preset spec must run end to end.
+// expressed as spec patches must reproduce the curves of the preset spec
+// edited by hand exactly; and a custom, non-preset spec must run end to end.
 
 import (
 	"fmt"
@@ -47,9 +47,9 @@ func TestSpecModeEquivalence(t *testing.T) {
 }
 
 // TestSensitivityPatchEquivalence asserts the patch-based Sensitivity sweep
-// reproduces the Fill-Buffer and Block-Cache curves of the override-field
-// form exactly, and that the engine's fingerprint memo simulates each
-// workload's baseline exactly once across both sweeps.
+// reproduces the Fill-Buffer and Block-Cache curves of the TEA preset spec
+// edited by hand exactly, and that the engine's fingerprint memo simulates
+// each workload's baseline exactly once across both sweeps.
 func TestSensitivityPatchEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-simulation sweep; skipped in -short mode")
@@ -60,12 +60,12 @@ func TestSensitivityPatchEquivalence(t *testing.T) {
 	opts := tea.ExpOptions{MaxInstructions: budget, Scale: 1, Workloads: workloads, Engine: engine}
 
 	sweeps := []struct {
-		param    tea.SensParam
-		values   []int
-		override func(*tea.Config, int)
+		param  tea.SensParam
+		values []int
+		edit   func(*spec.TEA, int)
 	}{
-		{tea.SensFillBuffer, []int{256, 512, 1024}, func(c *tea.Config, v int) { c.FillBufferSize = v }},
-		{tea.SensBlockCache, []int{256, 512, 1024}, func(c *tea.Config, v int) { c.BlockCacheEntries = v }},
+		{tea.SensFillBuffer, []int{256, 512, 1024}, func(t *spec.TEA, v int) { t.FillBufSize = v }},
+		{tea.SensBlockCache, []int{256, 512, 1024}, func(t *spec.TEA, v int) { t.SetBlockCacheEntries(v) }},
 	}
 	for _, sw := range sweeps {
 		rows, err := tea.Sensitivity(sw.param, sw.values, opts)
@@ -79,9 +79,12 @@ func TestSensitivityPatchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, v := range sw.values {
-				cfg := tea.Config{Mode: tea.ModeTEA, MaxInstructions: budget, Scale: 1}
-				sw.override(&cfg, v)
-				res, err := tea.Run(name, cfg)
+				machine, err := spec.Preset("tea")
+				if err != nil {
+					t.Fatal(err)
+				}
+				sw.edit(machine.Companion.TEA, v)
+				res, err := tea.Run(name, tea.Config{Spec: &machine, MaxInstructions: budget, Scale: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,7 +93,7 @@ func TestSensitivityPatchEquivalence(t *testing.T) {
 				wantSpeedup := float64(base.Cycles) / float64(res.Cycles)
 				if row.Workload != name || row.Value != v ||
 					row.Speedup != wantSpeedup || row.Coverage != res.Coverage || row.Accuracy != res.Accuracy {
-					t.Errorf("%s %s@%d: patch row %+v diverges from override run (speedup %v, cov %v, acc %v)",
+					t.Errorf("%s %s@%d: patch row %+v diverges from hand-edited spec run (speedup %v, cov %v, acc %v)",
 						sw.param, name, v, row, wantSpeedup, res.Coverage, res.Accuracy)
 				}
 			}

@@ -44,8 +44,10 @@ type Config struct {
 	// reuse one spec across runs.
 	Spec *spec.MachineSpec
 	// Set holds dotted-path spec patches ("section.field=value", see
-	// spec.MachineSpec.Set) applied after the ablation and structure-size
-	// overrides below, in order.
+	// spec.MachineSpec.Set) applied in order. They are the only way to edit
+	// a machine point: the Fig. 10 ablations are
+	// "companion.tea.only_loops=true" and its siblings, the sensitivity
+	// sweeps patch one structure size each (SensParam.Patch).
 	Set []string
 
 	// MaxInstructions bounds the simulated region (0 = run to completion).
@@ -84,23 +86,6 @@ type Config struct {
 	// bpred.TestHistoryRewindEquivalence and the fast-path equivalence test);
 	// for debugging and those tests.
 	DisableHistRewind bool
-
-	// Fig. 10 ablation switches — spec patches on the companion's TEA
-	// section (error on a TEA-less machine).
-	OnlyLoops         bool // loop-confined chains ("only loops")
-	NoMasks           bool // no mask combining across control flows
-	NoMem             bool // no memory dependencies in the walk
-	DisableEarlyFlush bool // precompute but never flush (§V-B prefetch-only)
-
-	// Structure-size overrides for the paper's sensitivity studies
-	// (0 = keep the spec's value) — shorthand spec patches. See §IV-B (H2P
-	// decrement period, Block Cache capacity), §IV-C (Fill Buffer size), and
-	// §III-B (fetch-queue-bounded run-ahead distance).
-	BlockCacheEntries int    // Block Cache data entries (default 512)
-	FillBufferSize    int    // Fill Buffer uops (default 512)
-	H2PDecayPeriod    uint64 // instructions between H2P decrements (default 50k)
-	MaxLeadBlocks     int    // shadow fetch queue depth (default 2)
-	FetchQueueSize    int    // main fetch queue entries (default 128)
 
 	// Observability (see DESIGN.md "Telemetry"). These fields are purely
 	// observational: a run with telemetry attached retires the same
@@ -288,7 +273,7 @@ func runContext(ctx context.Context, workload string, cfg Config,
 	mode := effectiveMode(cfg, &machine)
 	prog := program(w, cfg.Scale)
 
-	pcfg := pipelineConfig(&machine)
+	pcfg := pipeline.ConfigFromSpec(&machine)
 	pcfg.CoSim = cfg.CoSim
 	pcfg.NoIdleSkip = cfg.DisableIdleSkip
 	pcfg.NoBlockCache = cfg.DisableBlockCache

@@ -135,7 +135,7 @@ func TestStructureOverridesApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	small, err := tea.Run("gcc", tea.Config{Mode: tea.ModeTEA, Scale: 1,
-		MaxInstructions: 150_000, BlockCacheEntries: 8})
+		MaxInstructions: 150_000, Set: []string{"companion.tea.block_cache_sets=1"}}) // 8 entries
 	if err != nil {
 		t.Fatal(err)
 	}

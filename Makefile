@@ -65,11 +65,11 @@ bench-compare: bench-smoke
 	$(GO) run ./internal/tools/benchjson -compare -max-regress $(MAX_REGRESS) \
 		$(BENCH_BASELINE) $(BENCH_SMOKE_OUT)
 
-# Paranoia suite: the full workload × mode matrix with the per-cycle
+# Paranoia suite: the full workload × preset matrix with the per-cycle
 # invariant checker armed (see internal/pipeline/paranoia.go), asserting
-# results stay bit-identical to unchecked runs. Slow; CI runs the trimmed
-# default (plain TestParanoiaSuite) inside tier1 and this full form in the
-# robustness job.
+# results stay bit-identical to unchecked runs. Slow; tier1 runs the
+# trimmed default (plain TestParanoiaSuite) and CI's robustness job runs
+# this full form.
 paranoia:
 	$(GO) test ./tea/ -run TestParanoiaSuite -paranoia-full -count=1 -timeout 30m
 

@@ -13,7 +13,8 @@ type Config struct {
 	// Fewer tables use the first TageTables geometric history lengths.
 	TageTables int
 	// TageHistLens overrides the geometric history lengths (len must equal
-	// TageTables; nil = the default 4..1270 series truncated to TageTables).
+	// TageTables, each at most MaxFoldLen; nil = the default 4..1270 series
+	// truncated to TageTables).
 	TageHistLens []uint32
 	// BTBEntries/BTBWays set the branch target buffer geometry (default
 	// 4096 entries, 4-way; the set count must be a power of two).
@@ -21,12 +22,6 @@ type Config struct {
 	BTBWays    int
 	// RASEntries sets the return address stack depth (default 64).
 	RASEntries int
-	// NoHistRewind disables the rewind-mode history recovery fast path,
-	// falling back to full per-branch folded-history checkpoints. Both paths
-	// restore bit-identical state (enforced by TestHistoryRewindEquivalence
-	// and the tea fast-path equivalence matrix); the reference path exists
-	// for debugging and for those tests.
-	NoHistRewind bool
 }
 
 // normalize fills zero fields with their defaults and rejects geometry the
@@ -43,6 +38,11 @@ func (c Config) normalize() Config {
 	}
 	if len(c.TageHistLens) != c.TageTables {
 		panic(fmt.Sprintf("bpred: %d history lengths for %d TAGE tables", len(c.TageHistLens), c.TageTables))
+	}
+	for _, l := range c.TageHistLens {
+		if l > MaxFoldLen {
+			panic(fmt.Sprintf("bpred: TAGE history length %d above %d", l, MaxFoldLen))
+		}
 	}
 	if c.BTBEntries == 0 {
 		c.BTBEntries = btbEntries
@@ -93,7 +93,7 @@ func New() *Predictor { return NewWithConfig(Config{}) }
 // (zero fields = Table I defaults).
 func NewWithConfig(cfg Config) *Predictor {
 	cfg = cfg.normalize()
-	h := &History{rewind: !cfg.NoHistRewind}
+	h := &History{}
 	return &Predictor{
 		Hist: h,
 		tage: newTAGE(h, cfg.TageTables, cfg.TageHistLens),

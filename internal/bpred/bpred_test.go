@@ -447,14 +447,16 @@ func TestHistorySaveIsolation(t *testing.T) {
 	}
 	ck := h.Save()
 	before := ck
+	fold, path := h.Fold(0), h.Path()
 	for i := 0; i < 50; i++ {
 		h.Push(true)
+		h.PushPath(uint64(i) * 4)
 	}
 	if ck != before {
 		t.Fatal("checkpoint mutated by later pushes")
 	}
 	h.Restore(&ck)
-	if h.Fold(0) != before.comps[0] {
+	if h.Fold(0) != fold || h.Path() != path {
 		t.Fatal("restore did not apply checkpoint")
 	}
 }

@@ -7,11 +7,16 @@
 package bpred
 
 // historyBits is the size of the circular global-history buffer. It must
-// exceed the longest folded history length plus the maximum number of
-// in-flight speculative branches, so that restoring a checkpoint never
-// resurrects an overwritten bit. The longest TAGE history is ~1270 bits and
-// the pipeline holds well under 1k speculative branches.
+// exceed the longest folded history length plus the number of pushes still
+// in flight, because rewind recovery re-reads, for every push it undoes,
+// the bit origLen behind it. Half the buffer goes to the fold window: the
+// machine spec caps TAGE history lengths at MaxFoldLen (the presets' longest
+// is 1270), which leaves the other half for the in-flight window.
 const historyBits = 4096
+
+// MaxFoldLen is the longest folded history the buffer can hold beside the
+// in-flight window (see historyBits).
+const MaxFoldLen = historyBits / 2
 
 // folded is an incrementally maintained folded (compressed) history
 // register, as used by TAGE (Seznec). A history of origLen bits is folded
@@ -60,25 +65,23 @@ type History struct {
 	path uint32 // path history (low PC bits of taken branches)
 
 	// pushes counts every Push ever applied (monotone except during rewind).
-	// A rewind-mode checkpoint is just this counter plus the 4-byte path
-	// register: Restore unwinds pushes one by one instead of copying the 48
-	// folded comps back.
+	// A checkpoint is just this counter plus the 4-byte path register:
+	// Restore unwinds pushes one by one instead of copying the folded comps
+	// back. The circular bit buffer itself is the undo log: every pushed
+	// bit, and every bit that fell out of a fold's origLen window, is still
+	// in the buffer when the rewind runs (historyBits exceeds the longest
+	// fold plus the in-flight window), so unpush can re-derive both XOR
+	// operands.
 	pushes uint64
-	// rewind selects rewind-mode checkpoints (see SaveInto). The circular
-	// bit buffer itself is the undo log: every pushed bit, and every bit
-	// that fell out of a fold's origLen window, is still in the buffer when
-	// the rewind runs (historyBits exceeds the longest fold plus the
-	// in-flight branch count), so unpush can re-derive both XOR operands.
-	rewind bool
 
-	// snaps is a ring of periodic full-fold snapshots (rewind mode only),
-	// taken every snapPeriod pushes. They bound Restore's cost: a rewind
-	// over a long in-flight distance copies the newest snapshot at or
-	// before the checkpoint and replays at most snapPeriod-1 pushes forward
-	// from the bit buffer, instead of unwinding the whole distance push by
-	// push. Snapshots younger than a restored checkpoint are dropped at
-	// Restore (the re-executed path will rewrite those push counts with
-	// different bits).
+	// snaps is a ring of periodic full-fold snapshots, taken every
+	// snapPeriod pushes. They bound Restore's cost: a rewind over a long
+	// in-flight distance copies the newest snapshot at or before the
+	// checkpoint and replays at most snapPeriod-1 pushes forward from the
+	// bit buffer, instead of unwinding the whole distance push by push.
+	// Snapshots younger than a restored checkpoint are dropped at Restore
+	// (the re-executed path will rewrite those push counts with different
+	// bits).
 	snaps    [snapRing]histSnap
 	snapHead int // ring index of the next snapshot write
 	snapLen  int // live snapshots (newest at snapHead-1)
@@ -101,11 +104,6 @@ type histSnap struct {
 	ptr    uint32
 	comps  [maxFolds]uint32
 }
-
-// SetRewind selects rewind-mode (true) or copy-mode (false) checkpoints.
-// Both produce bit-identical restored state; rewind mode makes Save O(1)
-// instead of O(maxFolds) per branch.
-func (h *History) SetRewind(on bool) { h.rewind = on }
 
 // RegisterFold adds a folded view of the most recent origLen history bits
 // compressed to compLen bits and returns its handle.
@@ -154,7 +152,7 @@ func (h *History) Push(bit bool) {
 		}
 		f.update(nb, ob)
 	}
-	if h.rewind && h.pushes&(snapPeriod-1) == 0 {
+	if h.pushes&(snapPeriod-1) == 0 {
 		h.snapshot()
 	}
 }
@@ -231,88 +229,59 @@ func (h *History) PushPath(pc uint64) {
 	h.path = (h.path<<1 | uint32(pc>>2)&1) & 0xffff
 }
 
-// maxFolds bounds the number of folded views so checkpoints are a fixed,
+// maxFolds bounds the number of folded views so snapshots are a fixed,
 // allocation-free array (48 covers TAGE 12×3 + ITTAGE 2×2 + SC 3).
 const maxFolds = 48
 
 // Checkpoint is a snapshot of the speculative history state taken just
 // before a branch's own update. It is small enough to store per in-flight
 // branch (the paper's in-flight branch queue plays the same role) and is a
-// plain value: no heap allocation per branch.
-//
-// Two flavors share the struct, tagged by n: a copy-mode checkpoint
-// (n >= 0) carries all folded comps and restores by copying them back; a
-// rewind-mode checkpoint (n == rewindTag) carries only the push counter and
-// path register, and restores by unwinding pushes through the invertible
-// fold update. Restore dispatches on the checkpoint's own tag, so mixed use
-// is safe.
+// plain value: no heap allocation per branch. It carries only the buffer
+// pointer, the path register and the push counter; Restore recovers the
+// folds by unwinding pushes through the invertible fold update.
 type Checkpoint struct {
 	ptr    uint32
 	path   uint32
-	n      int32
 	pushes uint64
-	comps  [maxFolds]uint32
 }
 
-// rewindTag marks a rewind-mode Checkpoint (see SaveInto).
-const rewindTag int32 = -1
-
-// Save captures the current history state. The checkpoint stays valid until
-// more than historyBits bits have been pushed past it.
+// Save captures the current history state. The checkpoint stays valid while
+// at most historyBits-MaxFoldLen bits have been pushed past it.
 func (h *History) Save() Checkpoint {
 	var c Checkpoint
 	h.SaveInto(&c)
 	return c
 }
 
-// SaveInto is Save writing into caller-owned (zeroed) storage, avoiding a
-// Checkpoint-sized temporary copy on the per-branch hot path. In rewind
-// mode only the counters are recorded — the per-branch cost drops from
-// maxFolds+3 words to 4 — and the comps array is left untouched (Restore
-// never reads it for a rewind-tagged checkpoint).
+// SaveInto is Save writing into caller-owned storage on the per-branch hot
+// path.
 func (h *History) SaveInto(c *Checkpoint) {
-	if h.rewind {
-		c.ptr, c.path, c.n, c.pushes = h.ptr, h.path, rewindTag, h.pushes
-		return
-	}
-	c.ptr, c.path, c.n = h.ptr, h.path, int32(len(h.folds))
-	for i := range h.folds {
-		c.comps[i] = h.folds[i].comp
-	}
+	c.ptr, c.path, c.pushes = h.ptr, h.path, h.pushes
 }
 
-// Restore rewinds the history to a previously saved checkpoint. A
-// rewind-tagged checkpoint restores from the nearest periodic snapshot at or
-// before it (copy + at most snapPeriod-1 forward replays from the bit
-// buffer) when the distance is long, and by unwinding push by push when it
-// is short or no snapshot covers it; cost is bounded either way.
+// Restore rewinds the history to a previously saved checkpoint: from the
+// nearest periodic snapshot at or before it (copy + at most snapPeriod-1
+// forward replays from the bit buffer) when the distance is long, and by
+// unwinding push by push when it is short or no snapshot covers it; cost is
+// bounded either way.
 func (h *History) Restore(c *Checkpoint) {
-	if c.n == rewindTag {
-		h.dropSnapsAfter(c.pushes)
-		if h.pushes-c.pushes > snapPeriod && h.snapLen > 0 {
-			s := &h.snaps[(h.snapHead-1+snapRing)&(snapRing-1)]
-			h.ptr = s.ptr
-			h.pushes = s.pushes
-			for i := range h.folds {
-				h.folds[i].comp = s.comps[i]
-			}
-			for h.pushes < c.pushes {
-				h.replayPush()
-			}
+	h.dropSnapsAfter(c.pushes)
+	if h.pushes-c.pushes > snapPeriod && h.snapLen > 0 {
+		s := &h.snaps[(h.snapHead-1+snapRing)&(snapRing-1)]
+		h.ptr = s.ptr
+		h.pushes = s.pushes
+		for i := range h.folds {
+			h.folds[i].comp = s.comps[i]
 		}
-		for h.pushes > c.pushes {
-			h.unpush()
+		for h.pushes < c.pushes {
+			h.replayPush()
 		}
-		h.ptr = c.ptr // always equal after the unwind; cheap belt-and-braces
-		h.path = c.path
-		return
 	}
-	h.ptr = c.ptr
+	for h.pushes > c.pushes {
+		h.unpush()
+	}
+	h.ptr = c.ptr // always equal after the unwind; cheap belt-and-braces
 	h.path = c.path
-	h.snapLen, h.snapHead = 0, 0 // a copy restore invalidates every snapshot
-	for i := 0; i < int(c.n); i++ {
-		h.folds[i].comp = c.comps[i]
-	}
 }
 
 // NumFolds returns the number of registered folded views (for tests).

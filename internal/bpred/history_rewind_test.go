@@ -2,26 +2,22 @@ package bpred
 
 import "testing"
 
-// TestHistoryRewindEquivalence drives a rewind-mode history and a copy-mode
-// twin through identical random push / checkpoint / mispredict-restore
-// sequences — including restores that unwind past several younger
-// checkpoints, as nested flushes do — and asserts every piece of observable
-// state (ptr, path register, every folded comp) is bit-identical after each
-// restore. This is the contract that lets the pipeline enable rewind
-// recovery by default: a rewind-tagged Restore must be indistinguishable
-// from copying the 48 folded comps back.
+// TestHistoryRewindEquivalence drives a history through random push /
+// checkpoint / mispredict-restore sequences — including restores that
+// unwind past several younger checkpoints, as nested flushes do — and
+// holds every Restore to two oracles that share no code with it: the ptr,
+// path register and folds read off the history when the checkpoint was
+// saved, and a from-scratch recompute of every fold from the bit buffer.
+// Checkpoints stay in flight for up to historyBits-MaxFoldLen-1 pushes and
+// the longest fold is MaxFoldLen bits, so the buffer is used to its limit.
 func TestHistoryRewindEquivalence(t *testing.T) {
-	mk := func(rewind bool) *History {
-		h := &History{rewind: rewind}
-		// Mix of short/long origLens with shared-length runs, mirroring how
-		// TAGE registers three views per table and ITTAGE two.
-		for _, l := range []uint32{4, 4, 9, 9, 26, 26, 75, 212, 212, 600, 1270, 1270} {
-			h.RegisterFold(l, 11)
-			h.RegisterFold(l, 8)
-		}
-		return h
+	h := &History{}
+	// Mix of short/long origLens with shared-length runs, mirroring how
+	// TAGE registers three views per table and ITTAGE two.
+	for _, l := range []uint32{4, 4, 9, 9, 26, 26, 75, 212, 212, 600, 1270, 1270, MaxFoldLen} {
+		h.RegisterFold(l, 11)
+		h.RegisterFold(l, 8)
 	}
-	a, b := mk(true), mk(false)
 
 	rng := uint32(0x8124)
 	rnd := func(n uint32) uint32 {
@@ -30,66 +26,82 @@ func TestHistoryRewindEquivalence(t *testing.T) {
 		rng ^= rng << 5
 		return rng % n
 	}
-	check := func(step int) {
-		t.Helper()
-		if a.ptr != b.ptr || a.path != b.path {
-			t.Fatalf("step %d: ptr/path diverged: %d/%#x vs %d/%#x",
-				step, a.ptr, a.path, b.ptr, b.path)
+	// saved is a checkpoint plus the state it must restore.
+	type saved struct {
+		ck        Checkpoint
+		ptr, path uint32
+		folds     []uint32
+	}
+	save := func() saved {
+		s := saved{ptr: h.ptr, path: h.path}
+		h.SaveInto(&s.ck)
+		for _, f := range h.folds {
+			s.folds = append(s.folds, f.comp)
 		}
-		for i := range a.folds {
-			if a.folds[i].comp != b.folds[i].comp {
-				t.Fatalf("step %d: fold %d diverged: %#x vs %#x",
-					step, i, a.folds[i].comp, b.folds[i].comp)
+		return s
+	}
+	check := func(step int, s *saved) {
+		t.Helper()
+		if h.ptr != s.ptr || h.path != s.path {
+			t.Fatalf("step %d: ptr/path %d/%#x, saved %d/%#x", step, h.ptr, h.path, s.ptr, s.path)
+		}
+		for i, f := range h.folds {
+			if f.comp != s.folds[i] {
+				t.Fatalf("step %d: fold %d is %#x, saved %#x", step, i, f.comp, s.folds[i])
+			}
+			var want uint32
+			for d := uint32(0); d < f.origLen; d++ {
+				want ^= h.bitAt(d) << (d % f.compLen)
+			}
+			if f.comp != want {
+				t.Fatalf("step %d: fold %d (%d->%d bits) is %#x, the bit buffer folds to %#x",
+					step, i, f.origLen, f.compLen, f.comp, want)
 			}
 		}
 	}
 
 	// Checkpoints live on a stack with flush semantics: a mispredict at
 	// entry k squashes every younger checkpoint. Entries older than the
-	// validity window (historyBits minus the longest fold) are retired off
-	// the bottom, exactly as the pipeline retires branches.
-	type saved struct {
-		a, b Checkpoint
-		at   uint64 // a.pushes when taken
-	}
+	// validity window are retired off the bottom, exactly as the pipeline
+	// retires branches. Every other stretch has no random mispredicts, so
+	// the stack fills the window, and flushes to its oldest entry once that
+	// entry is exactly window pushes old: the deepest restore allowed.
+	const (
+		window  = historyBits - MaxFoldLen - 1
+		stretch = 3500
+	)
 	var stack []saved
-	for step := 0; step < 30000; step++ {
+	flush := func(step, k int) {
+		s := stack[k]
+		stack = stack[:k]
+		h.Restore(&s.ck)
+		check(step, &s)
+	}
+	for step := 0; step < 12*stretch; step++ {
+		quiet := step/stretch%2 == 1
 		switch rnd(12) {
-		case 0, 1: // a branch is predicted: checkpoint both
-			var s saved
-			a.SaveInto(&s.a)
-			b.SaveInto(&s.b)
-			s.at = a.pushes
-			stack = append(stack, s)
+		case 0, 1: // a branch is predicted: checkpoint
+			stack = append(stack, save())
 		case 2: // mispredict: flush to a random in-flight branch
-			if len(stack) == 0 {
-				continue
+			if !quiet && len(stack) > 0 {
+				flush(step, int(rnd(uint32(len(stack)))))
 			}
-			k := int(rnd(uint32(len(stack))))
-			s := stack[k]
-			stack = stack[:k]
-			a.Restore(&s.a)
-			b.Restore(&s.b)
-			check(step)
 		case 3: // taken branch mixes path history
-			pc := uint64(rnd(1<<20)) * 4
-			a.PushPath(pc)
-			b.PushPath(pc)
+			h.PushPath(uint64(rnd(1<<20)) * 4)
 		default: // speculative history bit
-			bit := rnd(2) == 1
-			a.Push(bit)
-			b.Push(bit)
+			h.Push(rnd(2) == 1)
 		}
-		for len(stack) > 0 && a.pushes-stack[0].at > historyBits-1271 {
+		for len(stack) > 0 && h.pushes-stack[0].ck.pushes > window {
 			stack = stack[1:] // oldest branch retires; checkpoint expires
 		}
+		if quiet && len(stack) > 0 && h.pushes-stack[0].ck.pushes == window {
+			flush(step, 0)
+		}
 	}
-	check(-1)
 	// Final unwind all the way down the stack, oldest last.
 	for k := len(stack) - 1; k >= 0; k-- {
-		a.Restore(&stack[k].a)
-		b.Restore(&stack[k].b)
-		check(100000 + k)
+		h.Restore(&stack[k].ck)
+		check(100000+k, &stack[k])
 	}
 }
 

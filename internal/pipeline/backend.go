@@ -18,8 +18,8 @@ const companionRSTimeout = 1024
 // execute is the select/dispatch stage: it binds ready uops to execution
 // ports (TEA-priority, then oldest first), reads operand values, computes
 // results, and schedules writeback. Candidates come from the event-driven
-// readyQ (see sched.go) rather than a full RS scan; selectReady restores
-// insertion order, so port binding matches the scan exactly.
+// ready lists (see sched.go), one per thread, each in insertion order, so
+// port binding matches a full scan of the RS.
 func (c *Core) execute() {
 	aluFree := c.Cfg.ALUPorts
 	fpFree := c.Cfg.FPPorts
@@ -29,93 +29,26 @@ func (c *Core) execute() {
 	// Companion uops can wait on a register whose producer vanished in a
 	// flush (the shadow RAT is only a snapshot); sweep them out instead of
 	// letting them pin RS entries forever.
-	var cands, teaCands []*Uop
-	if c.bitset {
-		c.sweepCompanionTimeoutsBitset()
-		cands = c.selectCandsBitset()
-		if c.split {
-			if c.rsTEACount > 0 {
-				teaCands = c.selectTEACandsBitset()
-			} else if len(c.teaReadyList) > 0 {
-				// No live companion residencies ⇒ every queued ref is stale;
-				// drop them wholesale instead of compacting one by one.
-				c.teaReadyList = c.teaReadyList[:0]
-				c.teaReadySorted = 0
-			}
-		}
-	} else {
-		c.sweepCompanionTimeouts()
-		cands = c.selectCands()
+	c.sweepCompanionTimeouts()
+	cands := c.selectCands()
+	var teaCands []*Uop
+	if c.rsTEACount > 0 {
+		teaCands = c.selectTEACands()
+	} else if len(c.teaReadyList) > 0 {
+		// No live companion residencies ⇒ every queued ref is stale;
+		// drop them wholesale instead of compacting one by one.
+		c.teaReadyList = c.teaReadyList[:0]
+		c.teaReadySorted = 0
 	}
 
-	if c.rsTEACount == 0 {
-		// No companion residencies ⇒ no companion candidates: both the
-		// dedicated-engine companion loop and the priority pass over TEA
-		// entries would scan cands without issuing anything. One main pass
-		// is equivalent.
-		for _, u := range cands {
-			if aluFree == 0 && fpFree == 0 && memFree == 0 {
-				break // every class is port-blocked; the rest are no-ops
-			}
-			c.tryIssue(u, &aluFree, &fpFree, &memFree, &stFree)
-		}
-		return
-	}
-	if c.split {
-		// Split-ready fast path: the candidate groups arrive pre-separated
-		// and stamp-sorted, so each pass is a straight batch drain — no
-		// per-uop TEA filtering. Pass order matches the shared-list passes
-		// below (companion first unless demoted); port budgets thread
-		// through identically, so binding is bit-identical.
-		if c.Cfg.CompanionDedicated {
-			teaFree := c.Cfg.CompanionPorts
-			for _, u := range teaCands {
-				if teaFree == 0 {
-					break
-				}
-				before := teaFree
-				teaFree--
-				// Reuse the class-checked path with generous per-class budgets.
-				a, f, m, st := 1, 1, 1, 1
-				c.tryIssue(u, &a, &f, &m, &st)
-				if a == 1 && f == 1 && m == 1 && st == 1 {
-					teaFree = before // did not issue (e.g. load retry)
-				}
-			}
-			for _, u := range cands {
-				if aluFree == 0 && fpFree == 0 && memFree == 0 {
-					break // every class is port-blocked; the rest are no-ops
-				}
-				c.tryIssue(u, &aluFree, &fpFree, &memFree, &stFree)
-			}
-			return
-		}
-		first, second := teaCands, cands
-		if c.Cfg.CompanionNoPriority {
-			first, second = cands, teaCands
-		}
-		for _, u := range first {
-			if aluFree == 0 && fpFree == 0 && memFree == 0 {
-				return // every class is port-blocked; the rest are no-ops
-			}
-			c.tryIssue(u, &aluFree, &fpFree, &memFree, &stFree)
-		}
-		for _, u := range second {
-			if aluFree == 0 && fpFree == 0 && memFree == 0 {
-				return
-			}
-			c.tryIssue(u, &aluFree, &fpFree, &memFree, &stFree)
-		}
-		return
-	}
 	if c.Cfg.CompanionDedicated {
 		// Dedicated engine: companion uops draw from their own execution
 		// slots (any class); loads still contend for cache ports/MSHRs via
 		// the shared hierarchy state.
 		teaFree := c.Cfg.CompanionPorts
-		for _, u := range cands {
-			if !u.TEA || teaFree == 0 {
-				continue
+		for _, u := range teaCands {
+			if teaFree == 0 {
+				break
 			}
 			before := teaFree
 			teaFree--
@@ -126,31 +59,25 @@ func (c *Core) execute() {
 				teaFree = before // did not issue (e.g. load retry)
 			}
 		}
-		for _, u := range cands {
-			if aluFree == 0 && fpFree == 0 && memFree == 0 {
-				break // every class is port-blocked; the rest are no-ops
-			}
-			if u.TEA {
-				continue
-			}
-			c.tryIssue(u, &aluFree, &fpFree, &memFree, &stFree)
-		}
-		return
+		teaCands = nil
 	}
-	for pass := 0; pass < 2; pass++ {
-		teaPass := pass == 0
-		if c.Cfg.CompanionNoPriority {
-			teaPass = pass == 1
+	// Shared ports: companion candidates (none left with a dedicated
+	// engine) go first unless demoted below the main thread.
+	first, second := teaCands, cands
+	if c.Cfg.CompanionNoPriority {
+		first, second = cands, teaCands
+	}
+	for _, u := range first {
+		if aluFree == 0 && fpFree == 0 && memFree == 0 {
+			return // every class is port-blocked; the rest are no-ops
 		}
-		for _, u := range cands {
-			if aluFree == 0 && fpFree == 0 && memFree == 0 {
-				return // every class is port-blocked; the rest are no-ops
-			}
-			if u.TEA != teaPass {
-				continue
-			}
-			c.tryIssue(u, &aluFree, &fpFree, &memFree, &stFree)
+		c.tryIssue(u, &aluFree, &fpFree, &memFree, &stFree)
+	}
+	for _, u := range second {
+		if aluFree == 0 && fpFree == 0 && memFree == 0 {
+			return
 		}
+		c.tryIssue(u, &aluFree, &fpFree, &memFree, &stFree)
 	}
 }
 
@@ -332,53 +259,8 @@ func (c *Core) scheduleDone(u *Uop, at uint64) {
 	u.complNext = c.complHead[slot]
 	c.complHead[slot] = u
 	c.completionsPending++
-	if c.bitset {
-		c.freeSlot(u)
-		c.complMask[slot>>6] |= 1 << uint(slot&63)
-	} else {
-		c.complPush(at)
-	}
-}
-
-// complPush records a scheduled completion cycle in the min-heap mirror of
-// the ring (manual sift-up: container/heap would cost an interface call and
-// an allocation per op on the hottest path in the simulator).
-func (c *Core) complPush(at uint64) {
-	h := append(c.complHeap, at)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	c.complHeap = h
-}
-
-// complPop removes the heap minimum.
-func (c *Core) complPop() {
-	h := c.complHeap
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			m = r
-		}
-		if h[i] <= h[m] {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	c.complHeap = h
+	c.freeSlot(u)
+	c.complMask[slot>>6] |= 1 << uint(slot&63)
 }
 
 // complete is the writeback stage: results become architecturally visible
@@ -405,15 +287,7 @@ func (c *Core) complete() {
 	}
 	c.complScratch = list
 	c.completionsPending -= len(list)
-	if c.bitset {
-		c.complMask[slot>>6] &^= 1 << uint(slot&63)
-	} else {
-		// Everything scheduled at or before this cycle drains now; drop the
-		// heap mirror's stale minimums so its top stays the next writeback.
-		for len(c.complHeap) > 0 && c.complHeap[0] <= c.Cycle {
-			c.complPop()
-		}
-	}
+	c.complMask[slot>>6] &^= 1 << uint(slot&63)
 	// Seqs are unique, so this unstable sort is deterministic; unlike
 	// sort.Slice it does not allocate a closure + swapper per call. Most
 	// cycles drain one or two uops: those sizes skip the sort machinery.

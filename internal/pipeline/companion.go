@@ -91,24 +91,15 @@ type Companion interface {
 func (c *Core) NewCompanionUop() *Uop { return c.pool.getUop() }
 
 // InstMeta resolves the instruction and its class at pc, serving companion
-// fetch from the predecoded template cache when the block cache is enabled
-// (the decode itself is identical; templates just avoid recomputing the
-// class per fetch). Returns ok=false outside the code segment — the same
-// condition under which Prog.InstAt returns nil.
+// fetch from the predecoded template cache the main thread's fetch uses.
+// Returns ok=false outside the code segment.
 func (c *Core) InstMeta(pc uint64) (in *isa.Inst, cls isa.Class, ok bool) {
-	if c.dec != nil {
-		idx, ok := c.dec.Index(pc)
-		if !ok {
-			return nil, 0, false
-		}
-		t := &c.dec.Tmpl[idx]
-		return t.In, t.Cls, true
-	}
-	in = c.Prog.InstAt(pc)
-	if in == nil {
+	idx, ok := c.dec.Index(pc)
+	if !ok {
 		return nil, 0, false
 	}
-	return in, in.Class(), true
+	t := &c.dec.Tmpl[idx]
+	return t.In, t.Cls, true
 }
 
 // RecycleCompanionUop returns a companion-owned uop to the shared pool.

@@ -88,34 +88,6 @@ type Config struct {
 	// equivalence test itself.
 	NoIdleSkip bool
 
-	// NoBlockCache disables the decoded-block uop cache: the decoupled BP
-	// walks instructions one at a time and fetch re-decodes each uop from
-	// the instruction word, instead of replaying predecoded templates.
-	// Results are bit-identical either way (enforced by the fast-path
-	// equivalence test); the reference path exists for debugging and for
-	// that test.
-	NoBlockCache bool
-
-	// NoBitsetSched disables the bitmap scheduler fast path (RS slot
-	// bitmaps, packed waiter refs, completion-ring occupancy words),
-	// falling back to the pointer/heap reference implementation in sched.go.
-	// Results are bit-identical either way (enforced by the fast-path
-	// equivalence test).
-	NoBitsetSched bool
-
-	// NoSplitReady disables the split main/companion ready lists of the
-	// bitset scheduler (implied by NoBitsetSched): companion refs fall back
-	// to the shared ready list and execute filters them per pass. Results
-	// are bit-identical either way (enforced by the fast-path equivalence
-	// test).
-	NoSplitReady bool
-
-	// NoHistRewind disables the branch predictor's rewind-mode history
-	// recovery, restoring the per-branch full folded-history checkpoints.
-	// Results are bit-identical either way (enforced by the fast-path
-	// equivalence test and TestHistoryRewindEquivalence).
-	NoHistRewind bool
-
 	// Telemetry, when non-nil, receives structured trace events (retire,
 	// flush, early-flush — the successor of the old printf trace) and
 	// per-interval time-series samples through its Sink. See

@@ -50,28 +50,19 @@ type Core struct {
 
 	// Backend. rs keeps insertion order for flush walks; it is compacted
 	// lazily (see sched.go), so dead entries are tolerated everywhere via
-	// the rsStamps guard. Wakeup/select state: waiters holds per-physical-
-	// register lists of entries blocked on that register, readyQ the entries
-	// whose operands are all ready, teaAge the companion entries in
-	// insertion order for the RS-timeout sweep.
+	// the rsStamps guard.
 	rs          []*Uop
 	rsStamps    []uint64 // rsStamps[i] == rs[i].rsStamp while entry i is current
 	rsStampCtr  uint64
-	readyQ      []rsRef
-	waiters     [][]rsRef
-	teaAge      []rsRef
-	teaAgeHead  int
 	rsMainCount int
 	rsTEACount  int
 	mainRSCap   int
 
-	// Bitset scheduler state (sched_bitset.go; active unless
-	// Cfg.NoBitsetSched). Entries live in fixed slots allocated from a
-	// free bitmap; the ready lists hold packed (stamp<<16|slot)
-	// references, so age order is numeric order. wHead holds, per physical
-	// register, the first slot of its waiter list (linked through the
-	// slots; noSlot when empty).
-	bitset      bool
+	// Scheduler state (sched_bitset.go). Entries live in fixed slots
+	// allocated from a free bitmap; the ready lists hold packed
+	// (stamp<<16|slot) references, so age order is numeric order. wHead
+	// holds, per physical register, the first slot of its waiter list
+	// (linked through the slots; noSlot when empty).
 	slots       []schedSlot
 	slotFree    []uint64
 	readyList   []uint64
@@ -82,12 +73,10 @@ type Core struct {
 	// RS-timeout sweep.
 	ageHead, ageTail int32
 	candScratch      []*Uop // per-cycle select candidates, reused
-	// Split-ready fast path (bitset only; active unless Cfg.NoSplitReady):
-	// companion residencies keep their own ready list, so main select never
+	// Companion residencies keep their own ready list, so main select never
 	// filters TEA refs (or revalidates anything — main readiness is
 	// monotonic) and TEA select never walks main refs. execute() consumes
-	// the two pre-separated stamp-sorted groups in one pass each.
-	split          bool
+	// the two stamp-sorted groups in one pass each.
 	teaReadyList   []uint64
 	teaReadySorted int // prefix of teaReadyList already in stamp order
 	teaCandScratch []*Uop
@@ -119,14 +108,10 @@ type Core struct {
 	// ring (flushes never remove entries — squashed uops drain through
 	// complete()).
 	completionsPending int
-	// complHeap is a binary min-heap of the scheduled completion cycles of
-	// everything in the ring (duplicates allowed). complete() pops entries as
-	// their cycle drains, so the top is always the earliest outstanding
-	// writeback — the idle-cycle scanner's wake source, replacing a walk over
-	// the 16384 ring slots with an O(1) peek. Reference path only: the bitset
-	// scheduler replaces it with complMask, a 1-bit-per-slot occupancy bitmap
-	// scanned circularly with bits.TrailingZeros64.
-	complHeap []uint64
+	// complMask is a 1-bit-per-slot occupancy bitmap of the ring, scanned
+	// circularly with bits.TrailingZeros64 for the earliest outstanding
+	// writeback — the idle-cycle scanner's wake source, replacing a walk
+	// over the 16384 ring slots.
 	complMask [completionRing / 64]uint64
 
 	pendingRedirects []pendingRedirect
@@ -144,8 +129,8 @@ type Core struct {
 	gold *emu.Machine
 
 	// dec is the program's predecoded template table (the decoded-block
-	// cache; nil when Cfg.NoBlockCache). codeBase/codeEnd bound the code
-	// segment for the self-modifying-store assertion.
+	// cache). codeBase/codeEnd bound the code segment for the
+	// self-modifying-store assertion.
 	dec      *emu.Decoded
 	codeBase uint64
 	codeEnd  uint64
@@ -189,34 +174,25 @@ func New(cfg Config, prog *isa.Program) *Core {
 	if teaRegs == 0 {
 		teaRegs = 192
 	}
-	bpCfg := cfg.BP
-	bpCfg.NoHistRewind = bpCfg.NoHistRewind || cfg.NoHistRewind
 	c := &Core{
 		Cfg:        cfg,
 		Prog:       prog,
 		Mem:        mem.LoadImage(prog.Data),
 		Hier:       mem.NewHierarchy(cfg.Mem),
-		BP:         bpred.NewWithConfig(bpCfg),
+		BP:         bpred.NewWithConfig(cfg.BP),
 		streamPC:   prog.Entry,
 		PRF:        NewPRF(cfg.NumPRegs, teaRegs),
 		mainRSCap:  cfg.RSSize,
 		teaPRBase:  cfg.NumPRegs,
 		teaPRCount: teaRegs,
 		comp:       nopCompanion{},
-		bitset:     !cfg.NoBitsetSched,
-		split:      !cfg.NoBitsetSched && !cfg.NoSplitReady,
+		dec:        emu.Predecode(prog),
 		storeEpoch: 1,
 		codeBase:   prog.CodeBase,
 		codeEnd:    prog.CodeEnd(),
 	}
 	c.initQueues()
-	c.waiters = make([][]rsRef, cfg.NumPRegs+teaRegs)
-	if c.bitset {
-		c.initSched(cfg.NumPRegs + teaRegs)
-	}
-	if !cfg.NoBlockCache {
-		c.dec = emu.Predecode(prog)
-	}
+	c.initSched(cfg.NumPRegs + teaRegs)
 	for i := 0; i < isa.NumRegs; i++ {
 		c.rat[i] = uint16(i)
 	}

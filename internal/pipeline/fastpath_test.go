@@ -37,9 +37,6 @@ func rsDrop(c *Core, u *Uop) {
 // slot, and freed slots are reused before fresh ones.
 func TestBitsetSlotAllocLowestFirst(t *testing.T) {
 	c := newIdleCore(t)
-	if !c.bitset {
-		t.Fatal("bitset scheduler not on by default")
-	}
 	a, b, d := rsStage(c, 1), rsStage(c, 2), rsStage(c, 3)
 	if a.rsSlot != 0 || b.rsSlot != 1 || d.rsSlot != 2 {
 		t.Fatalf("slots = %d,%d,%d, want 0,1,2", a.rsSlot, b.rsSlot, d.rsSlot)
@@ -58,7 +55,7 @@ func TestBitsetSelectOrderIsAgeOrder(t *testing.T) {
 	c := newIdleCore(t)
 	a, b, d := rsStage(c, 10), rsStage(c, 11), rsStage(c, 12)
 	_ = a
-	if got := c.selectCandsBitset(); len(got) != 3 {
+	if got := c.selectCands(); len(got) != 3 {
 		t.Fatalf("select returned %d candidates, want 3", len(got))
 	}
 	// Squash the middle entry; the next insert reuses its (lower) slot.
@@ -67,7 +64,7 @@ func TestBitsetSelectOrderIsAgeOrder(t *testing.T) {
 	if e.rsSlot >= d.rsSlot {
 		t.Fatalf("test premise broken: e slot %d not below d slot %d", e.rsSlot, d.rsSlot)
 	}
-	got := c.selectCandsBitset()
+	got := c.selectCands()
 	want := []uint64{10, 12, 13}
 	if len(got) != len(want) {
 		t.Fatalf("select returned %d candidates, want %d", len(got), len(want))
@@ -83,9 +80,9 @@ func TestBitsetSelectOrderIsAgeOrder(t *testing.T) {
 	}
 }
 
-// TestComplNextWake: the completion bitmap scan matches the heap-top
-// semantics — veto when due now, earliest future slot otherwise, circular
-// wraparound included.
+// TestComplNextWake: the completion bitmap scan finds the earliest
+// outstanding writeback — veto when due now, earliest future slot
+// otherwise, circular wraparound included.
 func TestComplNextWake(t *testing.T) {
 	c := newIdleCore(t)
 	set := func(slot int) { c.complMask[slot>>6] |= 1 << uint(slot&63) }

@@ -73,9 +73,7 @@ func (c *Core) flushAfter(seq uint64, redirectPC uint64, rec *BranchRec, actualT
 		if u.Seq > seq {
 			u.Squashed = true
 			u.InRS = false
-			if c.bitset {
-				c.freeSlot(u)
-			}
+			c.freeSlot(u)
 			if u.TEA {
 				c.rsTEACount--
 				c.comp.UopSquashed(u)

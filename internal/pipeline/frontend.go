@@ -7,65 +7,15 @@ import (
 )
 
 // predict runs the decoupled branch predictor for one cycle: it walks the
-// static code from the stream PC, consults the predictor stack at each
-// branch, and emits one fetch block (up to one predicted-taken branch or 32
-// instructions) into the fetch queue.
+// static code from the stream PC over the decoded-block cache, consults the
+// predictor stack at each branch, and emits one fetch block (up to one
+// predicted-taken branch or 32 instructions) into the fetch queue. The
+// NextBr index jumps straight-line runs in O(1) instead of touching every
+// instruction.
 func (c *Core) predict() {
 	if c.streamStalled || c.Cycle < c.streamResumeAt || c.fetchQ.len() >= c.Cfg.FetchQueueSize {
 		return
 	}
-	if c.dec != nil {
-		c.predictDecoded()
-		return
-	}
-	pc := c.streamPC
-	blk := c.pool.getBlock()
-	blk.StartPC, blk.SeqBase, blk.Cycle = pc, c.seq, c.Cycle
-	for blk.Count < c.Cfg.MaxBlockInstrs {
-		in := c.Prog.InstAt(pc)
-		if in == nil {
-			// Off the code segment (wrong path): the stream waits for a
-			// redirect. Emit whatever was collected.
-			c.streamStalled = true
-			break
-		}
-		seq := c.seq
-		c.seq++
-		blk.Count++
-		if in.Op == isa.OpHalt {
-			// The stream ends; the halt itself is fetched and retired.
-			c.streamStalled = true
-			pc += isa.InstBytes
-			break
-		}
-		if !in.IsBranch() {
-			pc += isa.InstBytes
-			continue
-		}
-		rec := c.predictBranch(pc, seq, in, in.IsCondBranch())
-		blk.Branches = append(blk.Branches, blockBranch{idx: blk.Count - 1, rec: rec})
-		if rec.PredTaken {
-			pc = rec.PredTarget
-			break // one taken branch per cycle
-		}
-		pc += isa.InstBytes
-	}
-	if blk.Count == 0 {
-		c.pool.putBlock(blk)
-		return
-	}
-	blk.NextPC = pc
-	c.streamPC = pc
-	c.fetchQ.push(blk)
-	c.comp.OnBlock(blk)
-}
-
-// predictDecoded is predict()'s fast path over the decoded-block cache: the
-// NextBr index jumps straight-line runs in O(1) instead of touching every
-// instruction, and branch/halt handling replays the cached templates. The
-// emitted blocks, records, and stream state are bit-identical to the
-// per-instruction walk.
-func (c *Core) predictDecoded() {
 	dec := c.dec
 	pc := c.streamPC
 	blk := c.pool.getBlock()
@@ -126,8 +76,7 @@ func (c *Core) predictDecoded() {
 }
 
 // predictBranch consults the predictor stack (and any companion override) for
-// the branch at pc and pushes its in-flight record. Shared by both predict
-// paths so the prediction/override logic cannot diverge between them.
+// the branch at pc and pushes its in-flight record.
 func (c *Core) predictBranch(pc, seq uint64, in *isa.Inst, isCond bool) *BranchRec {
 	rec := c.pool.getRec()
 	rec.Seq, rec.PC, rec.In = seq, pc, in
@@ -228,17 +177,10 @@ func (c *Core) fetch() {
 		u := c.pool.getUop()
 		u.Seq = blk.SeqBase + uint64(c.mainOff)
 		u.PC = pc
-		if c.dec != nil {
-			// Decode via the predecoded template: class and dest-validity
-			// were cracked once at Predecode time.
-			t := &c.dec.Tmpl[int(blk.decIdx)+c.mainOff]
-			u.In, u.Cls, u.destValid = t.In, t.Cls, t.DestValid
-		} else {
-			in := c.Prog.InstAt(pc)
-			u.In = in
-			u.Cls = in.Class()
-			u.destValid = in.HasDest() && in.Rd != isa.R0
-		}
+		// Decode via the predecoded template: class and dest-validity were
+		// cracked once at Predecode time.
+		t := &c.dec.Tmpl[int(blk.decIdx)+c.mainOff]
+		u.In, u.Cls, u.destValid = t.In, t.Cls, t.DestValid
 		u.FetchCycle = c.Cycle
 		if u.isBranch() {
 			for _, bb := range blk.Branches {

@@ -3,7 +3,7 @@ package pipeline
 // Paranoia mode: a per-cycle structural invariant checker (Config.Paranoia).
 //
 // The simulator's hot paths earn their speed from redundant bookkeeping —
-// occupancy counters beside the queues they summarize, a completion heap
+// occupancy counters beside the queues they summarize, an occupancy bitmap
 // beside the completion ring, per-register waiter lists beside the PRF
 // scoreboard, lazy compaction with stamp-guarded stale references. Each pair
 // must agree every cycle; a divergence silently corrupts timing long before
@@ -29,8 +29,8 @@ import (
 	"teasim/internal/isa"
 )
 
-// paranoiaRingPeriod spaces the O(ring) completion-ring sweep; the O(1)
-// heap-vs-counter check still runs every cycle.
+// paranoiaRingPeriod spaces the O(ring) completion-ring sweep; the cheap
+// bitmap-vs-counter check still runs every cycle.
 const paranoiaRingPeriod = 4096
 
 // paranoiac panics with a cycle-stamped invariant violation.
@@ -167,11 +167,18 @@ func (c *Core) checkPRF() {
 	}
 }
 
-// checkScheduler: the wakeup/select bookkeeping. Every live RS residency is
-// registered in exactly one wakeup home (readyQ or one waiter list), no
-// waiter list sits on an already-ready register, the occupancy counters
-// match a ground-truth count of live entries, and the companion age list
-// covers every live companion entry in fetch order.
+// checkScheduler: the wakeup/select bookkeeping. The occupancy counters
+// match a ground-truth count of live entries (re-derived from the rs list).
+// Every live RS entry owns exactly one slot whose cached fields match the
+// uop, the free bitmap agrees with slot occupancy, every live entry is
+// registered in exactly one wakeup home (a ready list, a parked list or one
+// register's waiter list), the waiter lists link exactly the slots marked
+// waiting, no waiter sits on a ready register, the sorted prefixes of the
+// ready lists are in packed (age) order, each ready list holds only its own
+// thread's entries, main-thread entries on readyList have both sources
+// ready (the monotonicity claim select's fast path relies on), and the
+// companion age list links exactly the live companion entries, in fetch
+// order, with consistent back-links.
 func (c *Core) checkScheduler() {
 	if c.paranoiaCnt == nil {
 		c.paranoiaCnt = make(map[*Uop]int)
@@ -196,79 +203,7 @@ func (c *Core) checkScheduler() {
 			liveMain, liveTEA, c.rsMainCount, c.rsTEACount)
 	}
 
-	if c.bitset {
-		c.checkSchedulerBitset(cnt, liveMain+liveTEA)
-		return
-	}
-
-	refs := 0
-	for _, r := range c.readyQ {
-		if !r.live() {
-			continue
-		}
-		refs++
-		if _, ok := cnt[r.u]; !ok {
-			c.paranoiac("readyQ holds live seq %d not present in the RS list", r.u.Seq)
-		}
-		cnt[r.u]++
-	}
-	for preg, ws := range c.waiters {
-		for _, r := range ws {
-			if !r.live() {
-				continue
-			}
-			if c.PRF.Ready[preg] {
-				c.paranoiac("live seq %d waits on p%d, which is already ready (lost wakeup)",
-					r.u.Seq, preg)
-			}
-			refs++
-			if _, ok := cnt[r.u]; !ok {
-				c.paranoiac("waiters[p%d] holds live seq %d not present in the RS list", preg, r.u.Seq)
-			}
-			cnt[r.u]++
-		}
-	}
-	if refs != liveMain+liveTEA {
-		c.paranoiac("wakeup registration: %d live refs for %d live RS entries",
-			refs, liveMain+liveTEA)
-	}
-	for u, n := range cnt {
-		if n != 1 {
-			c.paranoiac("seq %d registered %d times across readyQ+waiters, want exactly 1", u.Seq, n)
-		}
-	}
-
-	teaLive := 0
-	var prevFetch uint64
-	for i := c.teaAgeHead; i < len(c.teaAge); i++ {
-		r := c.teaAge[i]
-		if !r.live() {
-			continue
-		}
-		teaLive++
-		if r.u.FetchCycle < prevFetch {
-			c.paranoiac("companion age list out of order: seq %d fetched at %d after %d",
-				r.u.Seq, r.u.FetchCycle, prevFetch)
-		}
-		prevFetch = r.u.FetchCycle
-	}
-	if teaLive != c.rsTEACount {
-		c.paranoiac("companion age list covers %d live entries, rsTEACount=%d",
-			teaLive, c.rsTEACount)
-	}
-}
-
-// checkSchedulerBitset: the bitset scheduler's redundant state. Every live RS
-// entry (keys of cnt, re-derived from the shared rs list) owns exactly one
-// slot whose cached fields match the uop, the free bitmap agrees with slot
-// occupancy, every live entry is registered in exactly one wakeup home (a
-// ready list, a parked list or one register's waiter list), the waiter lists
-// link exactly the slots marked waiting, no waiter sits on a ready register,
-// the sorted prefix of readyList is in packed (age) order, main-thread
-// entries in readyList have both sources ready (the monotonicity claim
-// select's fast path relies on), and the companion age list links exactly
-// the live companion entries, in fetch order, with consistent back-links.
-func (c *Core) checkSchedulerBitset(cnt map[*Uop]int, live int) {
+	live := liveMain + liveTEA
 	occupied, waiting := 0, 0
 	for i := range c.slots {
 		s := &c.slots[i]
@@ -330,10 +265,10 @@ func (c *Core) checkSchedulerBitset(cnt map[*Uop]int, live int) {
 		}
 		refs++
 		cnt[s.u]++
-		if c.split && s.tea {
-			c.paranoiac("companion seq %d in the main readyList with split-ready active", s.u.Seq)
+		if s.tea {
+			c.paranoiac("companion seq %d in the main readyList", s.u.Seq)
 		}
-		if !s.tea && (!c.PRF.Ready[s.prs1] || !c.PRF.Ready[s.prs2]) {
+		if !c.PRF.Ready[s.prs1] || !c.PRF.Ready[s.prs2] {
 			c.paranoiac("main seq %d in readyList with unready source (monotonicity violated)",
 				s.u.Seq)
 		}
@@ -453,27 +388,16 @@ func (c *Core) checkSchedulerBitset(cnt map[*Uop]int, live int) {
 	}
 }
 
-// checkCompletions: the heap (reference path) or occupancy bitmap (bitset
-// path) mirrors the intrusive completion ring. The cheap every-cycle checks
-// are counter-vs-mirror agreement and that nothing outstanding is already
-// overdue; a periodic sweep walks the whole ring through the complNext links
-// and re-verifies slot filing and the mirror in full.
+// checkCompletions: the occupancy bitmap mirrors the intrusive completion
+// ring. The cheap every-cycle check is that an empty ring has an empty
+// bitmap; a periodic sweep walks the whole ring through the complNext links
+// and re-verifies slot filing and the bitmap in full.
 func (c *Core) checkCompletions() {
-	if c.bitset {
-		if c.completionsPending == 0 {
-			for w, word := range c.complMask {
-				if word != 0 {
-					c.paranoiac("completion bitmap word %d nonzero with nothing pending", w)
-				}
+	if c.completionsPending == 0 {
+		for w, word := range c.complMask {
+			if word != 0 {
+				c.paranoiac("completion bitmap word %d nonzero with nothing pending", w)
 			}
-		}
-	} else {
-		if len(c.complHeap) != c.completionsPending {
-			c.paranoiac("completion heap holds %d cycles, ring counter says %d",
-				len(c.complHeap), c.completionsPending)
-		}
-		if len(c.complHeap) > 0 && c.complHeap[0] < c.Cycle {
-			c.paranoiac("completion heap top %d is overdue (missed writeback)", c.complHeap[0])
 		}
 	}
 	if c.Cycle%paranoiaRingPeriod != 0 {
@@ -482,11 +406,9 @@ func (c *Core) checkCompletions() {
 	inRing := 0
 	for slot := range c.complHead {
 		occupied := c.complHead[slot] != nil
-		if c.bitset {
-			if bit := c.complMask[slot>>6]>>(uint(slot)&63)&1 != 0; bit != occupied {
-				c.paranoiac("completion bitmap bit for slot %d is %v, ring occupancy is %v",
-					slot, bit, occupied)
-			}
+		if bit := c.complMask[slot>>6]>>(uint(slot)&63)&1 != 0; bit != occupied {
+			c.paranoiac("completion bitmap bit for slot %d is %v, ring occupancy is %v",
+				slot, bit, occupied)
 		}
 		for u := c.complHead[slot]; u != nil; u = u.complNext {
 			inRing++
@@ -500,11 +422,6 @@ func (c *Core) checkCompletions() {
 	}
 	if inRing != c.completionsPending {
 		c.paranoiac("ring holds %d uops, counter says %d", inRing, c.completionsPending)
-	}
-	for i := 1; i < len(c.complHeap); i++ {
-		if parent := (i - 1) / 2; c.complHeap[i] < c.complHeap[parent] {
-			c.paranoiac("completion heap property broken at index %d", i)
-		}
 	}
 }
 

@@ -88,9 +88,7 @@ func (c *Core) SquashCompanionWaiting() {
 		if u.TEA {
 			u.Squashed = true
 			u.InRS = false
-			if c.bitset {
-				c.freeSlot(u)
-			}
+			c.freeSlot(u)
 			c.rsTEACount--
 			c.comp.UopSquashed(u)
 			continue

@@ -8,31 +8,20 @@ package pipeline
 // each RS entry waits on (at most) one not-ready source register at a time,
 // registered in a per-physical-register waiter list. The single place a
 // register becomes ready (PRF.Write in the writeback stage) wakes its
-// waiters; entries whose operands are all ready sit in readyQ, the only
-// thing the select loop walks. Results are bit-identical to the full scan:
-// selection still visits candidates in RS insertion order (restored by an
-// insertion-order stamp), and blocked loads stay in readyQ so their
-// per-cycle retry probes — and the cache counters those probes bump —
-// happen exactly as before.
+// waiters; entries whose operands are all ready sit on a ready list, the
+// only thing the select loop walks. Selection still visits candidates in RS
+// insertion order (restored by an insertion-order stamp), so port binding
+// matches a full scan. sched_bitset.go holds the slot array and lists.
 //
 // Stale references are unavoidable with pooled uops: a squashed entry's
 // pointer can be recycled into a brand-new RS entry while old lists still
-// hold it. Every reference therefore carries the rsStamp the uop had when
-// the reference was taken; a mismatch (or a cleared InRS) marks it dead.
-
-// rsRef is a possibly-stale reference to an RS entry.
-type rsRef struct {
-	u     *Uop
-	stamp uint64
-}
-
-// live reports whether the reference still denotes the same RS residency.
-func (r rsRef) live() bool { return r.u.rsStamp == r.stamp && r.u.InRS }
+// hold it. Every ready-list reference therefore carries the rsStamp the uop
+// had when the reference was taken; a mismatch marks it dead.
 
 // insertRS registers a just-renamed uop with the scheduler. The caller has
 // already set InRS and the occupancy counts. The rs/rsStamps insertion-order
-// list is shared by both scheduler implementations: flushes and companion
-// squashes walk it, and it is the paranoia checker's ground truth.
+// list is what flushes and companion squashes walk, and it is the paranoia
+// checker's ground truth.
 func (c *Core) insertRS(u *Uop) {
 	c.rsStampCtr++
 	u.rsStamp = c.rsStampCtr
@@ -43,48 +32,40 @@ func (c *Core) insertRS(u *Uop) {
 	if len(c.rs) > 2*(c.rsMainCount+c.rsTEACount)+64 {
 		c.compactRS()
 	}
-	if c.bitset {
-		c.insertRSBitset(u)
-		return
-	}
+	slot := c.allocSlot()
+	u.rsSlot = int32(slot)
+	// A free slot is all zero (freeSlot clears it), so only the fields a
+	// residency sets need writing.
+	s := &c.slots[slot]
+	s.u, s.stamp, s.prs1, s.prs2 = u, u.rsStamp, u.Prs1, u.Prs2
+	s.tea, s.load = u.TEA, !u.TEA && u.isLoad()
 	if u.TEA {
-		c.teaAge = append(c.teaAge, rsRef{u, u.rsStamp})
+		// Append to the age list: insertion order is fetch order.
+		s.aprev, s.anext = c.ageTail, noSlot
+		if c.ageTail != noSlot {
+			c.slots[c.ageTail].anext = int32(slot)
+		} else {
+			c.ageHead = int32(slot)
+		}
+		c.ageTail = int32(slot)
 	}
-	r := rsRef{u, u.rsStamp}
-	if !c.PRF.Ready[u.Prs1] {
-		c.waiters[u.Prs1] = append(c.waiters[u.Prs1], r)
-	} else if !c.PRF.Ready[u.Prs2] {
-		c.waiters[u.Prs2] = append(c.waiters[u.Prs2], r)
-	} else {
-		c.readyQ = append(c.readyQ, r)
-	}
+	c.home(int32(slot))
 }
 
 // wakeWaiters is called when register p transitions to ready: every entry
 // waiting on it either moves on to its other (still unready) source or
-// becomes a select candidate.
+// becomes a select candidate on its thread's ready list. Which list a ref
+// lands on, and in what order, never affects results: each list is
+// stamp-sorted before select reads it.
 func (c *Core) wakeWaiters(p uint16) {
-	if c.bitset {
-		c.wakeWaitersBitset(p)
-		return
-	}
-	ws := c.waiters[p]
-	if len(ws) == 0 {
-		return
-	}
-	c.waiters[p] = ws[:0]
-	for _, r := range ws {
-		if !r.live() {
-			continue
-		}
-		u := r.u
-		if !c.PRF.Ready[u.Prs1] {
-			c.waiters[u.Prs1] = append(c.waiters[u.Prs1], r)
-		} else if !c.PRF.Ready[u.Prs2] {
-			c.waiters[u.Prs2] = append(c.waiters[u.Prs2], r)
-		} else {
-			c.readyQ = append(c.readyQ, r)
-		}
+	slot := c.wHead[p]
+	c.wHead[p] = noSlot
+	for slot != noSlot {
+		s := &c.slots[slot]
+		next := s.wnext
+		s.waiting = false
+		c.home(slot)
+		slot = next
 	}
 }
 
@@ -100,89 +81,4 @@ func (c *Core) compactRS() {
 		stamps = append(stamps, c.rsStamps[i])
 	}
 	c.rs, c.rsStamps = rs, stamps
-}
-
-// selectReady compacts readyQ in place and restores RS insertion order,
-// returning the candidate list for this cycle's select. Readiness is
-// re-validated: a source register can be re-allocated (Ready goes false
-// again) while a companion consumer still sits in the RS — its producer was
-// squashed and the PR recycled. Matching the per-cycle full scan exactly,
-// such an entry stalls again until the new producer writes, so it migrates
-// back to that register's waiter list. Wakeups append in writeback order,
-// so the queue is nearly sorted and the insertion sort is effectively
-// linear.
-func (c *Core) selectReady() []rsRef {
-	q := c.readyQ[:0]
-	for _, r := range c.readyQ {
-		if !r.live() {
-			continue
-		}
-		u := r.u
-		if !c.PRF.Ready[u.Prs1] {
-			c.waiters[u.Prs1] = append(c.waiters[u.Prs1], r)
-			continue
-		}
-		if !c.PRF.Ready[u.Prs2] {
-			c.waiters[u.Prs2] = append(c.waiters[u.Prs2], r)
-			continue
-		}
-		q = append(q, r)
-	}
-	for i := 1; i < len(q); i++ {
-		for j := i; j > 0 && q[j].stamp < q[j-1].stamp; j-- {
-			q[j], q[j-1] = q[j-1], q[j]
-		}
-	}
-	c.readyQ = q
-	return q
-}
-
-// selectCands adapts selectReady to the []*Uop candidate shape execute()
-// consumes (the bitset path produces the same shape from packed refs).
-func (c *Core) selectCands() []*Uop {
-	q := c.selectReady()
-	cands := c.candScratch[:0]
-	for _, r := range q {
-		cands = append(cands, r.u)
-	}
-	c.candScratch = cands
-	return cands
-}
-
-// sweepCompanionTimeouts ages companion uops out of the RS once they have
-// waited past companionRSTimeout (their producer was lost to a flush).
-// teaAge holds companion entries in insertion order and FetchCycle never
-// decreases along it, so only the oldest live entry can newly expire —
-// exactly the entries the per-cycle full scan used to sweep, in the same
-// order.
-func (c *Core) sweepCompanionTimeouts() {
-	for c.teaAgeHead < len(c.teaAge) {
-		r := c.teaAge[c.teaAgeHead]
-		if r.live() {
-			if c.Cycle-r.u.FetchCycle <= companionRSTimeout {
-				break
-			}
-			u := r.u
-			u.Squashed = true
-			u.InRS = false
-			c.rsTEACount--
-			c.comp.UopSquashed(u)
-		}
-		c.teaAgeHead++
-	}
-	if c.teaAgeHead == len(c.teaAge) {
-		c.teaAge, c.teaAgeHead = c.teaAge[:0], 0
-	}
-}
-
-// companionTimeoutHorizon returns the cycle at which the oldest live
-// companion RS entry will be swept (0 = none in flight) — the idle-cycle
-// scanner's wake source for veto-free windows containing companion uops.
-func (c *Core) companionTimeoutHorizon() uint64 {
-	for i := c.teaAgeHead; i < len(c.teaAge); i++ {
-		if c.teaAge[i].live() {
-			return c.teaAge[i].u.FetchCycle + companionRSTimeout + 1
-		}
-	}
-	return 0
 }

@@ -2,9 +2,8 @@ package pipeline
 
 import "math/bits"
 
-// Bitset scheduler: the fast-path implementation of the event-driven
-// wakeup/select machinery in sched.go (active unless Cfg.NoBitsetSched; the
-// two are bit-identical, enforced by the fast-path equivalence suite).
+// Bitset scheduler: the slot array and lists behind the event-driven
+// wakeup/select machinery in sched.go.
 //
 // RS residencies live in fixed slots of a flat array. A free-slot bitmap
 // allocated with bits.TrailingZeros64 replaces pointer-chasing list
@@ -12,30 +11,29 @@ import "math/bits"
 // lists) is a packed 64-bit word (rsStamp<<16 | slot), so
 //
 //   - liveness is one load: slots[slot].stamp == ref>>16 — a freed or
-//     recycled slot has a different (or zero) stamp, exactly the stale-ref
-//     guard the rsRef path gets from (u.rsStamp, u.InRS);
+//     recycled slot has a different (or zero) stamp;
 //   - age order is numeric order: stamps are monotone, so sorting packed
-//     refs ascending IS the RS-insertion-order sort selectReady must
-//     preserve. Waiter-list and bitmap iteration order are free to differ
-//     from the reference path because the final candidate order comes from
-//     this sort alone.
+//     refs ascending IS the RS-insertion-order sort select must preserve.
+//     Waiter-list and bitmap iteration order never reach a result because
+//     the final candidate order comes from this sort alone.
 //
 // The per-register waiter lists and the companion age list are instead
 // threaded through the slots (schedSlot's links), and freeing a slot
 // unlinks it, so they hold live residencies only and need no storage of
 // their own: a warming-up core never grows them.
 //
-// Selection skips the per-cycle PRF.Ready revalidation for main-thread
-// entries: main readiness is monotonic. A main uop's source register cannot
-// be freed while the consumer sits in the RS — the next writer of that
-// architectural register is younger (flushes squash consumers together with
-// producers, and the previous mapping is freed only when the younger writer
-// retires, which in-order retirement forbids before the older consumer
-// leaves). Only companion (TEA) entries can observe a ready register go
-// unready again — their producer can be squashed and the register recycled
-// under them — so only they revalidate, exactly like the reference path's
-// migration back to a waiter list. Paranoia mode re-asserts the monotonicity
-// claim every cycle (checkScheduler).
+// Main-thread and companion residencies ready up onto separate lists
+// (readyList, teaReadyList). Selection skips the per-cycle PRF.Ready
+// revalidation for main-thread entries: main readiness is monotonic. A main
+// uop's source register cannot be freed while the consumer sits in the RS —
+// the next writer of that architectural register is younger (flushes squash
+// consumers together with producers, and the previous mapping is freed only
+// when the younger writer retires, which in-order retirement forbids before
+// the older consumer leaves). Only companion (TEA) entries can observe a
+// ready register go unready again — their producer can be squashed and the
+// register recycled under them — so only they revalidate, migrating back to
+// a waiter list. Paranoia mode re-asserts the monotonicity claim every cycle
+// (checkScheduler).
 
 // schedSlot is one RS residency in the bitset scheduler.
 type schedSlot struct {
@@ -93,10 +91,8 @@ func (c *Core) initSched(nPR int) {
 	c.sqParked = make([]uint64, 0, n)
 	c.memParked = make([]uint64, 0, n)
 	c.candScratch = make([]*Uop, 0, n)
-	if c.split {
-		c.teaReadyList = make([]uint64, 0, n)
-		c.teaCandScratch = make([]*Uop, 0, n)
-	}
+	c.teaReadyList = make([]uint64, 0, n)
+	c.teaCandScratch = make([]*Uop, 0, n)
 }
 
 // allocSlot takes the lowest free slot (pure simulator bookkeeping: slot
@@ -177,57 +173,17 @@ func (c *Core) home(slot int32) {
 		c.waitOn(s.prs1, slot)
 	case !c.PRF.Ready[s.prs2]:
 		c.waitOn(s.prs2, slot)
-	case s.tea && c.split:
+	case s.tea:
 		c.teaReadyList = append(c.teaReadyList, s.stamp<<slotBits|uint64(slot))
 	default:
 		c.readyList = append(c.readyList, s.stamp<<slotBits|uint64(slot))
 	}
 }
 
-// insertRSBitset is insertRS's registration half for the bitset scheduler
-// (stamping and the rs/rsStamps bookkeeping happen in the shared prefix).
-func (c *Core) insertRSBitset(u *Uop) {
-	slot := c.allocSlot()
-	u.rsSlot = int32(slot)
-	// A free slot is all zero (freeSlot clears it), so only the fields a
-	// residency sets need writing.
-	s := &c.slots[slot]
-	s.u, s.stamp, s.prs1, s.prs2 = u, u.rsStamp, u.Prs1, u.Prs2
-	s.tea, s.load = u.TEA, !u.TEA && u.isLoad()
-	if u.TEA {
-		// Append to the age list: insertion order is fetch order.
-		s.aprev, s.anext = c.ageTail, noSlot
-		if c.ageTail != noSlot {
-			c.slots[c.ageTail].anext = int32(slot)
-		} else {
-			c.ageHead = int32(slot)
-		}
-		c.ageTail = int32(slot)
-	}
-	c.home(int32(slot))
-}
-
-// wakeWaitersBitset re-homes or readies every entry waiting on p. With the
-// split-ready fast path, companion entries ready up onto their own list;
-// which list a ref lands on never affects results because each list is
-// stamp-sorted before use and execute issues the two groups in the same
-// relative order the filtered shared-list passes did.
-func (c *Core) wakeWaitersBitset(p uint16) {
-	slot := c.wHead[p]
-	c.wHead[p] = noSlot
-	for slot != noSlot {
-		s := &c.slots[slot]
-		next := s.wnext
-		s.waiting = false
-		c.home(slot)
-		slot = next
-	}
-}
-
-// selectCandsBitset compacts the ready list in place and returns this
-// cycle's candidates in RS-insertion order. Only companion entries
-// revalidate readiness (see the monotonicity argument above). The list
-// stays sorted across cycles: survivors of the previously sorted prefix are
+// selectCands compacts the main ready list in place and returns this
+// cycle's candidates in RS-insertion order. Main readiness is monotonic, so
+// nothing here revalidates it (see above). The list stays sorted across
+// cycles: survivors of the previously sorted prefix are
 // already ordered, so only refs appended since the last select (wakeups,
 // fresh inserts) take insertion-sort steps.
 //
@@ -240,7 +196,7 @@ func (c *Core) wakeWaitersBitset(p uint16) {
 // decode-resteer flush) cannot unblock a surviving parked load: new stores
 // are younger than it, and a flush old enough to remove its blocking store
 // squashes the load itself.
-func (c *Core) selectCandsBitset() []*Uop {
+func (c *Core) selectCands() []*Uop {
 	if len(c.sqParked) > 0 && c.parkedEpoch != c.storeEpoch {
 		c.readyList = append(c.readyList, c.sqParked...)
 		c.sqParked = c.sqParked[:0]
@@ -278,10 +234,6 @@ func (c *Core) selectCandsBitset() []*Uop {
 				continue
 			}
 		}
-		if s.tea && (!c.PRF.Ready[s.prs1] || !c.PRF.Ready[s.prs2]) {
-			c.home(int32(ref & slotMask))
-			continue
-		}
 		q = append(q, ref)
 		cands = append(cands, s.u)
 		if i < c.readySorted {
@@ -306,12 +258,12 @@ func (c *Core) selectCandsBitset() []*Uop {
 	return cands
 }
 
-// selectTEACandsBitset is selectCandsBitset for the companion's own ready
-// list (split-ready fast path): the same compact + tandem-stamp-sort
-// contract, minus the load parking (s.load is main-only) and with every
-// entry revalidating readiness — a companion source register can be
-// recycled under it (see the monotonicity argument atop this file).
-func (c *Core) selectTEACandsBitset() []*Uop {
+// selectTEACands is selectCands for the companion's own ready list: the
+// same compact + tandem-stamp-sort contract, minus the load parking (s.load
+// is main-only) and with every entry revalidating readiness — a companion
+// source register can be recycled under it (see the monotonicity argument
+// atop this file).
+func (c *Core) selectTEACands() []*Uop {
 	q := c.teaReadyList[:0]
 	cands := c.teaCandScratch[:0]
 	sorted := 0
@@ -346,10 +298,12 @@ func (c *Core) selectTEACandsBitset() []*Uop {
 	return cands
 }
 
-// sweepCompanionTimeoutsBitset mirrors sweepCompanionTimeouts on the age
-// list, which links exactly the live companion residencies in insertion
-// order: only its head can newly expire, and squashing the head unlinks it.
-func (c *Core) sweepCompanionTimeoutsBitset() {
+// sweepCompanionTimeouts ages companion uops out of the RS once they have
+// waited past companionRSTimeout (their producer was lost to a flush). The
+// age list links exactly the live companion residencies in insertion order
+// and FetchCycle never decreases along it, so only its head can newly
+// expire, and squashing the head unlinks it.
+func (c *Core) sweepCompanionTimeouts() {
 	for c.ageHead != noSlot {
 		u := c.slots[c.ageHead].u
 		if c.Cycle-u.FetchCycle <= companionRSTimeout {
@@ -363,8 +317,10 @@ func (c *Core) sweepCompanionTimeoutsBitset() {
 	}
 }
 
-// companionTimeoutHorizonBitset mirrors companionTimeoutHorizon.
-func (c *Core) companionTimeoutHorizonBitset() uint64 {
+// companionTimeoutHorizon returns the cycle at which the oldest live
+// companion RS entry will be swept (0 = none in flight) — the idle-cycle
+// scanner's wake source for veto-free windows containing companion uops.
+func (c *Core) companionTimeoutHorizon() uint64 {
 	if c.ageHead == noSlot {
 		return 0
 	}
@@ -373,7 +329,7 @@ func (c *Core) companionTimeoutHorizonBitset() uint64 {
 
 // complNextWake returns the earliest outstanding completion cycle strictly
 // after the current one, scanning the occupancy bitmap circularly from the
-// current ring slot (bitset path's replacement for the heap top). The bool
+// current ring slot. The bool
 // is false when a completion is due at the current cycle (drains on the
 // next tick — the machine is not idle).
 func (c *Core) complNextWake() (uint64, bool) {

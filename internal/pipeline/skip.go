@@ -81,70 +81,48 @@ func (c *Core) idleWake() (wake uint64, idle bool) {
 	// Execute: a ready RS entry issues — unless it is a load provably
 	// blocked on an older store or on full MSHRs, whose unblocking event (a
 	// completion, a retire, a fill arrival) is already a wake source. Every
-	// ready entry is in readyQ (wakeup is event-driven, see sched.go), so
-	// unready entries need no inspection: they wake only via a writeback,
-	// which the completion heap below already covers. Companion entries
-	// additionally age out on the companionRSTimeout sweep; FetchCycle is
-	// nondecreasing along teaAge, so the oldest live entry bounds them all.
-	if c.bitset {
-		for _, ref := range c.readyList {
-			s := &c.slots[ref&slotMask]
-			if s.stamp != ref>>slotBits {
-				continue
-			}
-			// Only companion entries re-check readiness (main readiness is
-			// monotonic; see sched_bitset.go). An unready entry wakes only
-			// via a writeback, which the completion bitmap covers.
-			if s.tea && (!c.PRF.Ready[s.prs1] || !c.PRF.Ready[s.prs2]) {
-				continue
-			}
-			if !c.loadBlocked(s.u) {
-				return 0, false
-			}
+	// ready entry is on a ready list (wakeup is event-driven, see sched.go),
+	// so entries on waiter lists need no inspection: they wake only via a
+	// writeback, which the completion bitmap below covers. Main readiness is
+	// monotonic (see sched_bitset.go), so main entries need no re-check.
+	for _, ref := range c.readyList {
+		s := &c.slots[ref&slotMask]
+		if s.stamp != ref>>slotBits {
+			continue
 		}
-		// Split-ready fast path: companion refs live on their own list.
-		// A live companion entry with both sources ready would issue (or
-		// probe the cache) next tick — loadBlocked never blocks companion
-		// uops — so it vetoes idleness outright; unready ones wake via a
-		// writeback, covered by the completion bitmap below.
-		for _, ref := range c.teaReadyList {
-			s := &c.slots[ref&slotMask]
-			if s.stamp != ref>>slotBits {
-				continue
-			}
-			if c.PRF.Ready[s.prs1] && c.PRF.Ready[s.prs2] {
-				return 0, false
-			}
-		}
-		// MSHR-parked loads are invisible to the walk above; their retry is
-		// due exactly when the earliest parked memo expires. A due (or past)
-		// pool wake vetoes idleness — select re-admits the pool on the next
-		// tick — and a future one bounds the skip. (sqParked needs no
-		// analogue: a parked SQ verdict can only flip via a completion,
-		// retire, or flush event, all wake sources already.)
-		if len(c.memParked) > 0 {
-			if c.memParkedWake <= c.Cycle {
-				return 0, false
-			}
-			closer(c.memParkedWake)
-		}
-	} else {
-		for _, r := range c.readyQ {
-			// Re-check readiness (a source PR can be re-allocated under a
-			// waiting companion consumer); an unready entry wakes only via a
-			// writeback, which the completion heap covers.
-			if r.live() && c.PRF.Ready[r.u.Prs1] && c.PRF.Ready[r.u.Prs2] && !c.loadBlocked(r.u) {
-				return 0, false
-			}
+		if !c.loadBlocked(s.u) {
+			return 0, false
 		}
 	}
-	var horizon uint64
-	if c.bitset {
-		horizon = c.companionTimeoutHorizonBitset()
-	} else {
-		horizon = c.companionTimeoutHorizon()
+	// A live companion entry with both sources ready would issue (or probe
+	// the cache) next tick — loadBlocked never blocks companion uops — so it
+	// vetoes idleness outright; unready ones wake via a writeback, covered
+	// by the completion bitmap below.
+	for _, ref := range c.teaReadyList {
+		s := &c.slots[ref&slotMask]
+		if s.stamp != ref>>slotBits {
+			continue
+		}
+		if c.PRF.Ready[s.prs1] && c.PRF.Ready[s.prs2] {
+			return 0, false
+		}
 	}
-	if at := horizon; at != 0 {
+	// MSHR-parked loads are invisible to the walk above; their retry is
+	// due exactly when the earliest parked memo expires. A due (or past)
+	// pool wake vetoes idleness — select re-admits the pool on the next
+	// tick — and a future one bounds the skip. (sqParked needs no
+	// analogue: a parked SQ verdict can only flip via a completion,
+	// retire, or flush event, all wake sources already.)
+	if len(c.memParked) > 0 {
+		if c.memParkedWake <= c.Cycle {
+			return 0, false
+		}
+		closer(c.memParkedWake)
+	}
+	// Companion entries additionally age out on the companionRSTimeout
+	// sweep; FetchCycle is nondecreasing along the age list, so its head
+	// bounds them all.
+	if at := c.companionTimeoutHorizon(); at != 0 {
 		if at <= c.Cycle {
 			return 0, false
 		}
@@ -157,25 +135,15 @@ func (c *Core) idleWake() (wake uint64, idle bool) {
 		return 0, false
 	}
 	closer(compWake)
-	// Writeback: the earliest scheduled completion — read off the ring's
-	// occupancy bitmap (bitset path) or the heap mirror (reference path).
-	// A completion due at the current cycle drains on the next tick (not
-	// idle); one in the past would mean the mirror drifted — treat it as a
-	// veto rather than risk skipping over it.
-	if c.bitset {
-		at, ok := c.complNextWake()
-		if !ok {
-			return 0, false
-		}
-		if at != 0 {
-			closer(at)
-		}
-	} else if n := len(c.complHeap); n > 0 {
-		if top := c.complHeap[0]; top <= c.Cycle {
-			return 0, false
-		} else {
-			closer(top)
-		}
+	// Writeback: the earliest scheduled completion, read off the ring's
+	// occupancy bitmap. A completion due at the current cycle drains on the
+	// next tick (not idle).
+	at, ok := c.complNextWake()
+	if !ok {
+		return 0, false
+	}
+	if at != 0 {
+		closer(at)
 	}
 	// Memory system: a fill completing at cycle f can unblock an MSHR-full
 	// load retry as early as cycle f-1 (issueLoad probes with now=Cycle+1),

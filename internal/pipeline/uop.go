@@ -22,7 +22,7 @@ type Uop struct {
 
 	// Pipeline state.
 	rsStamp    uint64 // RS residency stamp; see sched.go
-	rsSlot     int32  // scheduler slot while InRS (bitset scheduler only)
+	rsSlot     int32  // scheduler slot while InRS
 	InRS       bool
 	Issued     bool
 	Executed   bool
@@ -145,9 +145,8 @@ type FetchBlock struct {
 	NextPC uint64
 	Cycle  uint64 // cycle the BP emitted this block
 
-	// decIdx is the predecoded-template index of StartPC (valid whenever
-	// the decoded-block cache is enabled; blocks are sequential runs, so
-	// instruction i's template is decIdx+i).
+	// decIdx is the predecoded-template index of StartPC (blocks are
+	// sequential runs, so instruction i's template is decIdx+i).
 	decIdx int32
 
 	// TEAMask marks instructions in this block that belong to H2P dependence

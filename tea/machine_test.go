@@ -226,8 +226,9 @@ func freshFingerprint(c Config) (uint64, error) {
 // TestPresetPointCoversConfig guards the fingerprint cache's key. For every
 // exported bool or integer Config field, a config that differs from a warm
 // preset point in that field alone must fingerprint as a fresh resolution
-// does. An override that ResolvedSpec reads but presetPoint omits would be
-// served the warm point's fingerprint and fail here.
+// does. A field that ResolvedSpec reads but the cache key (the Mode of a
+// config with no Spec and no Set) omits would be served the warm point's
+// fingerprint and fail here.
 func TestPresetPointCoversConfig(t *testing.T) {
 	typ := reflect.TypeOf(Config{})
 	for _, m := range Modes() {

@@ -4,16 +4,18 @@ package tea
 // armed and confirm (a) no invariant fires and (b) results are bit-identical
 // to the unchecked run — the checker only reads.
 //
-// The default run covers a trimmed workload subset on every mode at a small
-// budget (CI-friendly); `go test ./tea/ -run TestParanoiaSuite -paranoia-full`
-// (the `make paranoia` target) runs the full workload suite at a larger
-// budget on all six preset machine points.
+// The default run covers a trimmed workload subset on every registered
+// preset at a small budget (CI-friendly); `go test ./tea/ -run
+// TestParanoiaSuite -paranoia-full` (the `make paranoia` target) runs the
+// full workload suite at a larger budget on every preset.
 
 import (
 	"flag"
 	"fmt"
 	"reflect"
 	"testing"
+
+	"teasim/tea/spec"
 )
 
 var paranoiaFull = flag.Bool("paranoia-full", false,
@@ -29,13 +31,22 @@ func TestParanoiaSuite(t *testing.T) {
 		workloads = Workloads()
 		budget = 200_000
 	}
-	modes := []Mode{ModeBaseline, ModeTEA, ModeTEADedicated, ModeTEABigEngine, ModeBranchRunahead, ModeWide16}
 	for _, w := range workloads {
-		for _, m := range modes {
-			w, m := w, m
-			t.Run(fmt.Sprintf("%s/%s", w, m), func(t *testing.T) {
+		for _, p := range spec.Presets() {
+			t.Run(fmt.Sprintf("%s/%s", w, p), func(t *testing.T) {
 				t.Parallel()
-				cfg := Config{Mode: m, MaxInstructions: budget, Scale: 1}
+				cfg := Config{MaxInstructions: budget, Scale: 1}
+				// The six modes run through their Mode, the zoo kinds as a
+				// custom spec.
+				if m, err := ParseMode(p); err == nil {
+					cfg.Mode = m
+				} else {
+					s, err := spec.Preset(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Spec = &s
+				}
 				plain, err := Run(w, cfg)
 				if err != nil {
 					t.Fatalf("unchecked run failed: %v", err)

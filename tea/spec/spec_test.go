@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"teasim/internal/bpred"
 	"teasim/internal/isa"
 )
 
@@ -205,6 +206,11 @@ func TestValidateErrors(t *testing.T) {
 			want: "predictor.tage_hist_lens has 12 lengths for 4 tables",
 		},
 		{
+			name: "tage history longer than the buffer holds",
+			spec: teaSpec(func(s *MachineSpec) { s.Predictor.TageHistLens[11] = 2049 }),
+			want: "predictor.tage_hist_lens[11] must be at most 2048, got 2049",
+		},
+		{
 			name: "non pow2 btb sets",
 			spec: teaSpec(func(s *MachineSpec) { s.Predictor.BTBWays = 3 }),
 			want: "btb_entries/btb_ways",
@@ -305,6 +311,23 @@ func TestValidateErrors(t *testing.T) {
 func TestArchRegs(t *testing.T) {
 	if archRegs != isa.NumRegs {
 		t.Fatalf("archRegs = %d, isa.NumRegs = %d", archRegs, isa.NumRegs)
+	}
+}
+
+// TestMaxTageHistLen pins the validator's history cap to the predictor's
+// and checks that a history of exactly that length is accepted (one bit
+// more is a TestValidateErrors row).
+func TestMaxTageHistLen(t *testing.T) {
+	if maxTageHistLen != bpred.MaxFoldLen {
+		t.Fatalf("maxTageHistLen = %d, bpred.MaxFoldLen = %d", maxTageHistLen, bpred.MaxFoldLen)
+	}
+	s, err := Preset("tea")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Predictor.TageHistLens[11] = 2048
+	if err := s.Validate(); err != nil {
+		t.Fatalf("a 2048-bit history was rejected: %v", err)
 	}
 }
 

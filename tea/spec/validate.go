@@ -9,6 +9,12 @@ import (
 // per-prediction context carries fixed-size per-table state).
 const maxTageTables = 12
 
+// maxTageHistLen is the longest TAGE history the predictor can fold
+// (bpred.MaxFoldLen): half of its 4096-bit history buffer, the other half
+// left for the pushes in flight, whose outgoing bits rewind recovery
+// re-reads.
+const maxTageHistLen = 2048
+
 // archRegs is the µISA's architectural register count (isa.NumRegs, kept
 // here so the package stays stdlib-only). Rename needs a free physical
 // register beyond the ones that hold architectural state.
@@ -125,6 +131,8 @@ func (s *MachineSpec) Validate() error {
 	for i, l := range p.TageHistLens {
 		if l == 0 {
 			bad("predictor.tage_hist_lens[%d] must be positive", i)
+		} else if l > maxTageHistLen {
+			bad("predictor.tage_hist_lens[%d] must be at most %d, got %d", i, maxTageHistLen, l)
 		}
 	}
 	positive(bad, "predictor", []field{

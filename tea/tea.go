@@ -61,31 +61,10 @@ type Config struct {
 	// DisableIdleSkip turns off the pipeline's idle-cycle fast-forward
 	// (pipeline.Config.NoIdleSkip), ticking every cycle individually.
 	// Results are bit-identical either way — skipping is cycle-exact — so
-	// this exists for debugging and the skip equivalence test.
+	// this exists for debugging and the skip equivalence test. Every other
+	// hot-path mechanism has one implementation, pinned by the golden
+	// corpus (testdata/corpus.jsonl).
 	DisableIdleSkip bool
-	// DisableBlockCache turns off the pipeline's decoded-block uop cache
-	// (pipeline.Config.NoBlockCache): the BP walks instructions one at a
-	// time and fetch re-decodes every uop. Results are bit-identical either
-	// way (the fast-path equivalence test pins this); for debugging and
-	// that test.
-	DisableBlockCache bool
-	// DisableBitsetSched turns off the pipeline's bitmap scheduler
-	// (pipeline.Config.NoBitsetSched), falling back to the pointer/heap
-	// reference scheduler. Bit-identical either way; for debugging and the
-	// fast-path equivalence test.
-	DisableBitsetSched bool
-	// DisableSplitReady turns off the bitset scheduler's split main/companion
-	// ready lists (pipeline.Config.NoSplitReady), filtering a single shared
-	// ready set at select instead. Bit-identical either way; for debugging
-	// and the fast-path equivalence test. No effect when the bitset scheduler
-	// is itself disabled.
-	DisableSplitReady bool
-	// DisableHistRewind turns off invertible folded-history recovery
-	// (pipeline.Config.NoHistRewind), falling back to per-branch history
-	// checkpoint copies. Bit-identical either way (pinned by
-	// bpred.TestHistoryRewindEquivalence and the fast-path equivalence test);
-	// for debugging and those tests.
-	DisableHistRewind bool
 
 	// Observability (see DESIGN.md "Telemetry"). These fields are purely
 	// observational: a run with telemetry attached retires the same
@@ -133,14 +112,12 @@ func (c Config) Observational() bool {
 // Memoizable reports whether an Engine may serve this run from its result
 // cache: the run must not be observational (the caller wants the
 // observation, not just the numbers), must not co-simulate or check
-// invariants (the caller wants the checking), and must not disable a
-// bit-identical fast path (the point of such a run is exercising the
-// reference path). Memoizable runs are keyed by (workload, mode, spec
-// fingerprint, budget, scale) — see Engine.
+// invariants (the caller wants the checking), and must not tick every
+// cycle (the point of such a run is exercising the plain tick loop).
+// Memoizable runs are keyed by (workload, mode, spec fingerprint, budget,
+// scale) — see Engine.
 func (c Config) Memoizable() bool {
-	return !c.Observational() && !c.CoSim && !c.DisableIdleSkip &&
-		!c.DisableBlockCache && !c.DisableBitsetSched &&
-		!c.DisableSplitReady && !c.DisableHistRewind && !c.Paranoia
+	return !c.Observational() && !c.CoSim && !c.DisableIdleSkip && !c.Paranoia
 }
 
 // Result reports one run's performance and precomputation metrics. It
@@ -276,10 +253,6 @@ func runContext(ctx context.Context, workload string, cfg Config,
 	pcfg := pipeline.ConfigFromSpec(&machine)
 	pcfg.CoSim = cfg.CoSim
 	pcfg.NoIdleSkip = cfg.DisableIdleSkip
-	pcfg.NoBlockCache = cfg.DisableBlockCache
-	pcfg.NoBitsetSched = cfg.DisableBitsetSched
-	pcfg.NoSplitReady = cfg.DisableSplitReady
-	pcfg.NoHistRewind = cfg.DisableHistRewind
 	pcfg.MaxInstructions = cfg.MaxInstructions
 	pcfg.MaxCycles = 400_000_000
 	pcfg.Paranoia = cfg.Paranoia

@@ -6,7 +6,9 @@
 #   1. the served CSV is byte-identical to the direct library run (teaexp
 #      dispatches through the same tea.RunExperiment registry call),
 #   2. a re-POST is served entirely from the content-addressed store
-#      (zero new simulations, per the X-Tea-Simulated header),
+#      (zero new simulations, per the X-Tea-Simulated header), and the same
+#      request in the default JSON format is a store hit byte-identical to
+#      teaexp's JSON,
 #   3. an invalid custom machine is answered 400, with the same body
 #      bytes every time,
 #   4. SIGTERM drains cleanly (exit 0, store compacted),
@@ -43,6 +45,15 @@ curl -sf -D run2.hdr -o served2.csv --data-binary "$BODY" "http://$ADDR/v1/run"
 diff served.csv served2.csv
 grep 'X-Tea-Simulated: 0' run2.hdr
 grep 'X-Tea-Store-Hits: 6' run2.hdr
+
+#    The same request with no format field: the default JSON, all store hits.
+JSONBODY='{"experiment":"fig8","workloads":["bfs","mcf"],"max_instructions":200000}'
+curl -sf -D run3.hdr -o served.json --data-binary "$JSONBODY" "http://$ADDR/v1/run"
+./teaexp.bin -exp fig8 -w bfs,mcf -n 200000 -format json > direct.json 2> direct.err
+diff served.json direct.json
+grep 'Content-Type: application/json' run3.hdr
+grep 'X-Tea-Error-Rows: 0' run3.hdr
+grep 'X-Tea-Simulated: 0' run3.hdr
 
 # 3. An invalid inline spec is the client's error: 400 both times, and the
 #    two bodies are byte-identical (violations come in a fixed order).
@@ -86,6 +97,6 @@ trap - EXIT
 grep 'drained cleanly' teasrvd2.err
 
 rm -rf smoke-store teasrvd.bin teaexp.bin served.csv served2.csv direct.csv \
-    run1.hdr run2.hdr teasrvd.err teasrvd2.err direct.err slow.code queued.code \
-    bad1.txt bad2.txt bad1.code bad2.code
+    served.json direct.json run1.hdr run2.hdr run3.hdr teasrvd.err teasrvd2.err \
+    direct.err slow.code queued.code bad1.txt bad2.txt bad1.code bad2.code
 echo "daemon smoke: OK"

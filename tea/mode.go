@@ -3,6 +3,7 @@ package tea
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"teasim/tea/spec"
 )
@@ -74,7 +75,7 @@ func (m Mode) Preset() (spec.MachineSpec, error) {
 
 // MarshalJSON renders the mode as its report name.
 func (m Mode) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", m.String())), nil
+	return strconv.AppendQuote(nil, m.String()), nil
 }
 
 // UnmarshalJSON parses a report name back into a mode.

@@ -118,10 +118,25 @@ func Shootout(o ExpOptions) ([]ShootoutRow, error) {
 const titleShootout = "Companion shootout: every registered companion kind vs the shared baseline"
 
 func shootoutReport(rows []ShootoutRow) report {
+	header := []string{"kind", "workload", "speedup", "coverage", "accuracy", "saved/branch"}
 	r := report{
 		title:  titleShootout,
-		header: []string{"kind", "workload", "speedup", "coverage", "accuracy", "saved/branch"},
+		header: header,
 		data:   rows,
+		nrows:  len(rows),
+		cells: func(i int) []string {
+			row := &rows[i]
+			if row.Err != "" {
+				return errRow([]string{row.Kind, row.Workload}, row.Err, len(header))
+			}
+			return []string{
+				row.Kind, row.Workload,
+				pct(row.Speedup),
+				fmt.Sprintf("%.0f%%", 100*row.Coverage),
+				fmt.Sprintf("%.1f%%", 100*row.Accuracy),
+				fmt.Sprintf("%.1f", row.Saved),
+			}
+		},
 	}
 	agg := map[string][]ShootoutRow{}
 	var order []string
@@ -131,17 +146,10 @@ func shootoutReport(rows []ShootoutRow) report {
 			agg[row.Kind] = nil
 		}
 		if row.Err != "" {
-			r.rows = append(r.rows, errRow([]string{row.Kind, row.Workload}, row.Err, len(r.header)))
+			r.errRows++
 			continue
 		}
 		agg[row.Kind] = append(agg[row.Kind], row)
-		r.rows = append(r.rows, []string{
-			row.Kind, row.Workload,
-			pct(row.Speedup),
-			fmt.Sprintf("%.0f%%", 100*row.Coverage),
-			fmt.Sprintf("%.1f%%", 100*row.Accuracy),
-			fmt.Sprintf("%.1f", row.Saved),
-		})
 	}
 	for _, kind := range order {
 		var sp, cov, acc []float64

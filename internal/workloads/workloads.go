@@ -13,6 +13,9 @@
 package workloads
 
 import (
+	"fmt"
+	"slices"
+
 	"teasim/internal/asm"
 	"teasim/internal/isa"
 )
@@ -68,6 +71,18 @@ func ByName(name string) (Workload, bool) {
 		}
 	}
 	return Workload{}, false
+}
+
+// CheckUnique returns an error naming the first of names that repeats an
+// earlier one. An experiment lists each workload once: a repeat would print
+// its row twice and count it twice in every geomean.
+func CheckUnique(names []string) error {
+	for i, name := range names {
+		if slices.Contains(names[:i], name) {
+			return fmt.Errorf("repeated workload %q", name)
+		}
+	}
+	return nil
 }
 
 // rng is the deterministic xorshift generator used for all synthetic inputs.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"teasim/internal/workloads"
 )
 
 // Experiment is one named entry of the experiment catalog: a runner plus the
@@ -89,6 +91,9 @@ func RunExperiment(ctx context.Context, name string, o ExpOptions) (*Report, err
 	e, ok := LookupExperiment(name)
 	if !ok {
 		return nil, fmt.Errorf("tea: unknown experiment %q (see tea.Experiments)", name)
+	}
+	if err := workloads.CheckUnique(o.Workloads); err != nil {
+		return nil, fmt.Errorf("tea: %w", err)
 	}
 	if ctx != nil {
 		o.Ctx = ctx

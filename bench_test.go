@@ -1,7 +1,8 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation (§V). Each benchmark regenerates its experiment on a
-// reduced instruction budget and reports the headline quantity via
-// b.ReportMetric, printing the full table through b.Log on the first run.
+// paper's evaluation (§V). Each benchmark regenerates its experiment through
+// the experiment registry on a reduced instruction budget and reports the
+// headline quantity via b.ReportMetric, printing the full table through
+// b.Log on the first run.
 //
 // Budgets are intentionally small so `go test -bench=.` finishes in
 // minutes; use cmd/teaexp for full-budget reproductions, and set
@@ -9,6 +10,7 @@
 package teasim_test
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -28,8 +30,23 @@ func benchBudget(def uint64) uint64 {
 	return def
 }
 
-func opts(n uint64) tea.ExpOptions {
-	return tea.ExpOptions{MaxInstructions: n, Scale: 1}
+// runExp runs catalog experiment name at budget n on workloads (none = the
+// whole suite), logging its text table on iteration 0.
+func runExp(b *testing.B, i int, name string, n uint64, workloads ...string) *tea.Report {
+	b.Helper()
+	rep, err := tea.RunExperiment(context.Background(), name,
+		tea.ExpOptions{MaxInstructions: n, Scale: 1, Workloads: workloads})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if i == 0 {
+		var sb strings.Builder
+		if err := rep.Write(&sb, tea.FormatText); err != nil {
+			b.Fatal(err)
+		}
+		b.Log("\n" + sb.String())
+	}
+	return rep
 }
 
 // allocMeter reports heap allocations per simulated kilo-instruction, the
@@ -81,32 +98,26 @@ func (m *allocMeter) report(b *testing.B) {
 	b.ReportMetric(float64(ms.Mallocs-m.startMallocs)/(float64(m.instrs)/1000), "allocs/kinstr")
 }
 
-// BenchmarkFig5TEASpeedup regenerates Fig. 5: per-benchmark speedup of the
-// on-core TEA thread (paper geomean +10.1%). Reported metric: geomean
-// speedup percentage.
-func BenchmarkFig5TEASpeedup(b *testing.B) {
+// benchSpeedups regenerates a speedup experiment. Reported metric:
+// geomean speedup percentage.
+func benchSpeedups(b *testing.B, name string) {
 	m := startAllocMeter(b)
 	n := benchBudget(150_000)
 	for i := 0; i < b.N; i++ {
-		rows, err := tea.Fig5(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExp(b, i, name, n).Rows().([]tea.SpeedupRow)
 		m.addSpeedups(rows)
 		var sp []float64
 		for _, r := range rows {
 			sp = append(sp, r.Speedup)
 		}
-		g := tea.Geomean(sp)
-		b.ReportMetric(100*(g-1), "geomean-speedup-%")
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintSpeedups(&sb, "Fig 5 (reduced budget)", rows)
-			b.Log("\n" + sb.String())
-		}
+		b.ReportMetric(100*(tea.Geomean(sp)-1), "geomean-speedup-%")
 	}
 	m.report(b)
 }
+
+// BenchmarkFig5TEASpeedup regenerates Fig. 5: per-benchmark speedup of the
+// on-core TEA thread (paper geomean +10.1%).
+func BenchmarkFig5TEASpeedup(b *testing.B) { benchSpeedups(b, "fig5") }
 
 // BenchmarkFig6MPKI regenerates Fig. 6: baseline branch MPKI. Reported
 // metric: mean MPKI across the suite.
@@ -114,21 +125,13 @@ func BenchmarkFig6MPKI(b *testing.B) {
 	m := startAllocMeter(b)
 	n := benchBudget(150_000)
 	for i := 0; i < b.N; i++ {
-		rows, err := tea.Fig6(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExp(b, i, "fig6", n).Rows().([]tea.Result)
 		m.addRows(rows)
 		sum := 0.0
 		for _, r := range rows {
 			sum += r.MPKI
 		}
 		b.ReportMetric(sum/float64(len(rows)), "mean-MPKI")
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintFig6(&sb, rows)
-			b.Log("\n" + sb.String())
-		}
 	}
 	m.report(b)
 }
@@ -140,21 +143,13 @@ func BenchmarkFig7Coverage(b *testing.B) {
 	m := startAllocMeter(b)
 	n := benchBudget(150_000)
 	for i := 0; i < b.N; i++ {
-		rows, err := tea.Fig7(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExp(b, i, "fig7", n).Rows().([]tea.Result)
 		m.addRows(rows)
 		sum := 0.0
 		for _, r := range rows {
 			sum += r.Coverage
 		}
 		b.ReportMetric(100*sum/float64(len(rows)), "mean-coverage-%")
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintFig7(&sb, rows)
-			b.Log("\n" + sb.String())
-		}
 	}
 	m.report(b)
 }
@@ -162,16 +157,13 @@ func BenchmarkFig7Coverage(b *testing.B) {
 // BenchmarkFig8VsRunahead regenerates Fig. 8: TEA vs Branch Runahead
 // (paper: 10.1% vs 7.3%). Reported metrics: both geomeans, plus simulated
 // instructions per second so the regression gate covers a multi-mode
-// experiment (Fig8 runs baseline, TEA, and runahead configs back to back).
+// experiment (Fig 8 runs baseline, TEA, and runahead configs back to back).
 func BenchmarkFig8VsRunahead(b *testing.B) {
 	m := startAllocMeter(b)
 	n := benchBudget(150_000)
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		rows, err := tea.Fig8(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExp(b, i, "fig8", n).Rows().([]tea.Fig8Row)
 		var teaSp, brSp []float64
 		for _, r := range rows {
 			m.add(r.Instructions)
@@ -181,11 +173,6 @@ func BenchmarkFig8VsRunahead(b *testing.B) {
 		}
 		b.ReportMetric(100*(tea.Geomean(teaSp)-1), "tea-geomean-%")
 		b.ReportMetric(100*(tea.Geomean(brSp)-1), "runahead-geomean-%")
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintFig8(&sb, rows)
-			b.Log("\n" + sb.String())
-		}
 	}
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(instrs)/sec, "sim-instrs/s")
@@ -194,29 +181,8 @@ func BenchmarkFig8VsRunahead(b *testing.B) {
 }
 
 // BenchmarkFig9DedicatedEngine regenerates Fig. 9: TEA on a dedicated
-// execution engine (paper: +12.3%). Reported metric: geomean speedup.
-func BenchmarkFig9DedicatedEngine(b *testing.B) {
-	m := startAllocMeter(b)
-	n := benchBudget(150_000)
-	for i := 0; i < b.N; i++ {
-		rows, err := tea.Fig9(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.addSpeedups(rows)
-		var sp []float64
-		for _, r := range rows {
-			sp = append(sp, r.Speedup)
-		}
-		b.ReportMetric(100*(tea.Geomean(sp)-1), "geomean-speedup-%")
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintSpeedups(&sb, "Fig 9 (reduced budget)", rows)
-			b.Log("\n" + sb.String())
-		}
-	}
-	m.report(b)
-}
+// execution engine (paper: +12.3%).
+func BenchmarkFig9DedicatedEngine(b *testing.B) { benchSpeedups(b, "fig9") }
 
 // BenchmarkFig10Ablations regenerates Fig. 10: accuracy / coverage /
 // timeliness across the five thread-construction configurations. Reported
@@ -225,10 +191,7 @@ func BenchmarkFig10Ablations(b *testing.B) {
 	m := startAllocMeter(b)
 	n := benchBudget(80_000)
 	for i := 0; i < b.N; i++ {
-		rows, err := tea.Fig10(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExp(b, i, "fig10", n).Rows().([]tea.Fig10Row)
 		var accSum float64
 		var cnt int
 		for _, r := range rows {
@@ -239,11 +202,6 @@ func BenchmarkFig10Ablations(b *testing.B) {
 			}
 		}
 		b.ReportMetric(100*accSum/float64(cnt), "tea-mean-accuracy-%")
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintFig10(&sb, rows)
-			b.Log("\n" + sb.String())
-		}
 	}
 	m.report(b)
 }
@@ -255,44 +213,20 @@ func BenchmarkTable3Footprint(b *testing.B) {
 	m := startAllocMeter(b)
 	n := benchBudget(150_000)
 	for i := 0; i < b.N; i++ {
-		rows, err := tea.Table3(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExp(b, i, "table3", n).Rows().([]tea.Result)
 		m.addRows(rows)
 		sum := 0.0
 		for _, r := range rows {
 			sum += r.UopOverheadPct
 		}
 		b.ReportMetric(sum/float64(len(rows)), "mean-overhead-%")
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintTable3(&sb, rows)
-			b.Log("\n" + sb.String())
-		}
 	}
 	m.report(b)
 }
 
 // BenchmarkPrefetchOnly regenerates the §V-B aside: early resolution off,
 // measuring the TEA thread's residual prefetching effect (paper: +1.2%).
-func BenchmarkPrefetchOnly(b *testing.B) {
-	m := startAllocMeter(b)
-	n := benchBudget(150_000)
-	for i := 0; i < b.N; i++ {
-		rows, err := tea.PrefetchOnly(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.addSpeedups(rows)
-		var sp []float64
-		for _, r := range rows {
-			sp = append(sp, r.Speedup)
-		}
-		b.ReportMetric(100*(tea.Geomean(sp)-1), "geomean-speedup-%")
-	}
-	m.report(b)
-}
+func BenchmarkPrefetchOnly(b *testing.B) { benchSpeedups(b, "prefetchonly") }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed on a
 // representative memory-bound workload (mcf, TEA mode) — a harness health
@@ -320,111 +254,40 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	m.report(b)
 }
 
+// benchSweep runs the registry's sensitivity sweep over p's SensDefaults
+// on the given workloads.
+func benchSweep(b *testing.B, p tea.SensParam, workloads ...string) {
+	m := startAllocMeter(b)
+	n := benchBudget(120_000)
+	for i := 0; i < b.N; i++ {
+		m.addSens(runExp(b, i, "sens-"+string(p), n, workloads...).Rows().([]tea.SensRow))
+	}
+	m.report(b)
+}
+
 // BenchmarkAblationBlockCache sweeps the Block Cache capacity (§IV-B: the
 // paper reports deepsjeng/omnetpp gain ~5% from more entries, and added the
 // empty-block tag store to stretch capacity). Uses the two capacity-bound
 // workloads the paper names.
 func BenchmarkAblationBlockCache(b *testing.B) {
-	m := startAllocMeter(b)
-	n := benchBudget(120_000)
-	for i := 0; i < b.N; i++ {
-		rows, err := tea.Sensitivity(tea.SensBlockCache, []int{128, 512, 2048},
-			tea.ExpOptions{MaxInstructions: n, Scale: 1,
-				Workloads: []string{"deepsjeng", "omnetpp"}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.addSens(rows)
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintSensitivity(&sb, tea.SensBlockCache, rows)
-			b.Log("\n" + sb.String())
-		}
-	}
-	m.report(b)
+	benchSweep(b, tea.SensBlockCache, "deepsjeng", "omnetpp")
 }
 
 // BenchmarkAblationFillBuffer sweeps the Fill Buffer size (§IV-C: the paper
 // reports ~1% sensitivity because bit-masks let chains grow across walks).
 func BenchmarkAblationFillBuffer(b *testing.B) {
-	m := startAllocMeter(b)
-	n := benchBudget(120_000)
-	for i := 0; i < b.N; i++ {
-		rows, err := tea.Sensitivity(tea.SensFillBuffer, []int{128, 512, 1024},
-			tea.ExpOptions{MaxInstructions: n, Scale: 1,
-				Workloads: []string{"mcf", "bfs", "tc"}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.addSens(rows)
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintSensitivity(&sb, tea.SensFillBuffer, rows)
-			b.Log("\n" + sb.String())
-		}
-	}
-	m.report(b)
+	benchSweep(b, tea.SensFillBuffer, "mcf", "bfs", "tc")
 }
 
 // BenchmarkAblationLead sweeps the shadow-fetch-queue depth (DESIGN.md §7:
 // short leads maximize surviving precomputation under frequent flushes).
-func BenchmarkAblationLead(b *testing.B) {
-	m := startAllocMeter(b)
-	n := benchBudget(120_000)
-	for i := 0; i < b.N; i++ {
-		rows, err := tea.Sensitivity(tea.SensLead, []int{1, 2, 8},
-			tea.ExpOptions{MaxInstructions: n, Scale: 1,
-				Workloads: []string{"bfs", "xz"}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.addSens(rows)
-		if i == 0 {
-			var sb strings.Builder
-			tea.PrintSensitivity(&sb, tea.SensLead, rows)
-			b.Log("\n" + sb.String())
-		}
-	}
-	m.report(b)
-}
+func BenchmarkAblationLead(b *testing.B) { benchSweep(b, tea.SensLead, "bfs", "xz") }
 
 // BenchmarkFig9BigEngine regenerates §V-D's second data point: the TEA
 // thread on a main-core-sized execution engine (paper: +12.8%).
-func BenchmarkFig9BigEngine(b *testing.B) {
-	m := startAllocMeter(b)
-	n := benchBudget(150_000)
-	for i := 0; i < b.N; i++ {
-		rows, err := tea.Fig9Big(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.addSpeedups(rows)
-		var sp []float64
-		for _, r := range rows {
-			sp = append(sp, r.Speedup)
-		}
-		b.ReportMetric(100*(tea.Geomean(sp)-1), "geomean-speedup-%")
-	}
-	m.report(b)
-}
+func BenchmarkFig9BigEngine(b *testing.B) { benchSpeedups(b, "fig9big") }
 
 // BenchmarkWide16 regenerates §IV-H's comparison: a 16-wide frontend
 // without precomputation barely helps because the branch predictor still
 // delivers one taken branch per cycle (paper: ~+2.8%).
-func BenchmarkWide16(b *testing.B) {
-	m := startAllocMeter(b)
-	n := benchBudget(150_000)
-	for i := 0; i < b.N; i++ {
-		rows, err := tea.Wide16(opts(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.addSpeedups(rows)
-		var sp []float64
-		for _, r := range rows {
-			sp = append(sp, r.Speedup)
-		}
-		b.ReportMetric(100*(tea.Geomean(sp)-1), "geomean-speedup-%")
-	}
-	m.report(b)
-}
+func BenchmarkWide16(b *testing.B) { benchSpeedups(b, "wide16") }

@@ -16,11 +16,11 @@
 //	teaexp -set companion.kind=tea -set companion.tea.fill_buf_size=1024
 //
 // Experiments come from the tea experiment registry (tea.Experiments):
-// fig5 fig6 fig7 fig8 fig9 fig9big fig10 table3 prefetchonly wide16 custom,
+// fig5 fig6 fig7 fig8 fig9 fig9big wide16 fig10 table3 prefetchonly custom,
 // plus sensitivity sweeps (sens-blockcache, sens-fillbuffer, sens-h2pdecay,
-// sens-lead, sens-fetchqueue) and the synthetic ids tables and all. The
-// same registry backs the teasrvd daemon, so CLI and service output are
-// byte-identical for the same request.
+// sens-lead, sens-fetchqueue), the companion shootout (shootout), and the
+// synthetic ids tables and all. The same registry backs the teasrvd daemon,
+// so CLI and service output are byte-identical for the same request.
 //
 // -config loads a machine spec JSON file (see tea/spec; the committed preset
 // goldens under tea/spec/testdata/specs are ready-made starting points) and
@@ -271,7 +271,6 @@ func realMain() int {
 		Engine:          eng,
 		Intervals:       *ivals,
 		IntervalPeriod:  *ivPeriod,
-		Ctx:             ctx,
 		Partial:         *partial,
 		Paranoia:        *paranoia,
 	}

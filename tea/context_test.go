@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,48 +106,59 @@ func TestRunIntervalsPopulated(t *testing.T) {
 	}
 }
 
+// TestDefaultExpOptions: RunExperiment fills every zero option, so zero
+// options (but for the stub engine) run the full 17-kernel suite at 1M
+// instructions and scale 1.
 func TestDefaultExpOptions(t *testing.T) {
-	o := tea.DefaultExpOptions()
-	if o.MaxInstructions != 1_000_000 || o.Scale != 1 || len(o.Workloads) != 17 {
-		t.Fatalf("bad defaults: %+v", o)
+	var mu sync.Mutex
+	var cells []tea.Config
+	run := func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
+		mu.Lock()
+		cells = append(cells, cfg)
+		mu.Unlock()
+		return stubRun(ctx, workload, cfg)
 	}
-	eng := tea.NewEngine(2)
-	o = tea.DefaultExpOptions(
-		tea.WithInstructions(5_000),
-		tea.WithScale(0),
-		tea.WithWorkloads("bfs", "xz"),
-		tea.WithWorkers(3),
-		tea.WithEngine(eng),
-		tea.WithIntervals(2_000),
-	)
-	if o.MaxInstructions != 5_000 || o.Scale != 0 || o.Workers != 3 || o.Engine != eng {
-		t.Fatalf("options not applied: %+v", o)
+	if _, err := tea.RunExperiment(context.Background(), "fig6",
+		tea.ExpOptions{Engine: tea.NewEngine(2, tea.WithRunFunc(run))}); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(o.Workloads, []string{"bfs", "xz"}) {
-		t.Fatalf("workloads = %v", o.Workloads)
+	if len(cells) != 17 {
+		t.Fatalf("zero options ran %d cells, want the 17-kernel suite", len(cells))
 	}
-	if !o.Intervals || o.IntervalPeriod != 2_000 {
-		t.Fatalf("intervals option not applied: %+v", o)
+	for _, c := range cells {
+		if c.MaxInstructions != 1_000_000 || c.Scale != 1 {
+			t.Fatalf("cell ran at %d instructions, scale %d; want 1000000 and 1", c.MaxInstructions, c.Scale)
+		}
 	}
 }
 
-// TestOptionsConstructorMatchesLiteral: the two ways of building options
-// must drive experiments identically.
+// TestOptionsConstructorMatchesLiteral: a literal that spells out every
+// default renders the same bytes as the zero literal.
 func TestOptionsConstructorMatchesLiteral(t *testing.T) {
-	eng := tea.NewEngine(2)
-	lit := tea.ExpOptions{MaxInstructions: 30_000, Scale: 1,
-		Workloads: []string{"bfs"}, Engine: eng}
-	ctor := tea.DefaultExpOptions(tea.WithInstructions(30_000),
-		tea.WithWorkloads("bfs"), tea.WithEngine(eng))
-	a, err := tea.Fig6(lit)
-	if err != nil {
-		t.Fatal(err)
+	// sized makes a cell's numbers depend on its budget and scale, so a
+	// default that differs between the two literals changes a byte.
+	sized := func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
+		res, err := stubRun(ctx, workload, cfg)
+		res.Instructions = cfg.MaxInstructions
+		res.Cycles += uint64(cfg.Scale)
+		return res, err
 	}
-	b, err := tea.Fig6(ctor)
-	if err != nil {
-		t.Fatal(err)
+	render := func(o tea.ExpOptions) string {
+		t.Helper()
+		o.Engine = tea.NewEngine(2, tea.WithRunFunc(sized))
+		rep, err := tea.RunExperiment(context.Background(), "fig6", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := rep.Write(&sb, tea.FormatJSON); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("literal and constructor options disagree:\n%+v\n%+v", a, b)
+	zero := render(tea.ExpOptions{})
+	spelled := render(tea.ExpOptions{MaxInstructions: 1_000_000, Scale: 1, Workloads: tea.Workloads()})
+	if zero != spelled {
+		t.Fatalf("zero and spelled-out defaults disagree:\n%s\n%s", zero, spelled)
 	}
 }

@@ -46,8 +46,9 @@ func countingEngine(workers int) (*Engine, func() map[string]int) {
 func TestFig8BaselineMemoized(t *testing.T) {
 	e, snapshot := countingEngine(4)
 	wls := []string{"bfs", "mcf", "gcc"}
+	ctx := context.Background()
 	o := ExpOptions{MaxInstructions: 1000, Workloads: wls, Engine: e}
-	if _, err := Fig8(o); err != nil {
+	if _, err := RunExperiment(ctx, "fig8", o); err != nil {
 		t.Fatal(err)
 	}
 	counts := snapshot()
@@ -64,7 +65,7 @@ func TestFig8BaselineMemoized(t *testing.T) {
 	}
 
 	// A further experiment on the same engine and budget reuses the cache.
-	if _, err := Fig5(o); err != nil {
+	if _, err := RunExperiment(ctx, "fig5", o); err != nil {
 		t.Fatal(err)
 	}
 	counts = snapshot()
@@ -76,7 +77,7 @@ func TestFig8BaselineMemoized(t *testing.T) {
 	}
 	// A different budget is a different cell and must re-simulate.
 	o2 := ExpOptions{MaxInstructions: 2000, Workloads: wls, Engine: e}
-	if _, err := Fig5(o2); err != nil {
+	if _, err := RunExperiment(ctx, "fig5", o2); err != nil {
 		t.Fatal(err)
 	}
 	counts = snapshot()
@@ -206,31 +207,18 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 		t.Skip("real-simulation matrix; skipped in -short mode")
 	}
 	wls := []string{"bfs", "cc", "mcf", "gcc", "xz", "omnetpp"}
-	optsFor := func(workers int) ExpOptions {
-		return ExpOptions{MaxInstructions: 25_000, Scale: 1, Workloads: wls, Workers: workers}
+	rowsOn := func(name string, workers int) any {
+		t.Helper()
+		rep, err := RunExperiment(context.Background(), name,
+			ExpOptions{MaxInstructions: 25_000, Scale: 1, Workloads: wls, Engine: NewEngine(workers)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Rows()
 	}
-
-	seq5, err := Fig5(optsFor(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par5, err := Fig5(optsFor(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq5, par5) {
-		t.Errorf("Fig5 rows differ between Workers=1 and Workers=8:\nseq: %+v\npar: %+v", seq5, par5)
-	}
-
-	seq10, err := Fig10(optsFor(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par10, err := Fig10(optsFor(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq10, par10) {
-		t.Errorf("Fig10 rows differ between Workers=1 and Workers=8:\nseq: %+v\npar: %+v", seq10, par10)
+	for _, name := range []string{"fig5", "fig10"} {
+		if seq, par := rowsOn(name, 1), rowsOn(name, 8); !reflect.DeepEqual(seq, par) {
+			t.Errorf("%s rows differ between 1 and 8 workers:\nseq: %+v\npar: %+v", name, seq, par)
+		}
 	}
 }

@@ -3,12 +3,15 @@ package tea_test
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"teasim/tea"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenExperiments are the experiments whose machine points are spec
 // edits of a preset: the Fig 10 ablations, the §V-B prefetch-only variant

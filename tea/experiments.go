@@ -3,8 +3,6 @@ package tea
 import (
 	"context"
 	"math"
-
-	"teasim/tea/spec"
 )
 
 // Geomean returns the geometric mean of xs (1.0 for empty input).
@@ -75,26 +73,6 @@ func runAll(ctx context.Context, o ExpOptions, cfg Config) ([]Result, error) {
 	return o.mapJobs(ctx, jobs)
 }
 
-// Fig5 reproduces Fig. 5: per-benchmark performance of the on-core TEA
-// thread over the baseline (paper geomean: +10.1%).
-func Fig5(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEA, nil)
-}
-
-// Fig6 reproduces Fig. 6: total branch MPKI per benchmark on the baseline.
-func Fig6(o ExpOptions) ([]Result, error) {
-	o = o.fill()
-	return runAll(o.ctx(), o, o.cfg(ModeBaseline))
-}
-
-// Fig7 reproduces Fig. 7: the breakdown of retired mispredictions into
-// covered / late / incorrect / uncovered under the TEA thread.
-func Fig7(o ExpOptions) ([]Result, error) {
-	o = o.fill()
-	return runAll(o.ctx(), o, o.cfg(ModeTEA))
-}
-
 // Fig8Row pairs the TEA and Branch Runahead speedups for one workload.
 type Fig8Row struct {
 	Workload   string
@@ -109,13 +87,11 @@ type Fig8Row struct {
 	Err string `json:"Err,omitempty"`
 }
 
-// Fig8 reproduces Fig. 8: TEA vs Branch Runahead, with the paper's
+// fig8 builds Fig. 8's rows: TEA vs Branch Runahead, with the paper's
 // simple/complex control-flow split (paper: 10.1% vs 7.3% geomean). Both
 // halves share one engine, so each workload's baseline is simulated once
 // rather than once per mode.
-func Fig8(o ExpOptions) ([]Fig8Row, error) {
-	o = o.fill()
-	ctx := o.ctx()
+func fig8(ctx context.Context, o ExpOptions) ([]Fig8Row, error) {
 	teaRows, err := runSpeedups(ctx, o, ModeTEA, nil)
 	if err != nil {
 		return nil, err
@@ -142,29 +118,6 @@ func Fig8(o ExpOptions) ([]Fig8Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// Fig9 reproduces Fig. 9: the TEA thread on a dedicated execution engine
-// (paper: 12.3% vs 10.1% on-core).
-func Fig9(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEADedicated, nil)
-}
-
-// Fig9Big reproduces §V-D's second data point: the TEA thread on an
-// execution engine as large as the main core's backend (paper: +12.8%,
-// "very little additional benefit" over the 16-unit engine).
-func Fig9Big(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEABigEngine, nil)
-}
-
-// Wide16 reproduces §IV-H's comparison point: a true 16-wide frontend
-// without precomputation (paper: ~+2.8% for ~10% more area, versus the TEA
-// thread's +10.1% for ~3.5%).
-func Wide16(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeWide16, nil)
 }
 
 // Fig10Config identifies one bar group of Fig. 10.
@@ -213,11 +166,10 @@ type Fig10Row struct {
 	Err string `json:"Err,omitempty"`
 }
 
-// Fig10 reproduces Fig. 10 (accuracy, coverage, timeliness ablations). The
-// whole configuration × workload matrix is dispatched as one batch so every
-// cell can run in parallel.
-func Fig10(o ExpOptions) ([]Fig10Row, error) {
-	o = o.fill()
+// fig10 builds Fig. 10's rows (accuracy, coverage, timeliness ablations).
+// The whole configuration × workload matrix is dispatched as one batch so
+// every cell can run in parallel.
+func fig10(ctx context.Context, o ExpOptions) ([]Fig10Row, error) {
 	fcs := Fig10Configs()
 	jobs := make([]Job, 0, len(fcs)*len(o.Workloads))
 	for _, fc := range fcs {
@@ -225,7 +177,7 @@ func Fig10(o ExpOptions) ([]Fig10Row, error) {
 			jobs = append(jobs, o.job(name, fc.Cfg(o.cfg(fc.Mode))))
 		}
 	}
-	res, err := o.mapJobs(o.ctx(), jobs)
+	res, err := o.mapJobs(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -247,31 +199,17 @@ func Fig10(o ExpOptions) ([]Fig10Row, error) {
 	return rows, nil
 }
 
-// Table3 reproduces Table III: the extra dynamic uop footprint of the TEA
-// thread per benchmark (paper average: +31.9%).
-func Table3(o ExpOptions) ([]Result, error) {
-	return Fig7(o) // the same runs carry UopOverheadPct
-}
-
-// PrefetchOnly reproduces the §V-B aside: TEA with early resolution
-// disabled, isolating the data-prefetch side effect (paper: +1.2% overall).
-func PrefetchOnly(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEA, withPatch("companion.tea.disable_early_flush=true"))
-}
-
-// Custom measures a user-supplied machine point against the baseline, per
-// workload: the spec (nil = the baseline preset) with patches applied on
+// custom measures a user-supplied machine point against the baseline, per
+// workload: o.Spec (nil = the baseline preset) with o.Set patches applied on
 // top, resolved and validated once up front so a bad -config or -set fails
 // before any simulation. This is the experiment behind `teaexp -config` /
 // `teaexp -set`.
-func Custom(machine *spec.MachineSpec, patches []string, o ExpOptions) ([]SpeedupRow, error) {
-	resolved, err := (Config{Spec: machine, Set: patches}).ResolvedSpec()
+func custom(ctx context.Context, o ExpOptions) ([]SpeedupRow, error) {
+	resolved, err := (Config{Spec: o.Spec, Set: o.Set}).ResolvedSpec()
 	if err != nil {
 		return nil, err
 	}
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeBaseline, func(c Config) Config {
+	return runSpeedups(ctx, o, ModeBaseline, func(c Config) Config {
 		c.Spec = &resolved
 		return c
 	})

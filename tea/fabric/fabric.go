@@ -35,12 +35,10 @@ type Config struct {
 	// requeued. Frames arriving with a frozen beat count do NOT count as
 	// progress — a wedged simulation keeps chattering.
 	HeartbeatTimeout time.Duration
-	// RequeueBudget bounds how many times one cell is re-dispatched after
-	// worker deaths before it is quarantined (default 3).
-	RequeueBudget int
-	// QuarantineAfter quarantines a cell once this many *distinct* workers
-	// died while running it (default 2): one dead worker is bad luck, two is
-	// evidence the cell kills workers.
+	// QuarantineAfter quarantines a cell once this many workers died while
+	// running it (default 2): one dead worker is bad luck, two is evidence
+	// the cell kills workers. Workers are never respawned, so each death is
+	// a distinct worker.
 	QuarantineAfter int
 	// RetryBackoff is the delay before a cell's first requeue, doubling per
 	// subsequent death (default 100ms).
@@ -84,15 +82,15 @@ type Stats struct {
 	Collapsed   bool // the whole pool died; running degraded in-process
 }
 
-// QuarantineError marks a cell the fabric gave up on: it was dispatched
-// past the requeue budget, or distinct workers kept dying while running it.
-// It flows through the engine's error path like any job failure, so
-// `-partial` runs render it as an ERROR row instead of losing the suite.
+// QuarantineError marks a cell the fabric gave up on: QuarantineAfter
+// workers died while running it. It flows through the engine's error path
+// like any job failure, so `-partial` runs render it as an ERROR row
+// instead of losing the suite.
 type QuarantineError struct {
 	Workload string
 	Mode     tea.Mode
 	Attempts int // dispatches that ended in a worker death
-	Workers  int // distinct workers that died running the cell
+	Workers  int // distinct workers that died running the cell (= Attempts)
 	Cause    string
 }
 
@@ -118,8 +116,7 @@ type cell struct {
 	hb        *telemetry.Heartbeat // engine watchdog pass-through (may be nil)
 	done      chan outcome         // buffered 1
 	delivered atomic.Bool
-	attempts  int // dispatches that ended in a worker death
-	diedOn    map[int]bool
+	attempts  int // dispatches that ended in a worker death, each a distinct worker
 }
 
 // worker is one pool member as the coordinator sees it.
@@ -183,9 +180,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.HeartbeatTimeout == 0 {
 		cfg.HeartbeatTimeout = 30 * time.Second
-	}
-	if cfg.RequeueBudget <= 0 {
-		cfg.RequeueBudget = 3
 	}
 	if cfg.QuarantineAfter <= 0 {
 		cfg.QuarantineAfter = 2
@@ -304,11 +298,10 @@ func (c *Coordinator) RunFunc(fallback tea.RunFunc) tea.RunFunc {
 			return fallback(ctx, workload, cfg)
 		}
 		cl := &cell{
-			id:     int(c.nextID.Add(1)),
-			key:    key,
-			hb:     cfg.Heartbeat,
-			done:   make(chan outcome, 1),
-			diedOn: make(map[int]bool),
+			id:   int(c.nextID.Add(1)),
+			key:  key,
+			hb:   cfg.Heartbeat,
+			done: make(chan outcome, 1),
 		}
 		cl.wire = WireCell{ID: cl.id, Workload: workload, Cfg: wc}
 		select {
@@ -464,7 +457,7 @@ func (c *Coordinator) assign(w *worker, cells []*cell) {
 	fmt.Fprintf(c.cfg.Log, "fabric: shard %d (%d cells) -> worker %d\n", shard, len(cells), w.id)
 	if err := w.out.send(f); err != nil {
 		for _, cl := range c.takeActive(w, cells) {
-			c.requeue(cl, w.id, err)
+			c.requeue(cl, err)
 		}
 	}
 }
@@ -641,14 +634,13 @@ func (c *Coordinator) workerDied(w *worker, cause error) {
 				continue
 			}
 		}
-		c.requeue(cl, w.id, cause)
+		c.requeue(cl, cause)
 	}
 }
 
 // requeue re-dispatches a cell after a worker death, under exponential
-// backoff and the quarantine limits.
-func (c *Coordinator) requeue(cl *cell, workerID int, cause error) {
-	cl.diedOn[workerID] = true
+// backoff and the quarantine limit.
+func (c *Coordinator) requeue(cl *cell, cause error) {
 	cl.attempts++
 	c.mu.Lock()
 	degraded := c.degraded
@@ -657,7 +649,7 @@ func (c *Coordinator) requeue(cl *cell, workerID int, cause error) {
 		c.deliver(cl, outcome{collapse: true})
 		return
 	}
-	if len(cl.diedOn) >= c.cfg.QuarantineAfter || cl.attempts > c.cfg.RequeueBudget {
+	if cl.attempts >= c.cfg.QuarantineAfter {
 		c.mu.Lock()
 		c.st.Quarantined++
 		c.mu.Unlock()
@@ -665,7 +657,7 @@ func (c *Coordinator) requeue(cl *cell, workerID int, cause error) {
 			Workload: cl.key.Workload,
 			Mode:     cl.key.Mode,
 			Attempts: cl.attempts,
-			Workers:  len(cl.diedOn),
+			Workers:  cl.attempts,
 			Cause:    cause.Error(),
 		}})
 		return

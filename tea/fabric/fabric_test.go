@@ -321,10 +321,7 @@ func TestHangWatchdogKillsStalledWorker(t *testing.T) {
 
 func TestPoolCollapseFallsBackInProcess(t *testing.T) {
 	pool := &inProc{faults: "crash-on-shard"} // every worker dies on its first shard
-	c := newTestFabric(t, pool, func(cfg *Config) {
-		cfg.RequeueBudget = 10
-		cfg.QuarantineAfter = 10
-	})
+	c := newTestFabric(t, pool, func(cfg *Config) { cfg.QuarantineAfter = 10 })
 	e := tea.NewEngine(6, tea.WithRunFunc(c.RunFunc(stubRun)))
 	jobs := matrixJobs()
 	got, err := e.Map(jobs)

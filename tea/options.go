@@ -7,10 +7,8 @@ import (
 	"teasim/tea/spec"
 )
 
-// ExpOptions scopes an experiment reproduction run. The zero value selects
-// every default, so experiments accept a struct literal setting only what
-// matters; DefaultExpOptions with functional options is the equivalent
-// constructor form.
+// ExpOptions scopes an experiment reproduction run (see RunExperiment). The
+// zero value selects every default, so callers set only what matters.
 type ExpOptions struct {
 	// MaxInstructions per workload per configuration (default 1M).
 	MaxInstructions uint64
@@ -18,12 +16,10 @@ type ExpOptions struct {
 	Scale int
 	// Workloads restricts the suite (default: all).
 	Workloads []string
-	// Workers bounds the experiment engine's worker pool (0 = DefaultWorkers;
-	// ignored when Engine is set).
-	Workers int
-	// Engine, when non-nil, dispatches this experiment's cells. Sharing one
-	// engine across experiments shares its baseline memoization, so repeated
-	// (workload, budget, scale) baselines simulate once.
+	// Engine, when non-nil, dispatches this experiment's cells (nil = a
+	// fresh NewEngine(0)). Sharing one engine across experiments shares its
+	// baseline memoization, so repeated (workload, budget, scale) baselines
+	// simulate once.
 	Engine *Engine
 
 	// Intervals samples a per-interval time series into every cell's
@@ -47,10 +43,6 @@ type ExpOptions struct {
 	// on top of Spec (see Config.Set).
 	Set []string
 
-	// Ctx cancels the experiment cooperatively (nil = context.Background()):
-	// completed cells keep their results, in-flight cells finish, and the
-	// experiment returns the context's error with whatever rows it built.
-	Ctx context.Context
 	// Partial degrades a failing cell to an annotated error row (Result.Err)
 	// instead of aborting the experiment — quarantine semantics for long
 	// suites where one corrupt cell should not cost the other results.
@@ -60,92 +52,8 @@ type ExpOptions struct {
 	Paranoia bool
 }
 
-// ExpOption mutates ExpOptions in DefaultExpOptions.
-type ExpOption func(*ExpOptions)
-
-// DefaultExpOptions returns the experiment defaults — 1M instructions per
-// cell, paper-like input scale, the full suite — with opts applied on top:
-//
-//	rows, err := tea.Fig5(tea.DefaultExpOptions(tea.WithWorkloads("bfs", "xz")))
-func DefaultExpOptions(opts ...ExpOption) ExpOptions {
-	o := ExpOptions{
-		MaxInstructions: 1_000_000,
-		Scale:           1,
-		Workloads:       Workloads(),
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// WithInstructions sets the per-cell instruction budget.
-func WithInstructions(n uint64) ExpOption {
-	return func(o *ExpOptions) { o.MaxInstructions = n }
-}
-
-// WithScale sets the workload input scale.
-func WithScale(s int) ExpOption {
-	return func(o *ExpOptions) { o.Scale = s }
-}
-
-// WithWorkloads restricts the suite to the named workloads.
-func WithWorkloads(names ...string) ExpOption {
-	return func(o *ExpOptions) { o.Workloads = names }
-}
-
-// WithWorkers bounds the worker pool (ignored with WithEngine).
-func WithWorkers(n int) ExpOption {
-	return func(o *ExpOptions) { o.Workers = n }
-}
-
-// WithEngine dispatches the experiment on an existing engine, sharing its
-// baseline memoization.
-func WithEngine(e *Engine) ExpOption {
-	return func(o *ExpOptions) { o.Engine = e }
-}
-
-// WithIntervals samples a time series into every cell's Result.Intervals
-// (period 0 = every 10k retired instructions).
-func WithIntervals(period uint64) ExpOption {
-	return func(o *ExpOptions) { o.Intervals = true; o.IntervalPeriod = period }
-}
-
-// WithTraceOut streams each cell's JSONL trace to the writer the factory
-// returns for it.
-func WithTraceOut(fn func(workload string, mode Mode) io.Writer) ExpOption {
-	return func(o *ExpOptions) { o.TraceOut = fn }
-}
-
-// WithSpec supplies the machine point for the "custom" experiment.
-func WithSpec(s *spec.MachineSpec) ExpOption {
-	return func(o *ExpOptions) { o.Spec = s }
-}
-
-// WithSet adds dotted-path spec patches for the "custom" experiment.
-func WithSet(patches ...string) ExpOption {
-	return func(o *ExpOptions) { o.Set = append(o.Set, patches...) }
-}
-
-// WithContext cancels the experiment cooperatively through ctx.
-func WithContext(ctx context.Context) ExpOption {
-	return func(o *ExpOptions) { o.Ctx = ctx }
-}
-
-// WithPartial degrades failing cells to annotated error rows instead of
-// aborting the experiment.
-func WithPartial() ExpOption {
-	return func(o *ExpOptions) { o.Partial = true }
-}
-
-// WithParanoia runs every cell with the per-cycle invariant checker.
-func WithParanoia() ExpOption {
-	return func(o *ExpOptions) { o.Paranoia = true }
-}
-
-// fill resolves defaults for the struct-literal path (DefaultExpOptions
-// resolves everything but the engine up front; a literal may leave any
-// field zero).
+// fill resolves the defaults of every zero field. RunExperiment calls it
+// once, so row builders receive complete options.
 func (o ExpOptions) fill() ExpOptions {
 	if o.MaxInstructions == 0 {
 		o.MaxInstructions = 1_000_000
@@ -157,7 +65,7 @@ func (o ExpOptions) fill() ExpOptions {
 		o.Workloads = Workloads()
 	}
 	if o.Engine == nil {
-		o.Engine = NewEngine(o.Workers)
+		o.Engine = NewEngine(0)
 	}
 	return o
 }
@@ -178,16 +86,6 @@ func (o ExpOptions) job(name string, cfg Config) Job {
 		cfg.TraceTo = o.TraceOut(name, cfg.Mode)
 	}
 	return Job{name, cfg}
-}
-
-// ctx resolves the experiment's context (nil Ctx = context.Background()).
-// Every experiment runner threads this value explicitly — context-first,
-// like Run/RunContext — rather than re-reading the struct field.
-func (o ExpOptions) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
 }
 
 // mapJobs dispatches an experiment's jobs under ctx and the options' failure

@@ -10,10 +10,10 @@ import (
 )
 
 // Experiment is one named entry of the experiment catalog: a runner plus the
-// metadata clients use to pick it. Every experiment takes the same inputs
-// (ExpOptions) and produces the same output shape (*Report), so callers —
-// teaexp, the serve daemon, tests — dispatch purely by name instead of
-// hard-coding Fig* function calls, and new experiments (companion shootouts,
+// metadata clients use to pick it. The catalog is the only way to run an
+// experiment: every one takes the same inputs (ExpOptions) and produces the
+// same output shape (*Report), so callers — teaexp, the serve daemon, tests
+// — dispatch purely by name, and new experiments (companion shootouts,
 // generated-workload sweeps) become catalog entries rather than new CLI
 // switch arms.
 type Experiment struct {
@@ -23,8 +23,9 @@ type Experiment struct {
 	Title string
 	// Description is a one-line human summary for catalog listings.
 	Description string
-	// Run executes the experiment. It must honor ctx for cooperative
-	// cancellation and return a Report built from the options' rows.
+	// Run executes the experiment on options whose defaults RunExperiment
+	// has filled. It must honor ctx for cooperative cancellation and return
+	// a Report built from the options' rows.
 	Run func(ctx context.Context, o ExpOptions) (*Report, error)
 }
 
@@ -83,10 +84,10 @@ func LookupExperiment(name string) (Experiment, bool) {
 	return e, ok
 }
 
-// RunExperiment dispatches one experiment by name. ctx overrides o.Ctx (nil
-// = keep o.Ctx); the options otherwise scope the run exactly as they do for
-// the direct Fig* calls, so a report built here is byte-identical to one
-// rendered from the equivalent direct call.
+// RunExperiment dispatches one experiment by name: it fills the options'
+// defaults once and hands ctx straight to the experiment's runner. ctx
+// cancels the experiment cooperatively: completed cells keep their results,
+// in-flight cells finish, and the context's error comes back.
 func RunExperiment(ctx context.Context, name string, o ExpOptions) (*Report, error) {
 	e, ok := LookupExperiment(name)
 	if !ok {
@@ -95,141 +96,97 @@ func RunExperiment(ctx context.Context, name string, o ExpOptions) (*Report, err
 	if err := workloads.CheckUnique(o.Workloads); err != nil {
 		return nil, fmt.Errorf("tea: %w", err)
 	}
-	if ctx != nil {
-		o.Ctx = ctx
-	}
-	return e.Run(o.ctx(), o)
+	return e.Run(ctx, o.fill())
 }
 
-// Report titles for the speedup-style experiments (shared by teaexp and the
-// registry so the CLI and the daemon render identical bytes).
-const (
-	titleFig5         = "Fig 5: TEA thread speedup over baseline (paper geomean +10.1%)"
-	titleFig9         = "Fig 9: TEA on a dedicated execution engine (paper geomean +12.3%)"
-	titleFig9Big      = "§V-D: TEA on a main-core-sized engine (paper geomean +12.8%)"
-	titleWide16       = "§IV-H: 16-wide frontend, no precomputation (paper ~+2.8%)"
-	titlePrefetchOnly = "§V-B aside: early resolution disabled (prefetch effect only; paper +1.2%)"
-	titleCustom       = "Custom machine point vs baseline"
-)
-
-// speedupExp adapts a speedup-row experiment to the registry's runner shape.
-func speedupExp(title string, run func(ExpOptions) ([]SpeedupRow, error)) func(context.Context, ExpOptions) (*Report, error) {
+// rowsExp adapts a row builder and the report builder of its rows to the
+// registry's runner shape.
+func rowsExp[R any](rows func(context.Context, ExpOptions) (R, error), rep func(R) report) func(context.Context, ExpOptions) (*Report, error) {
 	return func(ctx context.Context, o ExpOptions) (*Report, error) {
-		o.Ctx = ctx
-		rows, err := run(o)
+		r, err := rows(ctx, o)
 		if err != nil {
 			return nil, err
 		}
-		return &Report{speedupsReport(title, rows)}, nil
+		return &Report{rep(r)}, nil
 	}
 }
 
-// resultExp adapts a Result-row experiment to the registry's runner shape.
-func resultExp(rep func([]Result) report, run func(ExpOptions) ([]Result, error)) func(context.Context, ExpOptions) (*Report, error) {
-	return func(ctx context.Context, o ExpOptions) (*Report, error) {
-		o.Ctx = ctx
-		rows, err := run(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Report{rep(rows)}, nil
+// speedupExp is the catalog entry of a speedup experiment: every workload
+// under mode (edited by modeCfg, if set) against its baseline.
+func speedupExp(name, title, desc string, mode Mode, modeCfg func(Config) Config) Experiment {
+	return Experiment{
+		Name: name, Title: title, Description: desc,
+		Run: rowsExp(func(ctx context.Context, o ExpOptions) ([]SpeedupRow, error) {
+			return runSpeedups(ctx, o, mode, modeCfg)
+		}, func(rows []SpeedupRow) report { return speedupsReport(title, rows) }),
 	}
 }
 
-// sensExp adapts one sensitivity sweep to the registry's runner shape.
+// resultExp is the catalog entry of an experiment that runs every workload
+// once under mode.
+func resultExp(name, title, desc string, mode Mode, rep func([]Result) report) Experiment {
+	return Experiment{
+		Name: name, Title: title, Description: desc,
+		Run: rowsExp(func(ctx context.Context, o ExpOptions) ([]Result, error) {
+			return runAll(ctx, o, o.cfg(mode))
+		}, rep),
+	}
+}
+
+// sensExp is the catalog entry of one sensitivity sweep over SensDefaults.
 func sensExp(p SensParam) Experiment {
 	return Experiment{
 		Name:        "sens-" + string(p),
 		Title:       fmt.Sprintf("Sensitivity: %s", p),
 		Description: fmt.Sprintf("structure-size sensitivity sweep over %s", p),
-		Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-			o.Ctx = ctx
-			rows, err := Sensitivity(p, nil, o)
-			if err != nil {
-				return nil, err
-			}
-			return &Report{sensitivityReport(p, rows)}, nil
-		},
+		Run: rowsExp(func(ctx context.Context, o ExpOptions) ([]SensRow, error) {
+			return sensitivity(ctx, p, SensDefaults(p), o)
+		}, func(rows []SensRow) report { return sensitivityReport(p, rows) }),
 	}
 }
 
+const titleCustom = "Custom machine point vs baseline"
+
 func init() {
 	for _, e := range []Experiment{
-		{
-			Name: "fig5", Title: titleFig5,
-			Description: "per-benchmark TEA-thread speedup over the baseline core",
-			Run:         speedupExp(titleFig5, Fig5),
-		},
-		{
-			Name: "fig6", Title: "Fig 6: branch MPKI (baseline)",
-			Description: "total branch MPKI per benchmark on the baseline",
-			Run:         resultExp(fig6Report, Fig6),
-		},
-		{
-			Name: "fig7", Title: "Fig 7: misprediction breakdown under TEA",
-			Description: "retired mispredictions split into covered/late/incorrect/uncovered",
-			Run:         resultExp(fig7Report, Fig7),
-		},
+		speedupExp("fig5", "Fig 5: TEA thread speedup over baseline (paper geomean +10.1%)",
+			"per-benchmark TEA-thread speedup over the baseline core", ModeTEA, nil),
+		resultExp("fig6", "Fig 6: branch MPKI (baseline)",
+			"total branch MPKI per benchmark on the baseline", ModeBaseline, fig6Report),
+		resultExp("fig7", "Fig 7: misprediction breakdown under TEA",
+			"retired mispredictions split into covered/late/incorrect/uncovered", ModeTEA, fig7Report),
 		{
 			Name: "fig8", Title: "Fig 8: TEA vs Branch Runahead",
 			Description: "TEA vs Branch Runahead with the simple/complex control-flow split",
-			Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-				o.Ctx = ctx
-				rows, err := Fig8(o)
-				if err != nil {
-					return nil, err
-				}
-				return &Report{fig8Report(rows)}, nil
-			},
+			Run:         rowsExp(fig8, fig8Report),
 		},
-		{
-			Name: "fig9", Title: titleFig9,
-			Description: "TEA thread on a dedicated 16-unit execution engine",
-			Run:         speedupExp(titleFig9, Fig9),
-		},
-		{
-			Name: "fig9big", Title: titleFig9Big,
-			Description: "TEA thread on an engine as large as the main core's backend",
-			Run:         speedupExp(titleFig9Big, Fig9Big),
-		},
-		{
-			Name: "wide16", Title: titleWide16,
-			Description: "16-wide frontend baseline without precomputation",
-			Run:         speedupExp(titleWide16, Wide16),
-		},
+		speedupExp("fig9", "Fig 9: TEA on a dedicated execution engine (paper geomean +12.3%)",
+			"TEA thread on a dedicated 16-unit execution engine", ModeTEADedicated, nil),
+		// §V-D's second data point: "very little additional benefit" over
+		// the 16-unit engine.
+		speedupExp("fig9big", "§V-D: TEA on a main-core-sized engine (paper geomean +12.8%)",
+			"TEA thread on an engine as large as the main core's backend", ModeTEABigEngine, nil),
+		// §IV-H: ~+2.8% for ~10% more area, versus the TEA thread's +10.1%
+		// for ~3.5%.
+		speedupExp("wide16", "§IV-H: 16-wide frontend, no precomputation (paper ~+2.8%)",
+			"16-wide frontend baseline without precomputation", ModeWide16, nil),
 		{
 			Name: "fig10", Title: "Fig 10: thread-construction ablations",
 			Description: "accuracy/coverage/timeliness across thread-construction ablations",
-			Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-				o.Ctx = ctx
-				rows, err := Fig10(o)
-				if err != nil {
-					return nil, err
-				}
-				return &Report{fig10Report(rows)}, nil
-			},
+			Run:         rowsExp(fig10, fig10Report),
 		},
-		{
-			Name: "table3", Title: "Table III: extra dynamic uops fetched by the TEA thread",
-			Description: "extra dynamic uop footprint of the TEA thread per benchmark",
-			Run:         resultExp(table3Report, Table3),
-		},
-		{
-			Name: "prefetchonly", Title: titlePrefetchOnly,
-			Description: "TEA with early resolution disabled (data-prefetch effect only)",
-			Run:         speedupExp(titlePrefetchOnly, PrefetchOnly),
-		},
+		// Table III reads UopOverheadPct off the same cells as Fig 7.
+		resultExp("table3", "Table III: extra dynamic uops fetched by the TEA thread",
+			"extra dynamic uop footprint of the TEA thread per benchmark", ModeTEA, table3Report),
+		speedupExp("prefetchonly", "§V-B aside: early resolution disabled (prefetch effect only; paper +1.2%)",
+			"TEA with early resolution disabled (data-prefetch effect only)",
+			ModeTEA, withPatch("companion.tea.disable_early_flush=true")),
 		{
 			Name: "custom", Title: titleCustom,
 			Description: "a user-supplied machine point (ExpOptions.Spec + Set patches) vs the baseline",
-			Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-				o.Ctx = ctx
-				rows, err := Custom(o.Spec, o.Set, o)
-				if err != nil {
-					return nil, err
-				}
-				return &Report{speedupsReport(titleCustom, rows)}, nil
-			},
+			Run: rowsExp(custom, func(rows []SpeedupRow) report {
+				return speedupsReport(titleCustom, rows)
+			}),
 		},
 		sensExp(SensBlockCache),
 		sensExp(SensFillBuffer),

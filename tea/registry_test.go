@@ -1,8 +1,8 @@
 package tea_test
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -113,39 +113,54 @@ func TestRegisterExperimentRejectsDuplicates(t *testing.T) {
 	mustPanic("no runner", tea.Experiment{Name: "unique-but-runnerless"})
 }
 
-// TestRunExperimentMatchesDirectCall pins the redesign's core promise: the
-// registry path renders byte-identical output to the direct Fig* call it
-// wraps.
-func TestRunExperimentMatchesDirectCall(t *testing.T) {
-	opts := func() tea.ExpOptions {
-		return tea.ExpOptions{
-			Workloads:       []string{"bfs", "mcf"},
-			MaxInstructions: 10_000,
-			Engine:          tea.NewEngine(1, tea.WithRunFunc(stubRun)),
+// TestRunExperimentCancellation: RunExperiment's ctx alone cancels every
+// catalog entry (teaexp's SIGINT exit relies on it). A pre-cancelled ctx
+// runs no cell, and a ctx cancelled inside the first cell starts no other,
+// whether or not failing cells are quarantined.
+func TestRunExperimentCancellation(t *testing.T) {
+	for _, e := range tea.Experiments() {
+		for _, partial := range []bool{false, true} {
+			name := e.Name
+			if partial {
+				name += "/partial"
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(precancel bool) (started, ran int) {
+					t.Helper()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					if precancel {
+						cancel()
+					}
+					cell := func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
+						ran++
+						cancel()
+						return tea.Result{}, ctx.Err()
+					}
+					eng := tea.NewEngine(1, tea.WithRunFunc(cell), tea.WithProgress(func(ev tea.JobEvent) {
+						if ev.Phase == tea.JobStarted {
+							started++
+						}
+					}))
+					_, err := tea.RunExperiment(ctx, e.Name, tea.ExpOptions{
+						Workloads:       []string{"bfs", "mcf"},
+						MaxInstructions: 10_000,
+						Partial:         partial,
+						Engine:          eng,
+					})
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("precancel=%v: err = %v, want context.Canceled", precancel, err)
+					}
+					return started, ran
+				}
+				if started, ran := run(true); started != 0 || ran != 0 {
+					t.Errorf("pre-cancelled: %d cells started, %d ran; want none", started, ran)
+				}
+				if started, ran := run(false); started != 1 || ran != 1 {
+					t.Errorf("cancelled in the first cell: %d cells started, %d ran; want 1", started, ran)
+				}
+			})
 		}
-	}
-
-	rows, err := tea.Fig5(opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var direct bytes.Buffer
-	if err := tea.WriteSpeedups(&direct, tea.FormatCSV,
-		"Fig 5: TEA thread speedup over baseline (paper geomean +10.1%)", rows); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := tea.RunExperiment(context.Background(), "fig5", opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaRegistry bytes.Buffer
-	if err := rep.Write(&viaRegistry, tea.FormatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if viaRegistry.String() != direct.String() {
-		t.Errorf("registry output differs from direct call:\n--- registry ---\n%s\n--- direct ---\n%s",
-			viaRegistry.String(), direct.String())
 	}
 }
 

@@ -13,13 +13,12 @@ import (
 	"text/tabwriter"
 )
 
-// Format selects a report rendering for the Write* functions.
+// Format selects a report rendering for Report.Write.
 type Format int
 
 // Formats.
 const (
-	// FormatText renders the aligned human-readable table (the Print*
-	// output).
+	// FormatText renders the aligned human-readable table.
 	FormatText Format = iota
 	// FormatJSON renders a {"title","columns","rows","summary"} envelope
 	// whose rows are the structured experiment rows, not formatted cells.
@@ -152,8 +151,8 @@ func writeJSON(w io.Writer, v any) error {
 // Report is a rendered-ready experiment outcome: the uniform row schema
 // every registered experiment returns (see RunExperiment). One Report
 // carries the title, header, structured rows, and how to format their
-// cells, so all three Write* formats derive from the same data and can
-// never drift apart.
+// cells, so all three formats derive from the same data and can never
+// drift apart.
 type Report struct {
 	rep report
 }
@@ -241,16 +240,6 @@ func speedupsReport(title string, rows []SpeedupRow) report {
 	return r
 }
 
-// WriteSpeedups renders speedup rows with a geomean footer.
-func WriteSpeedups(w io.Writer, f Format, title string, rows []SpeedupRow) error {
-	return speedupsReport(title, rows).write(w, f)
-}
-
-// PrintSpeedups renders speedup rows as text with a geomean footer.
-func PrintSpeedups(w io.Writer, title string, rows []SpeedupRow) {
-	WriteSpeedups(w, FormatText, title, rows)
-}
-
 func fig6Report(rows []Result) report {
 	header := []string{"workload", "MPKI", "cond misp", "target misp", "IPC"}
 	r := report{
@@ -279,14 +268,6 @@ func fig6Report(rows []Result) report {
 	}
 	return r
 }
-
-// WriteFig6 renders the MPKI table.
-func WriteFig6(w io.Writer, f Format, rows []Result) error {
-	return fig6Report(rows).write(w, f)
-}
-
-// PrintFig6 renders the MPKI table as text.
-func PrintFig6(w io.Writer, rows []Result) { WriteFig6(w, FormatText, rows) }
 
 func fig7Report(rows []Result) report {
 	header := []string{"workload", "covered", "late", "incorrect", "uncovered",
@@ -325,14 +306,6 @@ func fig7Report(rows []Result) report {
 		fmt.Sprintf("%.0f%%", 100*mean(cov)), fmt.Sprintf("%.1f%%", 100*mean(acc))}}
 	return r
 }
-
-// WriteFig7 renders the misprediction-coverage breakdown.
-func WriteFig7(w io.Writer, f Format, rows []Result) error {
-	return fig7Report(rows).write(w, f)
-}
-
-// PrintFig7 renders the misprediction-coverage breakdown as text.
-func PrintFig7(w io.Writer, rows []Result) { WriteFig7(w, FormatText, rows) }
 
 func fig8Report(rows []Fig8Row) report {
 	grouped := append([]Fig8Row(nil), rows...)
@@ -387,15 +360,6 @@ func fig8Report(rows []Fig8Row) report {
 	return r
 }
 
-// WriteFig8 renders the TEA-vs-Branch-Runahead comparison with the paper's
-// simple/complex control-flow grouping.
-func WriteFig8(w io.Writer, f Format, rows []Fig8Row) error {
-	return fig8Report(rows).write(w, f)
-}
-
-// PrintFig8 renders the TEA-vs-Branch-Runahead comparison as text.
-func PrintFig8(w io.Writer, rows []Fig8Row) { WriteFig8(w, FormatText, rows) }
-
 func fig10Report(rows []Fig10Row) report {
 	header := []string{"config", "workload", "accuracy", "coverage", "saved/branch"}
 	r := report{
@@ -416,40 +380,24 @@ func fig10Report(rows []Fig10Row) report {
 			}
 		},
 	}
-	agg := map[string][]Fig10Row{}
-	var order []string
-	for _, row := range rows {
-		if _, seen := agg[row.Config]; !seen {
-			order = append(order, row.Config)
-		}
-		if row.Err != "" {
-			r.errRows++
-			continue
-		}
-		agg[row.Config] = append(agg[row.Config], row)
-	}
-	for _, cfg := range order {
+	var groups []rowGroup[string, Fig10Row]
+	groups, r.errRows = groupRows(rows,
+		func(row Fig10Row) string { return row.Config },
+		func(row Fig10Row) bool { return row.Err != "" })
+	for _, g := range groups {
 		var acc, cov, saved []float64
-		for _, row := range agg[cfg] {
+		for _, row := range g.rows {
 			acc = append(acc, row.Accuracy)
 			cov = append(cov, row.Coverage)
 			saved = append(saved, row.Saved)
 		}
-		r.footers = append(r.footers, []string{"mean " + cfg, "",
+		r.footers = append(r.footers, []string{"mean " + g.key, "",
 			fmt.Sprintf("%.1f%%", 100*mean(acc)),
 			fmt.Sprintf("%.0f%%", 100*mean(cov)),
 			fmt.Sprintf("%.1f", mean(saved))})
 	}
 	return r
 }
-
-// WriteFig10 renders the ablation grid.
-func WriteFig10(w io.Writer, f Format, rows []Fig10Row) error {
-	return fig10Report(rows).write(w, f)
-}
-
-// PrintFig10 renders the ablation grid as text.
-func PrintFig10(w io.Writer, rows []Fig10Row) { WriteFig10(w, FormatText, rows) }
 
 func table3Report(rows []Result) report {
 	header := []string{"workload", "overhead"}
@@ -478,14 +426,6 @@ func table3Report(rows []Result) report {
 	return r
 }
 
-// WriteTable3 renders the dynamic-footprint table.
-func WriteTable3(w io.Writer, f Format, rows []Result) error {
-	return table3Report(rows).write(w, f)
-}
-
-// PrintTable3 renders the dynamic-footprint table as text.
-func PrintTable3(w io.Writer, rows []Result) { WriteTable3(w, FormatText, rows) }
-
 func sensitivityReport(p SensParam, rows []SensRow) report {
 	header := []string{"workload", "value", "speedup", "coverage", "accuracy"}
 	r := report{
@@ -507,32 +447,47 @@ func sensitivityReport(p SensParam, rows []SensRow) report {
 			}
 		},
 	}
-	byValue := map[int][]float64{}
-	var order []int
-	for _, row := range rows {
-		if _, seen := byValue[row.Value]; !seen {
-			order = append(order, row.Value)
-			byValue[row.Value] = nil
+	var groups []rowGroup[int, SensRow]
+	groups, r.errRows = groupRows(rows,
+		func(row SensRow) int { return row.Value },
+		func(row SensRow) bool { return row.Err != "" })
+	for _, g := range groups {
+		var sp []float64
+		for _, row := range g.rows {
+			sp = append(sp, row.Speedup)
 		}
-		if row.Err != "" {
-			r.errRows++
-			continue
-		}
-		byValue[row.Value] = append(byValue[row.Value], row.Speedup)
-	}
-	for _, v := range order {
 		r.footers = append(r.footers, []string{
-			fmt.Sprintf("geomean @%d", v), "", pct(Geomean(byValue[v])), "", ""})
+			fmt.Sprintf("geomean @%d", g.key), "", pct(Geomean(sp)), "", ""})
 	}
 	return r
 }
 
-// WriteSensitivity renders a sensitivity sweep with per-value geomeans.
-func WriteSensitivity(w io.Writer, f Format, p SensParam, rows []SensRow) error {
-	return sensitivityReport(p, rows).write(w, f)
+// rowGroup is one group of a report's rows: its key and its healthy rows.
+type rowGroup[K comparable, R any] struct {
+	key  K
+	rows []R
 }
 
-// PrintSensitivity renders a sensitivity sweep as text.
-func PrintSensitivity(w io.Writer, p SensParam, rows []SensRow) {
-	WriteSensitivity(w, FormatText, p, rows)
+// groupRows splits rows into groups by key, in the order each key first
+// appears, and counts the failed rows. A failed row joins no group's rows,
+// since a footer aggregates only healthy rows, but its key still opens a
+// group: a key whose first or every row failed keeps its place and its one
+// footer.
+func groupRows[K comparable, R any](rows []R, key func(R) K, failed func(R) bool) (groups []rowGroup[K, R], errRows int) {
+	at := make(map[K]int)
+	for _, row := range rows {
+		k := key(row)
+		i, seen := at[k]
+		if !seen {
+			i = len(groups)
+			at[k] = i
+			groups = append(groups, rowGroup[K, R]{key: k})
+		}
+		if failed(row) {
+			errRows++
+			continue
+		}
+		groups[i].rows = append(groups[i].rows, row)
+	}
+	return groups, errRows
 }

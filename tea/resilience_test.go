@@ -259,10 +259,11 @@ func TestPartialExperimentRendersErrorRows(t *testing.T) {
 		return stubResult(w, c), nil
 	}
 	opts := ExpOptions{Workloads: []string{"bfs", "mcf"}, Engine: e, Partial: true}
-	rows, err := Fig5(opts)
+	rep, err := RunExperiment(context.Background(), "fig5", opts)
 	if err != nil {
 		t.Fatalf("partial experiment aborted: %v", err)
 	}
+	rows := rep.Rows().([]SpeedupRow)
 	if rows[0].Err != "" || rows[0].Speedup == 0 {
 		t.Errorf("healthy row polluted: %+v", rows[0])
 	}
@@ -270,7 +271,7 @@ func TestPartialExperimentRendersErrorRows(t *testing.T) {
 		t.Errorf("quarantined row not annotated: %+v", rows[1])
 	}
 	var sb strings.Builder
-	if err := WriteSpeedups(&sb, FormatText, "partial", rows); err != nil {
+	if err := rep.Write(&sb, FormatText); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

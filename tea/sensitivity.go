@@ -1,6 +1,7 @@
 package tea
 
 import (
+	"context"
 	"fmt"
 
 	"teasim/tea/spec"
@@ -33,7 +34,8 @@ const (
 	SensFetchQueue SensParam = "fetchqueue" // main fetch queue entries
 )
 
-// SensDefaults returns the sweep values used by the harness for a parameter.
+// SensDefaults returns the values the catalog's sens-* experiment sweeps
+// for a parameter.
 func SensDefaults(p SensParam) []int {
 	switch p {
 	case SensBlockCache:
@@ -73,38 +75,34 @@ func (p SensParam) Patch(value int) (string, error) {
 	return "", fmt.Errorf("tea: unknown sensitivity parameter %q", p)
 }
 
-// Sensitivity sweeps one parameter over the given values (nil = defaults)
-// for every workload in opts, measuring TEA speedup over the baseline. Every
-// sweep point is the ModeTEA preset plus one spec patch (SensParam.Patch);
-// the full workload × value matrix plus the per-workload baselines dispatch
-// as one engine batch. Points that patch a field back to its preset value
+// sensitivity sweeps one parameter over the given values for every
+// workload in o, measuring TEA speedup over the baseline. Every sweep point
+// is the ModeTEA preset plus one spec patch (SensParam.Patch); the full
+// workload × value matrix plus the per-workload baselines dispatch as one
+// engine batch. Points that patch a field back to its preset value
 // fingerprint identically to the plain preset, so the engine simulates them
 // once across sweeps.
-func Sensitivity(p SensParam, values []int, opts ExpOptions) ([]SensRow, error) {
-	opts = opts.fill()
-	if values == nil {
-		values = SensDefaults(p)
-	}
+func sensitivity(ctx context.Context, p SensParam, values []int, o ExpOptions) ([]SensRow, error) {
 	stride := 1 + len(values) // baseline + one job per value, per workload
-	jobs := make([]Job, 0, stride*len(opts.Workloads))
-	for _, name := range opts.Workloads {
-		jobs = append(jobs, opts.job(name, opts.cfg(ModeBaseline)))
+	jobs := make([]Job, 0, stride*len(o.Workloads))
+	for _, name := range o.Workloads {
+		jobs = append(jobs, o.job(name, o.cfg(ModeBaseline)))
 		for _, v := range values {
 			patch, err := p.Patch(v)
 			if err != nil {
 				return nil, err
 			}
-			cfg := opts.cfg(ModeTEA)
+			cfg := o.cfg(ModeTEA)
 			cfg.Set = []string{patch}
-			jobs = append(jobs, opts.job(name, cfg))
+			jobs = append(jobs, o.job(name, cfg))
 		}
 	}
-	res, err := opts.mapJobs(opts.ctx(), jobs)
+	res, err := o.mapJobs(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]SensRow, 0, len(values)*len(opts.Workloads))
-	for i, name := range opts.Workloads {
+	rows := make([]SensRow, 0, len(values)*len(o.Workloads))
+	for i, name := range o.Workloads {
 		base := res[i*stride]
 		for j, v := range values {
 			r := res[i*stride+1+j]

@@ -367,7 +367,7 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (Request, 
 			opts.Spec = &m
 		}
 		opts.Set = req.Patches
-		// Resolve the machine as tea.Custom will, so an invalid spec or
+		// Resolve the machine as the custom experiment will, so an invalid spec or
 		// patch is the client's 400, not a failed run's 500.
 		if _, err := (tea.Config{Spec: opts.Spec, Set: opts.Set}).ResolvedSpec(); err != nil {
 			return req, tea.ExpOptions{}, 0, badRequest("%v", err)

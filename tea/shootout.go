@@ -3,7 +3,6 @@ package tea
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"teasim/tea/spec"
 )
@@ -64,14 +63,12 @@ func shootoutConfig(o ExpOptions, kind spec.CompanionKind) (Config, error) {
 	return cfg, nil
 }
 
-// Shootout runs every registered companion kind against the shared baseline:
-// the N-way generalization of Fig. 8. Each workload's baseline is simulated
-// exactly once — the opening "none" pass populates the engine memo, and every
-// kind's speedup batch hits it — so adding a companion to the zoo costs one
-// extra cell per workload, never a new baseline.
-func Shootout(o ExpOptions) ([]ShootoutRow, error) {
-	o = o.fill()
-	ctx := o.ctx()
+// shootout runs every registered companion kind against the shared
+// baseline: the N-way generalization of Fig. 8. Each workload's baseline is
+// simulated exactly once — the opening "none" pass populates the engine
+// memo, and every kind's speedup batch hits it — so adding a companion to
+// the zoo costs one extra cell per workload, never a new baseline.
+func shootout(ctx context.Context, o ExpOptions) ([]ShootoutRow, error) {
 	kinds := ShootoutKinds()
 
 	// The "none" pass is both the first report group and everybody's
@@ -138,27 +135,18 @@ func shootoutReport(rows []ShootoutRow) report {
 			}
 		},
 	}
-	agg := map[string][]ShootoutRow{}
-	var order []string
-	for _, row := range rows {
-		if _, seen := agg[row.Kind]; !seen {
-			order = append(order, row.Kind)
-			agg[row.Kind] = nil
-		}
-		if row.Err != "" {
-			r.errRows++
-			continue
-		}
-		agg[row.Kind] = append(agg[row.Kind], row)
-	}
-	for _, kind := range order {
+	var groups []rowGroup[string, ShootoutRow]
+	groups, r.errRows = groupRows(rows,
+		func(row ShootoutRow) string { return row.Kind },
+		func(row ShootoutRow) bool { return row.Err != "" })
+	for _, g := range groups {
 		var sp, cov, acc []float64
-		for _, row := range agg[kind] {
+		for _, row := range g.rows {
 			sp = append(sp, row.Speedup)
 			cov = append(cov, row.Coverage)
 			acc = append(acc, row.Accuracy)
 		}
-		r.footers = append(r.footers, []string{"geomean " + kind, "",
+		r.footers = append(r.footers, []string{"geomean " + g.key, "",
 			pct(Geomean(sp)),
 			fmt.Sprintf("%.0f%%", 100*mean(cov)),
 			fmt.Sprintf("%.1f%%", 100*mean(acc)), ""})
@@ -166,26 +154,11 @@ func shootoutReport(rows []ShootoutRow) report {
 	return r
 }
 
-// WriteShootout renders the companion shootout with per-kind geomean footers.
-func WriteShootout(w io.Writer, f Format, rows []ShootoutRow) error {
-	return shootoutReport(rows).write(w, f)
-}
-
-// PrintShootout renders the companion shootout as text.
-func PrintShootout(w io.Writer, rows []ShootoutRow) { WriteShootout(w, FormatText, rows) }
-
 func init() {
 	RegisterExperiment(Experiment{
 		Name:        "shootout",
 		Title:       titleShootout,
 		Description: "every registered companion kind vs the shared baseline (N-way Fig 8)",
-		Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-			o.Ctx = ctx
-			rows, err := Shootout(o)
-			if err != nil {
-				return nil, err
-			}
-			return &Report{shootoutReport(rows)}, nil
-		},
+		Run:         rowsExp(shootout, shootoutReport),
 	})
 }

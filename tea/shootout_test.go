@@ -59,10 +59,11 @@ func TestShootoutBaselineMemoized(t *testing.T) {
 	}
 	wls := []string{"bfs", "mcf"}
 	o := ExpOptions{MaxInstructions: 1000, Workloads: wls, Engine: e}
-	rows, err := Shootout(o)
+	rep, err := RunExperiment(context.Background(), "shootout", o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := rep.Rows().([]ShootoutRow)
 	kinds := ShootoutKinds()
 	if want := len(kinds) * len(wls); len(rows) != want {
 		t.Fatalf("%d rows, want %d (%d kinds x %d workloads)", len(rows), want, len(kinds), len(wls))
@@ -99,14 +100,16 @@ func TestShootoutMatchesFig8Rows(t *testing.T) {
 			Engine:          NewEngine(2),
 		}
 	}
-	srows, err := Shootout(opts())
-	if err != nil {
-		t.Fatal(err)
+	rowsOf := func(name string) any {
+		t.Helper()
+		rep, err := RunExperiment(context.Background(), name, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Rows()
 	}
-	f8, err := Fig8(opts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srows := rowsOf("shootout").([]ShootoutRow)
+	f8 := rowsOf("fig8").([]Fig8Row)
 	sp := map[string]map[string]float64{}
 	for _, r := range srows {
 		if sp[r.Kind] == nil {
@@ -137,7 +140,7 @@ func TestShootoutReport(t *testing.T) {
 		{Workload: "bfs", Kind: "twowin", Speedup: 1.01, Coverage: 0.4, Accuracy: 1, Saved: 1.5},
 	}
 	var sb strings.Builder
-	if err := WriteShootout(&sb, FormatText, rows); err != nil {
+	if err := shootoutReport(rows).write(&sb, FormatText); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -151,7 +154,6 @@ func TestShootoutReport(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	// The registry entry renders the same bytes as the direct call.
 	rep, ok := LookupExperiment("shootout")
 	if !ok {
 		t.Fatal("shootout not in the experiment registry")

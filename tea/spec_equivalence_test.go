@@ -2,9 +2,10 @@ package tea_test
 
 // Spec-equivalence contract (DESIGN.md §10): the declarative machine tree is
 // a pure re-expression of the old hardcoded mode switches. Running a mode
-// and running its preset spec must be bit-identical; a sensitivity sweep
-// expressed as spec patches must reproduce the curves of the preset spec
-// edited by hand exactly; and a custom, non-preset spec must run end to end.
+// and running its preset spec must be bit-identical, and a custom,
+// non-preset spec must run end to end. The sensitivity half of the contract
+// (TestSensitivityPatchEquivalence) calls the sweep's row builder, so it
+// lives with the internal tests in experiments_test.go.
 
 import (
 	"fmt"
@@ -43,76 +44,6 @@ func TestSpecModeEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestSensitivityPatchEquivalence asserts the patch-based Sensitivity sweep
-// reproduces the Fill-Buffer and Block-Cache curves of the TEA preset spec
-// edited by hand exactly, and that the engine's fingerprint memo simulates
-// each workload's baseline exactly once across both sweeps.
-func TestSensitivityPatchEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-simulation sweep; skipped in -short mode")
-	}
-	const budget = 20_000
-	workloads := []string{"bfs", "mcf"}
-	engine := tea.NewEngine(4)
-	opts := tea.ExpOptions{MaxInstructions: budget, Scale: 1, Workloads: workloads, Engine: engine}
-
-	sweeps := []struct {
-		param  tea.SensParam
-		values []int
-		edit   func(*spec.TEA, int)
-	}{
-		{tea.SensFillBuffer, []int{256, 512, 1024}, func(t *spec.TEA, v int) { t.FillBufSize = v }},
-		{tea.SensBlockCache, []int{256, 512, 1024}, func(t *spec.TEA, v int) { t.SetBlockCacheEntries(v) }},
-	}
-	for _, sw := range sweeps {
-		rows, err := tea.Sensitivity(sw.param, sw.values, opts)
-		if err != nil {
-			t.Fatalf("%s sweep: %v", sw.param, err)
-		}
-		i := 0
-		for _, name := range workloads {
-			base, err := tea.Run(name, tea.Config{Mode: tea.ModeBaseline, MaxInstructions: budget, Scale: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range sw.values {
-				machine, err := spec.Preset("tea")
-				if err != nil {
-					t.Fatal(err)
-				}
-				sw.edit(machine.Companion.TEA, v)
-				res, err := tea.Run(name, tea.Config{Spec: &machine, MaxInstructions: budget, Scale: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				row := rows[i]
-				i++
-				wantSpeedup := float64(base.Cycles) / float64(res.Cycles)
-				if row.Workload != name || row.Value != v ||
-					row.Speedup != wantSpeedup || row.Coverage != res.Coverage || row.Accuracy != res.Accuracy {
-					t.Errorf("%s %s@%d: patch row %+v diverges from hand-edited spec run (speedup %v, cov %v, acc %v)",
-						sw.param, name, v, row, wantSpeedup, res.Coverage, res.Accuracy)
-				}
-			}
-		}
-	}
-
-	// Both sweeps shared one engine: per workload, the baseline must have
-	// simulated once, and the default machine point — fill buffer 512 and
-	// block cache 512 both patch fields back to their preset values — once.
-	stats := engine.MemoStats()
-	wantEntries := len(workloads) * (1 /*baseline*/ + 5 /*distinct TEA points*/)
-	if stats.Entries != wantEntries {
-		t.Errorf("memo holds %d entries, want %d (baseline and default TEA cells shared across sweeps)",
-			stats.Entries, wantEntries)
-	}
-	// 2 sweeps × (1 baseline + 3 points) × 2 workloads = 16 jobs over 12
-	// distinct machine points: 4 hits.
-	if wantHits := 2 * len(workloads); stats.Hits != wantHits {
-		t.Errorf("memo served %d hits, want %d", stats.Hits, wantHits)
 	}
 }
 

@@ -367,22 +367,3 @@ func runContext(ctx context.Context, workload string, cfg Config,
 	}
 	return res, nil
 }
-
-// Speedup runs a workload under two configurations and returns cyclesA /
-// cyclesB (so >1 means B is faster).
-func Speedup(workload string, a, b Config) (float64, Result, Result, error) {
-	return SpeedupContext(context.Background(), workload, a, b)
-}
-
-// SpeedupContext is Speedup with cooperative cancellation (see RunContext).
-func SpeedupContext(ctx context.Context, workload string, a, b Config) (float64, Result, Result, error) {
-	ra, err := RunContext(ctx, workload, a)
-	if err != nil {
-		return 0, Result{}, Result{}, err
-	}
-	rb, err := RunContext(ctx, workload, b)
-	if err != nil {
-		return 0, Result{}, Result{}, err
-	}
-	return float64(ra.Cycles) / float64(rb.Cycles), ra, rb, nil
-}

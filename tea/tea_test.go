@@ -1,6 +1,7 @@
 package tea_test
 
 import (
+	"context"
 	"testing"
 
 	"teasim/tea"
@@ -80,15 +81,25 @@ func TestGeomean(t *testing.T) {
 	}
 }
 
+// TestSpeedupHelper: a speedup experiment's row is the cycles ratio of the
+// workload's baseline run over its run under the experiment's mode.
 func TestSpeedupHelper(t *testing.T) {
-	sp, ra, rb, err := tea.Speedup("cc",
-		tea.Config{Mode: tea.ModeBaseline, Scale: 0, CoSim: true},
-		tea.Config{Mode: tea.ModeTEA, Scale: 0, CoSim: true})
+	rep, err := tea.RunExperiment(context.Background(), "fig5",
+		tea.ExpOptions{Workloads: []string{"cc"}, MaxInstructions: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp <= 0 || ra.Cycles == 0 || rb.Cycles == 0 {
-		t.Fatalf("speedup=%v a=%+v b=%+v", sp, ra.Cycles, rb.Cycles)
+	row := rep.Rows().([]tea.SpeedupRow)[0]
+	base, err := tea.Run("cc", tea.Config{Mode: tea.ModeBaseline, MaxInstructions: 30_000, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	with, err := tea.Run("cc", tea.Config{Mode: tea.ModeTEA, MaxInstructions: 30_000, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(base.Cycles) / float64(with.Cycles); row.Speedup != want || row.Speedup <= 0 {
+		t.Fatalf("registry speedup %v, want %d/%d = %v", row.Speedup, base.Cycles, with.Cycles, want)
 	}
 }
 
@@ -98,30 +109,6 @@ func TestAblationConfigsRun(t *testing.T) {
 		if _, err := tea.Run("tc", cfg); err != nil {
 			t.Fatalf("%s: %v", fc.Name, err)
 		}
-	}
-}
-
-func TestSensitivitySweep(t *testing.T) {
-	rows, err := tea.Sensitivity(tea.SensLead, []int{1, 4},
-		tea.ExpOptions{MaxInstructions: 60_000, Scale: 1, Workloads: []string{"cc"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Speedup <= 0 {
-			t.Fatalf("bad speedup %v", r.Speedup)
-		}
-	}
-}
-
-func TestSensitivityUnknownParam(t *testing.T) {
-	_, err := tea.Sensitivity(tea.SensParam("bogus"), []int{1},
-		tea.ExpOptions{MaxInstructions: 10_000, Workloads: []string{"cc"}})
-	if err == nil {
-		t.Fatal("expected error")
 	}
 }
 

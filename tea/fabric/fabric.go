@@ -77,7 +77,7 @@ type Stats struct {
 	Hangs       int  // workers killed by the no-progress watchdog
 	Requeues    int  // cells re-dispatched after a worker death
 	Recovered   int  // cells recovered from a dead worker's store
-	Quarantined int  // cells given up on (budget or distinct-worker limit)
+	Quarantined int  // cells given up on (QuarantineAfter workers died)
 	Fallbacks   int  // cells run through the fallback RunFunc
 	Collapsed   bool // the whole pool died; running degraded in-process
 }
@@ -89,14 +89,13 @@ type Stats struct {
 type QuarantineError struct {
 	Workload string
 	Mode     tea.Mode
-	Attempts int // dispatches that ended in a worker death
-	Workers  int // distinct workers that died running the cell (= Attempts)
+	Attempts int // dispatches that ended in a worker death, each on a distinct worker
 	Cause    string
 }
 
 func (q *QuarantineError) Error() string {
 	return fmt.Sprintf("fabric: %s/%s quarantined after %d failed dispatches on %d workers: %s",
-		q.Workload, q.Mode, q.Attempts, q.Workers, q.Cause)
+		q.Workload, q.Mode, q.Attempts, q.Attempts, q.Cause)
 }
 
 // outcome is one cell's final disposition.
@@ -657,7 +656,6 @@ func (c *Coordinator) requeue(cl *cell, cause error) {
 			Workload: cl.key.Workload,
 			Mode:     cl.key.Mode,
 			Attempts: cl.attempts,
-			Workers:  cl.attempts,
 			Cause:    cause.Error(),
 		}})
 		return

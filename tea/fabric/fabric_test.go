@@ -382,7 +382,7 @@ func TestToxicCellQuarantined(t *testing.T) {
 	if errs[1] == nil || !errors.As(errs[1], &qe) {
 		t.Fatalf("toxic cell error = %v, want a *QuarantineError", errs[1])
 	}
-	if qe.Workload != "poison" || qe.Workers < 2 {
+	if qe.Workload != "poison" || qe.Attempts < 2 {
 		t.Errorf("quarantine = %+v, want the poison cell after >=2 distinct worker deaths", qe)
 	}
 	if !strings.Contains(qe.Error(), "quarantined") {

@@ -82,7 +82,10 @@ func TestGeomean(t *testing.T) {
 }
 
 // TestSpeedupHelper: a speedup experiment's row is the cycles ratio of the
-// workload's baseline run over its run under the experiment's mode.
+// workload's baseline run over its run under the experiment's mode. The two
+// reference runs co-simulate (CoSim checks, it does not change the machine),
+// and cc also runs to completion at Scale 0 co-simulated in both modes: no
+// other test co-simulates cc under baseline or TEA.
 func TestSpeedupHelper(t *testing.T) {
 	rep, err := tea.RunExperiment(context.Background(), "fig5",
 		tea.ExpOptions{Workloads: []string{"cc"}, MaxInstructions: 30_000})
@@ -90,16 +93,25 @@ func TestSpeedupHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := rep.Rows().([]tea.SpeedupRow)[0]
-	base, err := tea.Run("cc", tea.Config{Mode: tea.ModeBaseline, MaxInstructions: 30_000, Scale: 1})
+	base, err := tea.Run("cc", tea.Config{Mode: tea.ModeBaseline, MaxInstructions: 30_000, Scale: 1, CoSim: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := tea.Run("cc", tea.Config{Mode: tea.ModeTEA, MaxInstructions: 30_000, Scale: 1})
+	with, err := tea.Run("cc", tea.Config{Mode: tea.ModeTEA, MaxInstructions: 30_000, Scale: 1, CoSim: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := float64(base.Cycles) / float64(with.Cycles); row.Speedup != want || row.Speedup <= 0 {
 		t.Fatalf("registry speedup %v, want %d/%d = %v", row.Speedup, base.Cycles, with.Cycles, want)
+	}
+	for _, mode := range []tea.Mode{tea.ModeBaseline, tea.ModeTEA} {
+		r, err := tea.Run("cc", tea.Config{Mode: mode, Scale: 0, CoSim: true})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if r.Cycles == 0 || r.Instructions == 0 {
+			t.Fatalf("%v: cycles=%d instructions=%d", mode, r.Cycles, r.Instructions)
+		}
 	}
 }
 

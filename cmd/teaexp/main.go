@@ -106,7 +106,7 @@ func realMain() int {
 		config   = flag.String("config", "", "machine spec JSON file: run it vs the baseline instead of -exp")
 
 		journal  = flag.String("journal", "", "store every finished cell in this result store directory (the teasrvd -store format)")
-		resume   = flag.Bool("resume", false, "pre-seed the result cache from -journal, re-simulating only missing cells")
+		resume   = flag.Bool("resume", false, "read finished cells back from -journal, re-simulating only missing cells")
 		partial  = flag.Bool("partial", false, "quarantine failing cells as annotated error rows instead of aborting")
 		paranoia = flag.Bool("paranoia", false, "run every cell with the per-cycle invariant checker (slow, never memoized)")
 		jobTO    = flag.Duration("job-timeout", 0, "wall-time deadline per cell (0 = none)")
@@ -198,7 +198,6 @@ func realMain() int {
 			ReproDir:     *reproDir,
 		}))
 	}
-	var resumed []tea.JournalRecord
 	if *journal != "" {
 		st, err := store.Open(*journal, store.Options{})
 		if err != nil {
@@ -206,11 +205,12 @@ func realMain() int {
 			return 1
 		}
 		defer st.Close()
+		var cs tea.CellStore = writeOnly{st}
 		if *resume {
-			resumed = st.Records()
-			fmt.Fprintf(os.Stderr, "[journal: read %d cells (%d corrupt records dropped)]\n", len(resumed), st.Stats().Corrupt)
+			fmt.Fprintf(os.Stderr, "[journal: read %d cells (%d corrupt records dropped)]\n", st.Len(), st.Stats().Corrupt)
+			cs = st
 		}
-		engOpts = append(engOpts, tea.WithJournal(st))
+		engOpts = append(engOpts, tea.WithCellCache(tea.NewCellCache(cs)))
 	}
 	if *progress {
 		engOpts = append(engOpts, tea.WithProgress(func(ev tea.JobEvent) {
@@ -261,10 +261,6 @@ func realMain() int {
 		engOpts = append(engOpts, tea.WithRunFunc(coord.RunFunc(nil)))
 	}
 	eng := tea.NewEngine(*workers, engOpts...)
-	if len(resumed) > 0 {
-		seeded := eng.SeedJournal(resumed)
-		fmt.Fprintf(os.Stderr, "[journal: resumed %d cells]\n", seeded)
-	}
 	opts := tea.ExpOptions{
 		MaxInstructions: *n,
 		Scale:           *scale,
@@ -341,7 +337,10 @@ func realMain() int {
 		}
 	}
 	ms := eng.MemoStats()
-	fmt.Fprintf(os.Stderr, "[memo: %d simulated, %d seeded, %d hits]\n", ms.Entries-ms.Seeded, ms.Seeded, ms.Hits)
+	if *resume {
+		fmt.Fprintf(os.Stderr, "[journal: resumed %d cells]\n", ms.StoreHits)
+	}
+	fmt.Fprintf(os.Stderr, "[memo: %d simulated, %d seeded, %d hits]\n", ms.Simulated, ms.StoreHits, ms.Hits)
 	// Under -partial, quarantined cells were deliberately tolerated but must
 	// still be visible to scripts: succeed, distinctly.
 	if *partial && errRows > 0 {
@@ -350,6 +349,13 @@ func realMain() int {
 	}
 	return 0
 }
+
+// writeOnly hides a result store's cells from the engine: without -resume
+// every cell simulates afresh, and each one is still written.
+type writeOnly struct{ *store.Store }
+
+// Get misses for every key.
+func (writeOnly) Get(tea.MemoKey) (tea.Result, bool) { return tea.Result{}, false }
 
 // traceFiles opens one JSONL trace file per experiment cell, deduplicating
 // names when the same (workload, mode) appears in several cells (Fig. 10's

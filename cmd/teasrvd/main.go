@@ -20,10 +20,12 @@
 //	{"experiment": "custom", "preset": "tea",
 //	 "patches": ["companion.tea.fill_buf_size=1024"]}
 //
-// Every memoizable cell is deduplicated against the content-addressed
-// result store (-store): identical cells across requests — concurrent or
-// not — cost one simulation, and a re-POST of a served request simulates
-// nothing. Admission control (-max-concurrent, -queue, -client-quota)
+// Every request's engine shares one cell cache (tea.CellCache) over the
+// content-addressed result store (-store): a memoizable cell is read from
+// the store, rides another request's in-flight run of it, or runs once and
+// is stored. Identical cells across requests — concurrent or not — cost
+// one simulation, and a re-POST of a served request simulates nothing.
+// Admission control (-max-concurrent, -queue, -client-quota)
 // answers overload with 429 + Retry-After instead of queueing without
 // bound.
 //

@@ -34,14 +34,15 @@ type Job struct {
 // distinct machine point exactly once: shared baselines, and equally the
 // default-valued cell every sensitivity sweep revisits.
 //
-// Fault tolerance is layered on the same memo key. WithJournal records every
-// freshly simulated memoizable cell to a crash-safe result store (tea/store);
-// SeedJournal pre-loads the cache from a previous run's records so a killed
-// suite resumes with only the missing cells. WithPolicy adds per-job
-// deadlines, a no-progress hang watchdog fed by the simulation loop's cycle
-// heartbeat, bounded retry for panicking jobs, and repro bundles for cells
-// that fail permanently. MapPartial degrades failed cells to per-job errors
-// instead of aborting the batch.
+// Persistence and cross-engine dedup are layered on the same memo key.
+// WithCellCache resolves memo misses through a cell cache shared by any
+// number of engines: a crash-safe result store (tea/store) first, so a
+// killed suite resumes with only the missing cells, then another engine's
+// in-flight run of the same cell, and every fresh result is written to the
+// store. WithPolicy adds per-job deadlines, a no-progress hang watchdog fed
+// by the simulation loop's cycle heartbeat, bounded retry for panicking
+// jobs, and repro bundles for cells that fail permanently. MapPartial
+// degrades failed cells to per-job errors instead of aborting the batch.
 //
 // A zero-value Engine is not usable; construct with NewEngine. Engines are
 // safe for concurrent use and may be shared across experiments to widen the
@@ -53,12 +54,11 @@ type Engine struct {
 	// or a test replaces it).
 	runFn RunFunc
 
-	mu      sync.Mutex
-	memo    map[MemoKey]*memoEntry
-	hits    int
-	seeded  int
-	policy  JobPolicy
-	journal JournalWriter
+	mu     sync.Mutex
+	memo   map[MemoKey]*memoEntry
+	stats  MemoStats // every count but Entries
+	policy JobPolicy
+	cache  *CellCache
 
 	pmu      sync.Mutex // serializes progress callbacks
 	progress func(JobEvent)
@@ -70,12 +70,6 @@ type Engine struct {
 // serve daemon's content-addressed store) or stub simulation in tests.
 type RunFunc func(ctx context.Context, workload string, cfg Config) (Result, error)
 
-// JournalWriter persists freshly simulated memoizable cells; tea/store's
-// Store implements it.
-type JournalWriter interface {
-	Put(JournalRecord) error
-}
-
 // EngineOption configures an Engine at construction (NewEngine).
 type EngineOption func(*Engine)
 
@@ -84,12 +78,11 @@ func WithPolicy(p JobPolicy) EngineOption {
 	return func(e *Engine) { e.policy = p }
 }
 
-// WithJournal attaches a result store: every memoizable cell the engine
-// freshly simulates is durably written after it completes. Write failures
-// surface as the job's error — a suite that cannot checkpoint should fail
-// loudly, not silently lose its resumability.
-func WithJournal(j JournalWriter) EngineOption {
-	return func(e *Engine) { e.journal = j }
+// WithCellCache resolves the engine's memo misses through c (see runJob):
+// engines sharing c simulate each memoizable cell once between them, and a
+// cell c's store holds is not simulated at all.
+func WithCellCache(c *CellCache) EngineOption {
+	return func(e *Engine) { e.cache = c }
 }
 
 // WithProgress installs a callback invoked at the start and end of every job
@@ -101,7 +94,7 @@ func WithProgress(fn func(JobEvent)) EngineOption {
 }
 
 // WithRunFunc replaces the engine's simulation entry point (default
-// RunContext). The engine's memoization, policy, and journaling layer on top
+// RunContext). The engine's memoization, policy, and cell cache layer on top
 // of whatever fn returns.
 func WithRunFunc(fn RunFunc) EngineOption {
 	return func(e *Engine) { e.runFn = fn }
@@ -208,7 +201,7 @@ func DefaultWorkers() int {
 // NewEngine builds an engine with the given worker-pool bound
 // (workers <= 0 selects DefaultWorkers) and the given options applied:
 //
-//	eng := tea.NewEngine(0, tea.WithPolicy(policy), tea.WithJournal(st))
+//	eng := tea.NewEngine(0, tea.WithPolicy(policy), tea.WithCellCache(tea.NewCellCache(st)))
 func NewEngine(workers int, opts ...EngineOption) *Engine {
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -227,53 +220,75 @@ func NewEngine(workers int, opts ...EngineOption) *Engine {
 // Workers reports the engine's worker-pool bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// MemoStats reports the engine's result-cache state: how many distinct
-// machine points it holds (simulated, in flight, or seeded), how many jobs
-// were served from an existing entry instead of re-simulating, and how many
-// entries came pre-seeded from stored records (SeedJournal). Entries-Seeded
-// is therefore the number of cells this process actually simulated.
+// MemoStats reports how the engine resolved its jobs. Entries counts the
+// distinct machine points in its memo, done or in flight, and Hits the jobs
+// served from an existing entry. Each memoizable job that missed the memo
+// was a store hit (StoreHits), rode another engine's in-flight run of the
+// cell (Coalesced, through a shared CellCache), or ran. Simulated counts
+// the engine's simulation attempts, memoizable or not: a retried cell
+// counts each attempt.
 type MemoStats struct {
-	Entries int
-	Hits    int
-	Seeded  int
+	Entries   int
+	Hits      int
+	StoreHits int
+	Coalesced int
+	Simulated int
 }
 
 // MemoStats snapshots the memoization counters.
 func (e *Engine) MemoStats() MemoStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return MemoStats{Entries: len(e.memo), Hits: e.hits, Seeded: e.seeded}
+	st := e.stats
+	st.Entries = len(e.memo)
+	return st
 }
 
-// SeedJournal pre-loads the memo cache from stored records (a result
-// store's Records), returning how many entries were installed. Records that
-// collide with an existing cache entry are skipped. Seeded cells count as
-// memo hits when jobs land on them, so a resumed run re-simulates exactly
-// the missing cells.
-func (e *Engine) SeedJournal(recs []JournalRecord) int {
+// count increments one of the engine's counters.
+func (e *Engine) count(n *int) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, rec := range recs {
-		if _, exists := e.memo[rec.MemoKey]; exists {
-			continue
-		}
-		e.memo[rec.MemoKey] = &memoEntry{done: true, res: rec.Result}
-		n++
-	}
-	e.seeded += n
-	return n
-}
-
-// journalPut durably records one freshly simulated cell.
-func (e *Engine) journalPut(key MemoKey, res Result) error {
-	e.mu.Lock()
-	j := e.journal
+	*n++
 	e.mu.Unlock()
-	if j == nil {
-		return nil
+}
+
+// CellStore persists finished cells for a CellCache; tea/store's Store
+// implements it.
+type CellStore interface {
+	Get(MemoKey) (Result, bool)
+	Put(JournalRecord) error
+}
+
+// CellCache is what engines share beyond their memos: a store of finished
+// cells, and the cells some engine is running right now. Safe for
+// concurrent use.
+type CellCache struct {
+	st      CellStore // nil = no persistence
+	mu      sync.Mutex
+	flights map[MemoKey]*flight
+}
+
+// flight is one cell an engine runs for every engine waiting on it.
+type flight struct {
+	done chan struct{} // closed when the leader returns
+	res  Result
+	err  error
+	// ok reports an outcome for waiters. It stays false when the leader
+	// gave up, its own context cancelled, or panicked outside its attempts.
+	ok bool
+}
+
+// NewCellCache returns a cache over st; a nil st persists nothing, and
+// engines sharing the cache still coalesce identical in-flight cells.
+func NewCellCache(st CellStore) *CellCache {
+	return &CellCache{st: st, flights: make(map[MemoKey]*flight)}
+}
+
+// get looks a cell up in the store.
+func (c *CellCache) get(key MemoKey) (Result, bool) {
+	if c.st == nil {
+		return Result{}, false
 	}
-	return j.Put(JournalRecord{MemoKey: key, Result: res})
+	return c.st.Get(key)
 }
 
 // PanicError is a job attempt that died by panic, carrying the cell's
@@ -349,6 +364,7 @@ func (e *Engine) runAttempt(ctx context.Context, j Job, p JobPolicy) (res Result
 			}
 		}
 	}()
+	e.count(&e.stats.Simulated)
 	res, err = e.runFn(jobCtx, j.Workload, j.Cfg)
 	if err != nil && jobCtx.Err() != nil && ctx.Err() == nil {
 		// The job-local deadline or watchdog fired (not a batch
@@ -492,11 +508,14 @@ func writeReproBundle(dir string, j Job, jobErr error) (string, error) {
 	return specPath, nil
 }
 
-// runJob executes job i, consulting the result memo cache; a new entry is
-// the job's slot in its batch's slab (see mapRun). Cells that are not
-// memoizable (Config.Memoizable: telemetry, co-simulation, idle-skip
-// debugging, paranoia) always simulate, as do cells whose spec fails to
-// resolve — the direct run surfaces the resolution error with full context.
+// runJob executes job i and decides its outcome. A memoizable cell is, in
+// this order: a memo hit (an entry of this engine, done or in flight; a new
+// entry is the job's slot in its batch's slab, see mapRun), a store hit, a
+// ride on another engine's flight for the same cell, or a flight of its
+// own (resolve). Cells that are not memoizable (Config.Memoizable:
+// telemetry, co-simulation, idle-skip debugging, paranoia) always simulate,
+// as do cells whose spec fails to resolve — the direct run surfaces the
+// resolution error with full context.
 func (e *Engine) runJob(ctx context.Context, i int, j Job, slab []memoEntry) (Result, error) {
 	key, ok := MemoKeyOf(j.Workload, j.Cfg)
 	if !ok {
@@ -508,7 +527,7 @@ func (e *Engine) runJob(ctx context.Context, i int, j Job, slab []memoEntry) (Re
 		ent = &slab[i]
 		e.memo[key] = ent
 	} else {
-		e.hits++
+		e.stats.Hits++
 	}
 	e.mu.Unlock()
 	ent.mu.Lock()
@@ -516,20 +535,78 @@ func (e *Engine) runJob(ctx context.Context, i int, j Job, slab []memoEntry) (Re
 	if ent.done {
 		return ent.res, ent.err
 	}
-	res, err := e.runResilient(ctx, i, j)
+	res, err := e.resolve(ctx, i, j, key)
 	if err != nil && ctx.Err() != nil {
 		// Batch cancelled mid-cell: report but do not latch, so a resumed
 		// run (or a later Map on this engine) still simulates the cell.
 		return res, err
 	}
 	ent.res, ent.err, ent.done = res, err, true
-	if err == nil {
-		if jerr := e.journalPut(key, res); jerr != nil {
-			ent.err = jerr
-			return res, jerr
-		}
+	return res, err
+}
+
+// resolve decides a memo miss through the cell cache: the store, then
+// another engine's flight for the cell, then a flight of its own. Without
+// a cache the memo is the only dedup, and the cell runs.
+func (e *Engine) resolve(ctx context.Context, i int, j Job, key MemoKey) (Result, error) {
+	c := e.cache
+	if c == nil {
+		return e.runResilient(ctx, i, j)
 	}
-	return ent.res, ent.err
+	for {
+		if res, ok := c.get(key); ok {
+			e.count(&e.stats.StoreHits)
+			return res, nil
+		}
+		c.mu.Lock()
+		f := c.flights[key]
+		if f == nil {
+			f = &flight{done: make(chan struct{})}
+			c.flights[key] = f
+			c.mu.Unlock()
+			return e.lead(ctx, i, j, key, f)
+		}
+		c.mu.Unlock()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		}
+		if f.ok {
+			e.count(&e.stats.Coalesced)
+			return f.res, f.err
+		}
+		// The leader gave up, which is no outcome for this job: look the
+		// cell up again, and take it over if no one else has.
+	}
+}
+
+// lead runs the cell of flight f, with the engine's whole policy (deadline,
+// watchdog, retries), for every engine waiting on it. It checks the store
+// again first: another flight may have stored the cell and ended since the
+// caller's miss. A fresh result is written before the flight ends, so no
+// later lookup misses it, and a failed write is the cell's error: a run
+// that cannot persist fails loudly rather than silently losing
+// resumability.
+func (e *Engine) lead(ctx context.Context, i int, j Job, key MemoKey, f *flight) (Result, error) {
+	c := e.cache
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		c.mu.Unlock()
+		close(f.done)
+	}()
+	if res, ok := c.get(key); ok {
+		e.count(&e.stats.StoreHits)
+		f.res, f.ok = res, true
+		return res, nil
+	}
+	res, err := e.runResilient(ctx, i, j)
+	if err == nil && c.st != nil {
+		err = c.st.Put(JournalRecord{MemoKey: key, Result: res})
+	}
+	f.res, f.err, f.ok = res, err, err == nil || ctx.Err() == nil
+	return res, err
 }
 
 // Map runs every job on the worker pool and returns the results in job
@@ -545,9 +622,9 @@ func (e *Engine) Map(jobs []Job) ([]Result, error) {
 // MapContext is Map with cooperative cancellation: once ctx is done,
 // workers stop claiming jobs, in-flight jobs finish, and the context's
 // error is returned alongside the partial results — completed cells keep
-// their values at their job indices (and are in the journal, if one is
-// attached), so a killed suite loses nothing it finished. A context that is
-// already done returns (nil, ctx.Err()) without running anything.
+// their values at their job indices (and are in the cell cache's store, if
+// there is one), so a killed suite loses nothing it finished. A context
+// that is already done returns (nil, ctx.Err()) without running anything.
 func (e *Engine) MapContext(ctx context.Context, jobs []Job) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package tea
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -110,26 +111,40 @@ func TestJournalDropsCorruptRecords(t *testing.T) {
 	}
 }
 
+// TestSeedJournalSkipsBadAndDuplicateRecords: stored cells reach an engine
+// through its cell cache, as store hits. A key whose spec fingerprint is
+// not hex fails to decode, so the store drops its line and it never reaches
+// an engine; of two lines for one key the store keeps the newest
+// (TestStoreNewestWins).
 func TestSeedJournalSkipsBadAndDuplicateRecords(t *testing.T) {
-	// A key whose spec fingerprint is not hex fails to decode, so the store
-	// drops its line and it never reaches SeedJournal.
 	var bad JournalRecord
 	line := `{"v":1,"workload":"mcf","mode":"tea","spec":"not-hex","max_instr":1,"scale":1,"result":{}}`
 	if err := json.Unmarshal([]byte(line), &bad); err == nil {
 		t.Fatalf("decoded a record with a non-hex spec: %+v", bad)
 	}
-	e := NewEngine(1)
-	recs := []JournalRecord{
-		journalRecord("bfs", ModeBaseline, 100),
-		journalRecord("bfs", ModeBaseline, 999), // duplicate key: first wins
-		journalRecord("mcf", ModeTEA, 200),
+	jobs := []Job{
+		{Workload: "bfs", Cfg: Config{Mode: ModeBaseline, MaxInstructions: 1000, Scale: 1}},
+		{Workload: "mcf", Cfg: Config{Mode: ModeTEA, MaxInstructions: 1000, Scale: 1}},
+		{Workload: "bfs", Cfg: Config{Mode: ModeBaseline, MaxInstructions: 1000, Scale: 1}},
 	}
-	if n := e.SeedJournal(recs); n != 2 {
-		t.Fatalf("seeded %d entries, want 2", n)
+	st := &memStore{}
+	for i, j := range jobs[:2] {
+		key, _ := MemoKeyOf(j.Workload, j.Cfg)
+		st.Put(JournalRecord{MemoKey: key, Result: Result{Workload: j.Workload, Mode: j.Cfg.Mode, Cycles: uint64(100 * (i + 1))}})
 	}
-	ms := e.MemoStats()
-	if ms.Entries != 2 || ms.Seeded != 2 {
-		t.Errorf("MemoStats = %+v, want 2 entries, 2 seeded", ms)
+	e := NewEngine(1, WithCellCache(NewCellCache(st)), WithRunFunc(func(ctx context.Context, w string, c Config) (Result, error) {
+		t.Errorf("simulated %s/%s, want a store hit", w, c.Mode)
+		return Result{}, nil
+	}))
+	res, err := e.Map(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Cycles != 100 || res[1].Cycles != 200 || !reflect.DeepEqual(res[2], res[0]) {
+		t.Errorf("results %+v, want the stored cells", res)
+	}
+	if ms := e.MemoStats(); ms.Entries != 2 || ms.StoreHits != 2 || ms.Hits != 1 || ms.Simulated != 0 {
+		t.Errorf("MemoStats = %+v, want 2 entries, both store hits, and 1 memo hit", ms)
 	}
 }
 

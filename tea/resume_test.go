@@ -23,8 +23,9 @@ func stubResult(w string, c tea.Config) tea.Result {
 
 // TestCancelJournalResume is the kill/resume contract end to end at the
 // library level: a batch cancelled mid-flight keeps its completed prefix, the
-// result store holds exactly the completed cells, and a resumed engine
-// re-simulates only the missing ones to an identical final state.
+// result store holds exactly the completed cells, and a resumed engine reads
+// those back through its cell cache and re-simulates only the missing ones
+// to an identical final state.
 func TestCancelJournalResume(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []tea.Job{
@@ -43,7 +44,7 @@ func TestCancelJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	e1 := tea.NewEngine(1, tea.WithJournal(j1), tea.WithRunFunc(func(ctx context.Context, w string, c tea.Config) (tea.Result, error) {
+	e1 := tea.NewEngine(1, tea.WithCellCache(tea.NewCellCache(j1)), tea.WithRunFunc(func(ctx context.Context, w string, c tea.Config) (tea.Result, error) {
 		calls++
 		if calls == 3 {
 			cancel() // the SIGINT arrives while cell 3 is in flight
@@ -66,29 +67,29 @@ func TestCancelJournalResume(t *testing.T) {
 		t.Errorf("uncompleted cells carry results: %+v", partial[2:])
 	}
 
-	// The store holds exactly the completed cells, in key order.
+	// The store holds exactly the completed cells.
 	j2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := j2.Records()
-	if st := j2.Stats(); st.Dropped != 0 {
-		t.Fatalf("reopened store: %d dropped", st.Dropped)
+	if st := j2.Stats(); st.Dropped != 0 || j2.Len() != 2 {
+		t.Fatalf("reopened store: %d entries, %d dropped; want exactly the 2 completed cells", j2.Len(), st.Dropped)
 	}
-	if len(recs) != 2 || recs[0].Workload != "bfs" || recs[1].Mode != tea.ModeTEA {
-		t.Fatalf("store holds %d records (%+v), want exactly the 2 completed cells", len(recs), recs)
+	for i, j := range jobs[:2] {
+		key, _ := tea.MemoKeyOf(j.Workload, j.Cfg)
+		if res, ok := j2.Get(key); !ok || !reflect.DeepEqual(res, partial[i]) {
+			t.Fatalf("stored cell %d: %+v (ok=%v), want %+v", i, res, ok, partial[i])
+		}
 	}
 
-	// Resumed run: seeds from the store, re-simulates only the 2 missing
-	// cells, and lands on results identical to a clean uninterrupted run.
+	// Resumed run: reads the store through its cell cache, re-simulates only
+	// the 2 missing cells, and lands on results identical to a clean
+	// uninterrupted run.
 	calls2 := 0
-	e2 := tea.NewEngine(1, tea.WithJournal(j2), tea.WithRunFunc(func(ctx context.Context, w string, c tea.Config) (tea.Result, error) {
+	e2 := tea.NewEngine(1, tea.WithCellCache(tea.NewCellCache(j2)), tea.WithRunFunc(func(ctx context.Context, w string, c tea.Config) (tea.Result, error) {
 		calls2++
 		return stubResult(w, c), nil
 	}))
-	if n := e2.SeedJournal(recs); n != 2 {
-		t.Fatalf("seeded %d cells, want 2", n)
-	}
 	resumed, err := e2.Map(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +101,8 @@ func TestCancelJournalResume(t *testing.T) {
 		t.Errorf("resumed run simulated %d cells, want only the 2 missing", calls2)
 	}
 	ms := e2.MemoStats()
-	if ms.Seeded != 2 || ms.Entries != 4 {
-		t.Errorf("resumed MemoStats = %+v, want 4 entries of which 2 seeded", ms)
+	if ms.StoreHits != 2 || ms.Entries != 4 {
+		t.Errorf("resumed MemoStats = %+v, want 4 entries of which 2 store hits", ms)
 	}
 
 	e3 := tea.NewEngine(1, tea.WithRunFunc(func(ctx context.Context, w string, c tea.Config) (tea.Result, error) {
@@ -124,7 +125,7 @@ func TestCancelJournalResume(t *testing.T) {
 	if st := j3.Stats(); st.Dropped != 0 {
 		t.Fatalf("store after resume: %d dropped (%d superseded)", st.Dropped, st.Superseded)
 	}
-	if n := len(j3.Records()); n != 4 {
+	if n := j3.Len(); n != 4 {
 		t.Errorf("store holds %d records after resume, want 4", n)
 	}
 }

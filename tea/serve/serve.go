@@ -9,11 +9,11 @@
 //
 //   - tea.RunExperiment dispatches by name through the experiment registry,
 //     so the catalog grows without the server changing.
-//   - Every memoizable cell is addressed by the engine memo tuple and
-//     deduplicated against a content-addressed store (tea/store): a re-POST
-//     of a served request simulates nothing.
-//   - Identical in-flight cells across concurrent requests coalesce onto
-//     one simulation (singleflight over the memo key).
+//   - Every request's engine shares one tea.CellCache over the
+//     content-addressed store (tea/store), keyed on the engine memo tuple:
+//     a memoizable cell is a store hit, rides another request's in-flight
+//     run of the same cell, or runs once and is stored. A re-POST of a
+//     served request simulates nothing.
 //   - Admission control layers on tea.JobPolicy: per-client in-flight
 //     quotas and a bounded job queue, both answering 429 + Retry-After on
 //     overflow, so overload degrades by rejection instead of collapse.
@@ -23,7 +23,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -103,22 +102,14 @@ type Request struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// reqStats counts one request's cell outcomes (reported in response headers
-// and the SSE done event).
-type reqStats struct {
-	simulated telemetry.SyncCounter // cells actually simulated for this request
-	storeHits telemetry.SyncCounter // cells served from the content-addressed store
-	coalesced telemetry.SyncCounter // cells ridden on another request's in-flight simulation
-}
-
 // Server is the simulation-as-a-service daemon core: an http.Handler plus
-// the shared store, coalescing, and admission state behind it.
+// the shared cell cache and admission state behind it.
 type Server struct {
-	cfg    Config
-	adm    *admission
-	flight flightGroup
-	run    tea.RunFunc
-	log    *log.Logger
+	cfg   Config
+	adm   *admission
+	cache *tea.CellCache
+	run   tea.RunFunc
+	log   *log.Logger
 
 	// Service-lifetime metrics (see /statz).
 	requests      telemetry.SyncCounter
@@ -152,11 +143,16 @@ func New(cfg Config) *Server {
 	if lg == nil {
 		lg = log.New(io.Discard, "", 0)
 	}
+	var st tea.CellStore // a nil *store.Store would be a non-nil interface
+	if cfg.Store != nil {
+		st = cfg.Store
+	}
 	return &Server{
-		cfg: cfg,
-		adm: newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.ClientQuota),
-		run: run,
-		log: lg,
+		cfg:   cfg,
+		adm:   newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.ClientQuota),
+		cache: tea.NewCellCache(st),
+		run:   run,
+		log:   lg,
 	}
 }
 
@@ -185,7 +181,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Statz is the /statz payload: service-lifetime counters plus the live
-// admission and store state.
+// admission and store state. The cell counts (Simulations through
+// MemoHits) add up each request engine's MemoStats once its run ends.
 type Statz struct {
 	Requests      uint64 `json:"requests"`
 	RejectedQuota uint64 `json:"rejected_quota"`
@@ -380,47 +377,24 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (Request, 
 	return req, opts, format, nil
 }
 
-// runFnFor builds the per-request engine run function: content-addressed
-// store lookup, then cross-request singleflight, then real simulation (with
-// the fresh result persisted). Layered under the engine, the request's own
-// memoization and job policy still apply on top.
-func (s *Server) runFnFor(st *reqStats) tea.RunFunc {
-	return func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
-		simulate := func() (tea.Result, error) {
-			st.simulated.Inc()
-			s.simulated.Inc()
-			return s.run(ctx, workload, cfg)
-		}
-		key, ok := tea.MemoKeyOf(workload, cfg)
-		if !ok {
-			// Mirror Engine.runJob: let the direct run surface any
-			// resolution error with full context.
-			return simulate()
-		}
-		if s.cfg.Store != nil {
-			if res, ok := s.cfg.Store.Get(key); ok {
-				st.storeHits.Inc()
-				s.storeHits.Inc()
-				return res, nil
-			}
-		}
-		res, err, coalesced := s.flight.do(ctx, key, func() (tea.Result, error) {
-			res, err := simulate()
-			if err == nil && s.cfg.Store != nil {
-				if perr := s.cfg.Store.Put(tea.JournalRecord{MemoKey: key, Result: res}); perr != nil {
-					// Like the engine's journal: a service that cannot
-					// persist results should fail loudly.
-					return res, perr
-				}
-			}
-			return res, err
-		})
-		if coalesced {
-			st.coalesced.Inc()
-			s.coalesced.Inc()
-		}
-		return res, err
-	}
+// newEngine builds a request's engine over the server's shared cell cache.
+func (s *Server) newEngine(progress func(tea.JobEvent)) *tea.Engine {
+	return tea.NewEngine(s.cfg.Workers,
+		tea.WithPolicy(s.cfg.Policy),
+		tea.WithRunFunc(s.run),
+		tea.WithCellCache(s.cache),
+		tea.WithProgress(progress))
+}
+
+// account adds a finished request engine's cell outcomes to the service
+// counters and returns them.
+func (s *Server) account(eng *tea.Engine) tea.MemoStats {
+	ms := eng.MemoStats()
+	s.simulated.Add(uint64(ms.Simulated))
+	s.storeHits.Add(uint64(ms.StoreHits))
+	s.coalesced.Add(uint64(ms.Coalesced))
+	s.memoHits.Add(uint64(ms.Hits))
+	return ms
 }
 
 // jobEvent is the SSE "job" payload (wall time is deliberately omitted: the
@@ -436,11 +410,11 @@ type jobEvent struct {
 
 // doneEvent is the SSE "done" payload.
 type doneEvent struct {
-	Simulated uint64 `json:"simulated"`
-	StoreHits uint64 `json:"store_hits"`
-	Coalesced uint64 `json:"coalesced"`
-	MemoHits  int    `json:"memo_hits"`
-	ErrorRows int    `json:"error_rows"`
+	Simulated int `json:"simulated"`
+	StoreHits int `json:"store_hits"`
+	Coalesced int `json:"coalesced"`
+	MemoHits  int `json:"memo_hits"`
+	ErrorRows int `json:"error_rows"`
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -496,13 +470,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // runSync runs the experiment and answers with the rendered report.
 func (s *Server) runSync(w http.ResponseWriter, r *http.Request, req Request, opts tea.ExpOptions, format tea.Format) {
-	st := &reqStats{}
-	eng := tea.NewEngine(s.cfg.Workers,
-		tea.WithPolicy(s.cfg.Policy),
-		tea.WithRunFunc(s.runFnFor(st)))
+	eng := s.newEngine(nil)
 	opts.Engine = eng
 
 	rep, err := tea.RunExperiment(r.Context(), req.Experiment, opts)
+	ms := s.account(eng)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client went away; nothing to answer
@@ -510,7 +482,6 @@ func (s *Server) runSync(w http.ResponseWriter, r *http.Request, req Request, op
 		s.fail(w, r, err)
 		return
 	}
-	ms := eng.MemoStats()
 	contentType := "text/plain; charset=utf-8"
 	switch format {
 	case tea.FormatJSON:
@@ -523,9 +494,9 @@ func (s *Server) runSync(w http.ResponseWriter, r *http.Request, req Request, op
 	v := []string{
 		contentType,
 		req.Experiment,
-		strconv.FormatUint(st.simulated.Value(), 10),
-		strconv.FormatUint(st.storeHits.Value(), 10),
-		strconv.FormatUint(st.coalesced.Value(), 10),
+		strconv.Itoa(ms.Simulated),
+		strconv.Itoa(ms.StoreHits),
+		strconv.Itoa(ms.Coalesced),
 		strconv.Itoa(ms.Hits),
 		strconv.Itoa(rep.ErrorRows()),
 	}
@@ -543,7 +514,6 @@ func (s *Server) runSync(w http.ResponseWriter, r *http.Request, req Request, op
 		s.fail(w, r, err)
 		return
 	}
-	s.memoHits.Add(uint64(ms.Hits))
 	s.errorRows.Add(uint64(rep.ErrorRows()))
 }
 
@@ -568,26 +538,23 @@ func (s *Server) runStream(w http.ResponseWriter, r *http.Request, req Request, 
 		s.fail(w, r, err)
 		return
 	}
-	st := &reqStats{}
-	eng := tea.NewEngine(s.cfg.Workers,
-		tea.WithPolicy(s.cfg.Policy),
-		tea.WithRunFunc(s.runFnFor(st)),
-		tea.WithProgress(func(ev tea.JobEvent) {
-			je := jobEvent{
-				Index:    ev.Index,
-				Workload: ev.Job.Workload,
-				Mode:     ev.Job.Cfg.Mode.String(),
-				Phase:    ev.Phase.String(),
-				Attempt:  ev.Attempt,
-			}
-			if ev.Err != nil {
-				je.Error = firstLine(ev.Err.Error())
-			}
-			sse.event("job", je)
-		}))
+	eng := s.newEngine(func(ev tea.JobEvent) {
+		je := jobEvent{
+			Index:    ev.Index,
+			Workload: ev.Job.Workload,
+			Mode:     ev.Job.Cfg.Mode.String(),
+			Phase:    ev.Phase.String(),
+			Attempt:  ev.Attempt,
+		}
+		if ev.Err != nil {
+			je.Error = firstLine(ev.Err.Error())
+		}
+		sse.event("job", je)
+	})
 	opts.Engine = eng
 
 	rep, err := tea.RunExperiment(r.Context(), req.Experiment, opts)
+	ms := s.account(eng)
 	if err != nil {
 		if r.Context().Err() == nil {
 			s.failed.Inc()
@@ -601,14 +568,12 @@ func (s *Server) runStream(w http.ResponseWriter, r *http.Request, req Request, 
 		sse.event("error", map[string]string{"error": err.Error()})
 		return
 	}
-	ms := eng.MemoStats()
-	s.memoHits.Add(uint64(ms.Hits))
 	s.errorRows.Add(uint64(rep.ErrorRows()))
 	sse.event("report", map[string]string{"format": format.String(), "body": body.String()})
 	sse.event("done", doneEvent{
-		Simulated: st.simulated.Value(),
-		StoreHits: st.storeHits.Value(),
-		Coalesced: st.coalesced.Value(),
+		Simulated: ms.Simulated,
+		StoreHits: ms.StoreHits,
+		Coalesced: ms.Coalesced,
 		MemoHits:  ms.Hits,
 		ErrorRows: rep.ErrorRows(),
 	})

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -732,5 +733,103 @@ func TestSSEReportsRetries(t *testing.T) {
 	}
 	if !strings.Contains(body, `"simulated":3,"store_hits":0,"coalesced":0,"memo_hits":0,"error_rows":0`) {
 		t.Errorf("retried cell did not complete cleanly:\n%s", body)
+	}
+}
+
+// waitCtx is a request context that reports the first time the request
+// waits on it. A request that found a free run slot, under a policy without
+// timers, waits on its context only while one of its cells rides another
+// request's flight, so the report means it has joined that flight.
+type waitCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newWaitCtx() *waitCtx {
+	return &waitCtx{Context: context.Background(), waiting: make(chan struct{})}
+}
+
+func (c *waitCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// postFig6 posts a one-cell Fig 6 request through h under ctx.
+func postFig6(h http.Handler, ctx context.Context) *httptest.ResponseRecorder {
+	const body = `{"experiment":"fig6","workloads":["mcf"],"max_instructions":1000,"format":"csv"}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)).WithContext(ctx))
+	return rec
+}
+
+// TestCoalescedWaiterSurvivesLeaderCancel: request B rides request A's
+// simulation of a cell, then A's client goes away mid-cell. A's cancelled
+// run is no outcome for B, which takes the cell over and answers 200.
+func TestCoalescedWaiterSurvivesLeaderCancel(t *testing.T) {
+	started := make(chan struct{})
+	var calls atomic.Int32
+	run := func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-ctx.Done() // A's run holds the cell until A's client goes away
+			return tea.Result{}, ctx.Err()
+		}
+		return stubRun(ctx, workload, cfg)
+	}
+	h := New(Config{RunFunc: run}).Handler()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	doneA := make(chan struct{})
+	go func() {
+		defer close(doneA)
+		postFig6(h, ctxA)
+	}()
+	<-started
+	ctxB := newWaitCtx()
+	go func() {
+		<-ctxB.waiting
+		cancelA()
+	}()
+	b := postFig6(h, ctxB)
+	<-doneA
+	if b.Code != http.StatusOK || b.Header().Get("X-Tea-Simulated") != "1" {
+		t.Fatalf("B: status %d, %s simulated (body %q); want 200 with the cell taken over",
+			b.Code, b.Header().Get("X-Tea-Simulated"), b.Body)
+	}
+	if want := postFig6(h, context.Background()).Body.String(); b.Body.String() != want {
+		t.Errorf("B's body differs from a fresh request's:\n%s\nvs\n%s", b.Body, want)
+	}
+}
+
+// TestCoalescedWaiterGetsRetriedOutcome: request B rides request A's
+// simulation of a cell whose first attempt panics. The flight covers A's
+// whole policy, so B gets the retried attempt's result, as A does.
+func TestCoalescedWaiterGetsRetriedOutcome(t *testing.T) {
+	started := make(chan struct{})
+	ctxB := newWaitCtx()
+	var calls atomic.Int32
+	run := func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-ctxB.waiting // B has joined this flight
+			panic("flaky cell")
+		}
+		return stubRun(ctx, workload, cfg)
+	}
+	h := New(Config{RunFunc: run, Policy: tea.JobPolicy{Retries: 1}}).Handler()
+
+	recA := make(chan *httptest.ResponseRecorder, 1)
+	go func() { recA <- postFig6(h, context.Background()) }()
+	<-started
+	b := postFig6(h, ctxB)
+	a := <-recA
+	if a.Code != http.StatusOK || b.Code != http.StatusOK || a.Body.String() != b.Body.String() {
+		t.Fatalf("A: %d %q; B: %d %q; want 200 with identical bodies", a.Code, a.Body, b.Code, b.Body)
+	}
+	if a.Header().Get("X-Tea-Simulated") != "2" || b.Header().Get("X-Tea-Coalesced") != "1" {
+		t.Errorf("A simulated %s, B coalesced %s; want 2 attempts and 1",
+			a.Header().Get("X-Tea-Simulated"), b.Header().Get("X-Tea-Coalesced"))
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -256,8 +255,8 @@ func (s *Store) Get(k tea.MemoKey) (tea.Result, bool) {
 }
 
 // Put durably appends one record (sealed, timestamped, fsynced) and indexes
-// it. Put implements tea.JournalWriter, so a store can back an engine
-// directly via tea.WithJournal.
+// it. Get and Put implement tea.CellStore, so a store backs a tea.CellCache
+// directly.
 func (s *Store) Put(rec tea.JournalRecord) error {
 	sealed, err := rec.Seal()
 	if err != nil {
@@ -297,24 +296,6 @@ func (s *Store) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Records returns every fresh indexed record, sorted by key so callers see
-// a stable order. `teaexp -resume` seeds its engine from them
-// (tea.Engine.SeedJournal).
-func (s *Store) Records() []tea.JournalRecord {
-	var recs []tea.JournalRecord
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, ent := range sh.index {
-			if s.fresh(ent.at) {
-				recs = append(recs, ent.rec)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].MemoKey.String() < recs[j].MemoKey.String() })
-	return recs
 }
 
 // Stats snapshots the store's counters.

@@ -60,6 +60,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"os/signal"
 	"runtime"
@@ -90,7 +91,7 @@ func (l *stringList) Set(v string) error {
 // it separate from main lets deferred profile writers flush on every path.
 func realMain() int {
 	var (
-		exp      = flag.String("exp", "fig5", "experiment id from the tea registry (fig5..fig10, table3, prefetchonly, sens-*), or tables / all")
+		exp      = flag.String("exp", "fig5", "experiment: "+strings.Join(tea.ExperimentNames(), " | ")+", or tables | all")
 		n        = flag.Uint64("n", 1_000_000, "max instructions per run")
 		scale    = flag.Int("scale", 1, "workload input scale")
 		wl       = flag.String("w", "", "comma-separated workload subset (default all)")
@@ -409,8 +410,15 @@ func runExp(ctx context.Context, id string, f tea.Format, opts tea.ExpOptions) (
 			fmt.Fprintln(os.Stderr, "[tables are text-only; skipped]")
 			return nil, nil
 		}
-		printConfigTables()
-		return nil, nil
+		core, err := spec.Preset("baseline")
+		if err != nil {
+			return nil, err
+		}
+		thread, err := spec.Preset("tea")
+		if err != nil {
+			return nil, err
+		}
+		return nil, writeConfigTables(os.Stdout, core, thread.Companion.TEA)
 	}
 	rep, err := tea.RunExperiment(ctx, id, opts)
 	if err != nil {
@@ -419,25 +427,66 @@ func runExp(ctx context.Context, id string, f tea.Format, opts tea.ExpOptions) (
 	return rep, rep.Write(os.Stdout, f)
 }
 
-func printConfigTables() {
-	fmt.Print(`Table I (baseline core, as modelled):
-  3.2GHz, 8-wide fetch/decode/rename/issue, 12-cycle frontend
-  512-entry ROB, 352-entry RS, 16-wide retire
-  12 execution ports (6 ALU, 2 LD, 2 LD/ST, 2 FP), 400 physical registers
-  256-entry load queue, 192-entry store queue
-  64KB-class TAGE-SC-L (12 tables, loop predictor, statistical corrector)
-  history-based indirect predictor, RAS, 4k-entry BTB, 128-entry fetch queue
-  L1I 32KB/8w 4cyc, L1D 48KB/12w 4cyc, LLC 1MB/16w 18cyc, 64B lines
+// writeConfigTables renders Tables I and II from a core spec (the baseline
+// preset) and a TEA thread (the tea preset's). Values the spec does not hold
+// stay literal: the clock, the DRAM timings, the line size, the predictor
+// family, the mask width and the store cache's line size.
+func writeConfigTables(w io.Writer, core spec.MachineSpec, t *spec.TEA) error {
+	fe, be, m, p := core.Frontend, core.Backend, core.Memory, core.Predictor
+	_, err := fmt.Fprintf(w, `Table I (baseline core, as modelled):
+  3.2GHz, %d-wide fetch/decode/rename/issue, %d-cycle frontend
+  %d-entry ROB, %d-entry RS, %d-wide retire
+  %d execution ports (%d ALU, %d LD, %d LD/ST, %d FP), %d physical registers
+  %d-entry load queue, %d-entry store queue
+  64KB-class TAGE-SC-L (%d tables, loop predictor, statistical corrector)
+  history-based indirect predictor, RAS, %s-entry BTB, %d-entry fetch queue
+  L1I %s/%dw %dcyc, L1D %s/%dw %dcyc, LLC %s/%dw %dcyc, 64B lines
   DDR4-2400R: 2 channels, 4 bank groups x 4 banks, tRP-tCL-tRCD 16-16-16
 
 Table II (TEA thread structures, as modelled):
-  H2P table: 256 entries, 8-way, 3-bit counters, decay every 50k instrs
-  Fill Buffer: 512 uops; Backward Dataflow Walk: ~500 cycles
-  Source List: register bit-vector + 16 memory addresses
-  Block Cache: 512 entries (+256 empty-block tags), 32-bit masks,
-    mask reset every 500k instrs, 8 uops/cycle fetch
-  TEA frontend: 9-cycle latency, shadow RAT, shadow fetch queue
-  Backend partition: 192 RS + 192 physical registers while active
-  Store data cache: 16 half-lines (32B); late limit: 4
-`)
+  H2P table: %d entries, %d-way, %d-bit counters, decay every %s instrs
+  Fill Buffer: %d uops; Backward Dataflow Walk: ~%d cycles
+  Source List: register bit-vector + %d memory addresses
+  Block Cache: %d entries (+%d empty-block tags), 32-bit masks,
+    mask reset every %s instrs, %d uops/cycle fetch
+  TEA frontend: %d-cycle latency, shadow RAT, shadow fetch queue
+  Backend partition: %d RS + %d physical registers while active
+  Store data cache: %d half-lines (32B); late limit: %d
+`,
+		// The frontend adds a cycle each for predict and rename to its
+		// fetch-to-rename depth, TEA's for predict and Block Cache read.
+		fe.Width, fe.FetchToRenameLat+2,
+		be.ROBSize, be.RSSize, fe.RetireWidth,
+		be.Ports(), be.ALUPorts, be.LDPorts, be.LDSTPorts, be.FPPorts, be.NumPRegs,
+		be.LQSize, be.SQSize,
+		p.TageTables,
+		scaled(uint64(p.BTBEntries), 1024, "k"), fe.FetchQueueSize,
+		bytesize(m.L1ISize), m.L1IWays, m.L1Lat, bytesize(m.L1DSize), m.L1DWays, m.L1Lat,
+		bytesize(m.LLCSize), m.LLCWays, m.LLCLat,
+		t.H2PSets*t.H2PWays, t.H2PWays, bits.Len8(t.H2PMax), scaled(t.H2PDecayPeriod, 1000, "k"),
+		t.FillBufSize, t.WalkCycles,
+		t.SourceMemSize,
+		t.BlockCacheEntries(), t.EmptyTagSets*t.EmptyTagWays,
+		scaled(t.MaskResetPeriod, 1000, "k"), t.SegMaxUops,
+		t.FrontLatency+2,
+		t.RSPartition, t.PRPartition,
+		t.StoreCacheLines, t.LateLimit)
+	return err
+}
+
+// scaled prints n in units of unit ("4k" for 4096 in units of 1024), or
+// plainly when it is not a whole number of them.
+func scaled(n, unit uint64, suffix string) string {
+	if n == 0 || n%unit != 0 {
+		return fmt.Sprint(n)
+	}
+	return fmt.Sprint(n/unit) + suffix
+}
+
+// bytesize prints a cache capacity in MB when it is whole MBs, else in KB.
+func bytesize(n int) string {
+	if n%(1<<20) == 0 {
+		return fmt.Sprintf("%dMB", n>>20)
+	}
+	return fmt.Sprintf("%dKB", n>>10)
 }

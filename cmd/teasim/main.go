@@ -5,6 +5,7 @@
 //
 //	teasim -w bfs -mode tea -n 1000000
 //	teasim -w mcf -mode baseline
+//	teasim -w mcf -mode ldbp           # any registered preset (listed by -h)
 //	teasim -w bfs -mode tea -speedup   # run the baseline too (in parallel)
 //	teasim -w bfs -mode tea -paranoia  # per-cycle invariant checking (slow)
 //	teasim -w bfs -mode tea -json -intervals            # machine-readable result
@@ -35,18 +36,6 @@ import (
 	"teasim/tea/spec"
 )
 
-// parseModeArg resolves -mode: the canonical report names via tea.ParseMode
-// plus the historical CLI aliases.
-func parseModeArg(s string) (tea.Mode, error) {
-	switch strings.ToLower(s) {
-	case "dedicated":
-		return tea.ModeTEADedicated, nil
-	case "br":
-		return tea.ModeBranchRunahead, nil
-	}
-	return tea.ParseMode(strings.ToLower(s))
-}
-
 // stringList collects a repeatable string flag.
 type stringList []string
 
@@ -68,7 +57,7 @@ type jsonOutput struct {
 func main() {
 	var (
 		workload = flag.String("w", "bfs", "workload name (see -list)")
-		mode     = flag.String("mode", "tea", "baseline | tea | tea-dedicated | tea-bigengine | runahead | wide16")
+		mode     = flag.String("mode", "tea", "machine preset: "+strings.Join(spec.Presets(), " | "))
 		config   = flag.String("config", "", "machine spec JSON file (overrides -mode)")
 		n        = flag.Uint64("n", 1_000_000, "max instructions to simulate (0 = to completion)")
 		scale    = flag.Int("scale", 1, "workload input scale (0 = tiny)")
@@ -99,14 +88,8 @@ func main() {
 		return
 	}
 
-	m, err := parseModeArg(*mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	cfg := tea.Config{
-		Mode:            m,
+		Mode:            tea.Mode(*mode),
 		Set:             sets,
 		MaxInstructions: *n,
 		Scale:           *scale,
@@ -125,9 +108,10 @@ func main() {
 		}
 		cfg.Spec = &s
 	}
-	// Resolve up front so a bad -config or -set fails with its own message
-	// instead of surfacing mid-run.
-	if _, err := cfg.ResolvedSpec(); err != nil {
+	// Resolve up front so a bad -mode, -config or -set fails with its own
+	// message instead of surfacing mid-run.
+	machine, err := cfg.ResolvedSpec()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -187,7 +171,7 @@ func main() {
 	fmt.Printf("IPC           %.3f\n", res.IPC)
 	fmt.Printf("MPKI          %.2f (cond %d, target %d)\n", res.MPKI,
 		res.CondMispredicts, res.IndMispredicts)
-	if res.Mode != tea.ModeBaseline {
+	if machine.Companion.Kind != spec.CompanionNone {
 		fmt.Printf("accuracy      %.2f%%\n", 100*res.Accuracy)
 		fmt.Printf("coverage      %.1f%% (covered %d, late %d, incorrect %d, uncovered %d)\n",
 			100*res.Coverage, res.Covered, res.Late, res.Incorrect, res.Uncovered)

@@ -39,7 +39,7 @@ func TestCompanionSteadyStateAllocs(t *testing.T) {
 	o := ExpOptions{}.fill()
 	for _, wl := range []string{"mcf", "exchange2"} {
 		for _, kind := range ShootoutKinds() {
-			cfg := kindConfig(t, o, kind)
+			cfg := kindConfig(o, kind)
 			mallocs(wl, cfg, 1_000) // warm the shared program
 			short := mallocs(wl, cfg, 20_000)
 			long := mallocs(wl, cfg, 120_000)
@@ -55,9 +55,11 @@ func TestCompanionSteadyStateAllocs(t *testing.T) {
 
 // TestMemoKeyOfAllocs is an allocation tripwire for the store-hit path: once
 // a preset point's fingerprint is cached, deriving a cell's memo key
-// allocates nothing.
+// allocates nothing, for every registered preset (the shootout's zoo cells
+// included).
 func TestMemoKeyOfAllocs(t *testing.T) {
-	for _, m := range Modes() {
+	for _, name := range spec.Presets() {
+		m := Mode(name)
 		cfg := ExpOptions{MaxInstructions: 10_000}.cfg(m)
 		if _, ok := MemoKeyOf("mcf", cfg); !ok {
 			t.Fatalf("%v: cell not memoizable", m)
@@ -103,14 +105,9 @@ func TestFig8JSONAllocs(t *testing.T) {
 }
 
 // kindConfig is the shootout's cell config for kind, the baseline for none.
-func kindConfig(t *testing.T, o ExpOptions, kind spec.CompanionKind) Config {
-	t.Helper()
+func kindConfig(o ExpOptions, kind spec.CompanionKind) Config {
 	if kind == spec.CompanionNone {
 		return o.cfg(ModeBaseline)
 	}
-	cfg, err := shootoutConfig(o, kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg
+	return o.cfg(Mode(kind))
 }

@@ -62,21 +62,10 @@ func corpusMachines() []corpusMachine {
 	return append(ms, corpusMachine{preset: "tea", set: []string{"companion.no_priority=true"}})
 }
 
-// config builds the cell's run configuration. The six modes run through
-// their Mode (the memo keys every figure uses); the other presets run as a
-// custom spec, like the shootout's zoo kinds.
-func (m corpusMachine) config() (tea.Config, error) {
-	cfg := tea.Config{MaxInstructions: corpusBudget, Set: m.set}
-	if mode, err := tea.ParseMode(m.preset); err == nil {
-		cfg.Mode = mode
-		return cfg, nil
-	}
-	p, err := spec.Preset(m.preset)
-	if err != nil {
-		return tea.Config{}, err
-	}
-	cfg.Spec = &p
-	return cfg, nil
+// config builds the cell's run configuration: the preset by name, as every
+// experiment runs it.
+func (m corpusMachine) config() tea.Config {
+	return tea.Config{Mode: tea.Mode(m.preset), MaxInstructions: corpusBudget, Set: m.set}
 }
 
 // corpusLine is the on-disk form of one cell.
@@ -121,11 +110,7 @@ func (d *eventDigest) Write(p []byte) (int, error) {
 
 // runCorpusCell simulates one cell and renders its corpus line.
 func runCorpusCell(workload string, m corpusMachine) ([]byte, error) {
-	cfg, err := m.config()
-	if err != nil {
-		return nil, err
-	}
-	return renderCorpusLine(workload, m, cfg)
+	return renderCorpusLine(workload, m, m.config())
 }
 
 // renderCorpusLine runs cfg, a run configuration of machine m, on workload

@@ -27,7 +27,7 @@ func countingEngine(workers int) (*Engine, func() map[string]int) {
 		counts[fmt.Sprintf("%s/%s/%d", w, c.Mode, c.MaxInstructions)]++
 		mu.Unlock()
 		// Distinct nonzero cycles keep speedup math finite.
-		return Result{Workload: w, Mode: c.Mode, Cycles: 100 + uint64(c.Mode)}, nil
+		return Result{Workload: w, Mode: c.Mode, Cycles: 100 + presetIndex(c.Mode)}, nil
 	}
 	return e, func() map[string]int {
 		mu.Lock()

@@ -15,6 +15,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,7 +37,7 @@ func stubRun(_ context.Context, w string, cfg tea.Config) (tea.Result, error) {
 		Workload:     w,
 		Mode:         cfg.Mode,
 		SpecHash:     fmt.Sprintf("%016x", fp),
-		Cycles:       uint64(len(w))*1000 + uint64(cfg.Mode)*7 + cfg.MaxInstructions,
+		Cycles:       uint64(len(w))*1000 + uint64(slices.Index(spec.Presets(), cfg.Mode.String()))*7 + cfg.MaxInstructions,
 		Instructions: cfg.MaxInstructions,
 		IPC:          1.25,
 	}, nil
@@ -160,6 +161,7 @@ func TestWireConfigRoundTrip(t *testing.T) {
 			"frontend.fetch_queue_size=64"}},
 		{Mode: tea.ModeTEA, Set: []string{"companion.tea.fill_buf_size=1024"}},
 		{Mode: tea.ModeBaseline, Spec: &custom, MaxInstructions: 2000},
+		{Mode: "ldbp", MaxInstructions: 1000, Scale: 1}, // a zoo preset, by name
 	}
 	for i, cfg := range cfgs {
 		wantFP, err := cfg.SpecFingerprint()
@@ -169,6 +171,9 @@ func TestWireConfigRoundTrip(t *testing.T) {
 		wc, err := EncodeConfig(cfg)
 		if err != nil {
 			t.Fatalf("cfg %d: encode: %v", i, err)
+		}
+		if cfg.Spec == nil && len(wc.Spec) != 0 {
+			t.Errorf("cfg %d: preset %s sent its spec over the wire", i, cfg.Mode)
 		}
 		// Through the wire: the config must survive JSON framing.
 		b, err := json.Marshal(wc)

@@ -170,10 +170,11 @@ type WireCell struct {
 }
 
 // WireConfig is the serializable subset of tea.Config — exactly the fields a
-// memoizable run can carry. The Config is sent faithfully (mode name, the
-// custom spec if any, patches) rather than pre-resolved to a spec, because
-// Result.Mode labeling depends on how the machine was named: a wide16 cell
-// resolved to a bare spec would come back labeled "baseline".
+// memoizable run can carry. The Config is sent faithfully (the preset name,
+// the custom spec if any, patches) rather than pre-resolved to a spec,
+// because the memo key and Result.Mode carry the preset name: a wide16 or
+// ldbp cell resolved to a bare spec would come back keyed as another cell
+// and labeled by its companion kind. A preset cell therefore sends no spec.
 // Non-memoizable configs (telemetry, co-sim, paranoia, fast-path ablations)
 // never cross the wire; the coordinator runs those through its fallback.
 type WireConfig struct {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"teasim/tea"
+	"teasim/tea/spec"
 )
 
 // TestFastPathEquivalence is the fast-path bit-identity contract (DESIGN.md
@@ -18,12 +19,13 @@ import (
 // scheduler's counters, bitmaps and ready lists, the completion ring and the
 // frontend streams from ground truth every cycle and panics at the first
 // disagreement. The run must still reproduce the cell's corpus line byte for
-// byte: every Result field and the trace event digest. All six modes run on
+// byte: every Result field and the trace event digest. Every preset runs on
 // a representative workload pair, and the full workload suite runs in the
 // two headline modes.
 func TestFastPathEquivalence(t *testing.T) {
 	want := readCorpus(t)
-	for _, mode := range tea.Modes() {
+	for _, preset := range spec.Presets() {
+		mode := tea.Mode(preset)
 		for _, name := range []string{"mcf", "bfs"} {
 			t.Run(fmt.Sprintf("%s/%s", name, mode), func(t *testing.T) {
 				t.Parallel()
@@ -46,10 +48,7 @@ func TestFastPathEquivalence(t *testing.T) {
 func checkFastPathEquivalence(t *testing.T, want map[string][]byte, name string, mode tea.Mode) {
 	t.Helper()
 	m := corpusMachine{preset: mode.String()}
-	cfg, err := m.config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := m.config()
 	cfg.DisableIdleSkip = true
 	cfg.Paranoia = true // an invariant violation panics
 	got, err := renderCorpusLine(name, m, cfg)

@@ -8,19 +8,20 @@ import (
 )
 
 // ResolvedSpec resolves the machine point this configuration simulates:
-// Config.Spec (or, when nil, the Mode's preset) with the Set patches applied
-// in order, then validated. The result is what RunContext builds the
+// Config.Spec (or, when nil, the preset the Mode names) with the Set patches
+// applied in order, then validated. The result is what RunContext builds the
 // simulator from and what SpecFingerprint hashes, so two configs resolving
-// to equal specs simulate identical machines. A patch naming a companion
-// section the machine lacks ("companion.tea.only_loops=true" on the
-// baseline) fails here, before anything simulates.
+// to equal specs simulate identical machines. An unknown Mode fails here
+// with the list of presets, and so does a patch naming a companion section
+// the machine lacks ("companion.tea.only_loops=true" on the baseline),
+// before anything simulates.
 func (c Config) ResolvedSpec() (spec.MachineSpec, error) {
 	var s spec.MachineSpec
 	if c.Spec != nil {
 		s = c.Spec.Clone()
 	} else {
 		var err error
-		if s, err = c.Mode.Preset(); err != nil {
+		if s, err = spec.Preset(c.Mode.String()); err != nil {
 			return spec.MachineSpec{}, err
 		}
 	}
@@ -45,7 +46,7 @@ func (c Config) SpecFingerprint() (uint64, error) {
 	cacheable := c.Spec == nil && len(c.Set) == 0
 	if cacheable {
 		presetFingerprints.mu.Lock()
-		fp, ok := presetFingerprints.m[c.Mode]
+		fp, ok := presetFingerprints.m[c.Mode.orBaseline()]
 		presetFingerprints.mu.Unlock()
 		if ok {
 			return fp, nil
@@ -58,7 +59,7 @@ func (c Config) SpecFingerprint() (uint64, error) {
 	fp := s.Fingerprint()
 	if cacheable {
 		presetFingerprints.mu.Lock()
-		presetFingerprints.m[c.Mode] = fp
+		presetFingerprints.m[c.Mode.orBaseline()] = fp
 		presetFingerprints.mu.Unlock()
 	}
 	return fp, nil
@@ -66,7 +67,8 @@ func (c Config) SpecFingerprint() (uint64, error) {
 
 // presetFingerprints caches SpecFingerprint by Mode for the life of the
 // process. Entries never go stale because presets are immutable once
-// registered (spec.Register), and there is one per Mode, so the map needs
+// registered (spec.Register), and there is at most one per registered preset
+// (an unknown Mode fails to resolve and is never cached), so the map needs
 // no bound. TestPresetPointCoversConfig fails when ResolvedSpec starts
 // reading a Config field other than Mode, Spec and Set.
 var presetFingerprints = struct {
@@ -82,21 +84,14 @@ func (c Config) machineName() string {
 	return c.Mode.String()
 }
 
-// effectiveMode returns the Result.Mode label: the configured Mode, or — for
-// a custom spec — the mode whose scheme the spec's companion matches.
-func effectiveMode(c Config, s *spec.MachineSpec) Mode {
-	if c.Spec == nil {
-		return c.Mode
-	}
-	switch s.Companion.Kind {
-	case spec.CompanionTEA:
-		if s.Companion.Dedicated {
-			return ModeTEADedicated
-		}
-		return ModeTEA
-	case spec.CompanionRunahead:
-		return ModeBranchRunahead
-	default:
+// label returns the Result.Mode label of a run that resolved to s: the
+// Mode, or for a custom spec its companion kind ("baseline" for none).
+func (c Config) label(s *spec.MachineSpec) Mode {
+	switch {
+	case c.Spec == nil:
+		return c.Mode.orBaseline()
+	case s.Companion.Kind == spec.CompanionNone:
 		return ModeBaseline
 	}
+	return Mode(s.Companion.Kind)
 }

@@ -35,18 +35,7 @@ func TestParanoiaSuite(t *testing.T) {
 		for _, p := range spec.Presets() {
 			t.Run(fmt.Sprintf("%s/%s", w, p), func(t *testing.T) {
 				t.Parallel()
-				cfg := Config{MaxInstructions: budget, Scale: 1}
-				// The six modes run through their Mode, the zoo kinds as a
-				// custom spec.
-				if m, err := ParseMode(p); err == nil {
-					cfg.Mode = m
-				} else {
-					s, err := spec.Preset(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Spec = &s
-				}
+				cfg := Config{Mode: Mode(p), MaxInstructions: budget, Scale: 1}
 				plain, err := Run(w, cfg)
 				if err != nil {
 					t.Fatalf("unchecked run failed: %v", err)

@@ -8,8 +8,8 @@ import (
 )
 
 // MemoKey identifies one memoizable simulation: the workload, the machine
-// point (the resolved spec's fingerprint, plus the mode for the Result's
-// label), the run budget and the input scale. Two configs that resolve to
+// point (the resolved spec's fingerprint, plus the Config's Mode, which
+// labels a preset run's Result), the run budget and the input scale. Two configs that resolve to
 // the same machine — a preset and the equivalent -set patches, or a
 // hand-edited spec and its patch form — share one key and therefore one
 // simulation. The engine memo, persisted records, the result store, fabric
@@ -34,7 +34,7 @@ func MemoKeyOf(workload string, cfg Config) (key MemoKey, ok bool) {
 	if err != nil {
 		return MemoKey{}, false
 	}
-	return MemoKey{workload, cfg.Mode, Fingerprint(fp), cfg.MaxInstructions, cfg.Scale}, true
+	return MemoKey{workload, cfg.Mode.orBaseline(), Fingerprint(fp), cfg.MaxInstructions, cfg.Scale}, true
 }
 
 // String renders the key's canonical address.

@@ -154,7 +154,7 @@ func TestMemoKeyString(t *testing.T) {
 	for _, k := range []MemoKey{
 		{Workload: "bfs", Mode: ModeTEA, Spec: 0x0629c0a37fa329ab, MaxInstr: 50_000, Scale: 1},
 		{Workload: "mcf", Mode: ModeBaseline, Spec: 0, MaxInstr: 0, Scale: 0},
-		{Workload: strings.Repeat("w", 200), Mode: Mode(99), Spec: 0xffffffffffffffff, MaxInstr: 1<<64 - 1, Scale: -3},
+		{Workload: strings.Repeat("w", 200), Mode: Mode("warp-drive"), Spec: 0xffffffffffffffff, MaxInstr: 1<<64 - 1, Scale: -3},
 	} {
 		want := fmt.Sprintf("%s/%s@%016x/n%d/s%d", k.Workload, k.Mode, uint64(k.Spec), k.MaxInstr, k.Scale)
 		if got := k.String(); got != want {

@@ -259,16 +259,3 @@ func TestPrintMatchesWriteText(t *testing.T) {
 		t.Fatalf("text written after JSON and CSV differs:\nfirst:\n%s\nlast:\n%s", first.Bytes(), last.Bytes())
 	}
 }
-
-func TestModeJSONRoundTrip(t *testing.T) {
-	for _, m := range []Mode{ModeBaseline, ModeTEA, ModeTEADedicated,
-		ModeBranchRunahead, ModeTEABigEngine, ModeWide16} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := ParseMode("warp-drive"); err == nil {
-		t.Fatal("expected error for unknown mode")
-	}
-}

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,9 +30,15 @@ func stubResult(w string, c Config) Result {
 	return Result{
 		Workload:     w,
 		Mode:         c.Mode,
-		Cycles:       uint64(len(w))*1000 + uint64(c.Mode) + 1,
+		Cycles:       uint64(len(w))*1000 + presetIndex(c.Mode) + 1,
 		Instructions: c.MaxInstructions,
 	}
+}
+
+// presetIndex gives each registered preset a distinct number for stub
+// results: its index in spec.Presets.
+func presetIndex(m Mode) uint64 {
+	return uint64(slices.Index(spec.Presets(), m.String()))
 }
 
 func TestJobDeadline(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"teasim/tea"
+	"teasim/tea/spec"
 	"teasim/tea/store"
 )
 
@@ -16,7 +18,7 @@ func stubResult(w string, c tea.Config) tea.Result {
 	return tea.Result{
 		Workload:     w,
 		Mode:         c.Mode,
-		Cycles:       uint64(len(w))*1000 + uint64(c.Mode) + 1,
+		Cycles:       uint64(len(w))*1000 + uint64(slices.Index(spec.Presets(), c.Mode.String())) + 1,
 		Instructions: c.MaxInstructions,
 	}
 }

@@ -359,7 +359,7 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (Request, 
 		case req.Preset != "":
 			m, err := spec.Preset(req.Preset)
 			if err != nil {
-				return req, tea.ExpOptions{}, 0, badRequest("%v (presets: %v)", err, spec.Presets())
+				return req, tea.ExpOptions{}, 0, badRequest("%v", err) // the error lists the presets
 			}
 			opts.Spec = &m
 		}

@@ -32,7 +32,7 @@ func TestSharedProgramIsolation(t *testing.T) {
 	var cells []cell
 	for _, wl := range []string{"bfs", "mcf"} {
 		for _, kind := range ShootoutKinds() {
-			cells = append(cells, cell{wl, kind, kindConfig(t, o, kind)})
+			cells = append(cells, cell{wl, kind, kindConfig(o, kind)})
 		}
 	}
 	want := make([]Result, len(cells))

@@ -23,9 +23,10 @@ type ShootoutRow struct {
 }
 
 // ShootoutKinds returns the companion kinds the shootout compares, in report
-// order: the paper's none/tea/runahead rows first (their cells are
-// bit-identical to the Fig 5/8 cells), then every other registered kind in
-// sorted order. The list is registry-driven — a newly registered companion
+// order: the paper's none/tea/runahead rows first, then every other
+// registered kind in sorted order. Each kind's cells run the preset of the
+// same name (Mode(kind)), so the tea and runahead rows share their memo keys
+// with Fig 5/8. The list is registry-driven — a newly registered companion
 // kind with a same-named preset joins the shootout without touching this
 // package.
 func ShootoutKinds() []spec.CompanionKind {
@@ -41,26 +42,6 @@ func ShootoutKinds() []spec.CompanionKind {
 		}
 	}
 	return kinds
-}
-
-// shootoutConfig builds one kind's cell config. tea and runahead go through
-// their Modes — the exact memo keys Fig 5/8 use, so their rows come from (or
-// seed) the same cache entries; every other kind resolves the preset
-// registered under its own name.
-func shootoutConfig(o ExpOptions, kind spec.CompanionKind) (Config, error) {
-	switch kind {
-	case spec.CompanionTEA:
-		return o.cfg(ModeTEA), nil
-	case spec.CompanionRunahead:
-		return o.cfg(ModeBranchRunahead), nil
-	}
-	p, err := spec.Preset(string(kind))
-	if err != nil {
-		return Config{}, fmt.Errorf("tea: shootout: companion kind %q has no preset: %w", kind, err)
-	}
-	cfg := o.cfg(ModeBaseline)
-	cfg.Spec = &p
-	return cfg, nil
 }
 
 // shootout runs every registered companion kind against the shared
@@ -89,11 +70,7 @@ func shootout(ctx context.Context, o ExpOptions) ([]ShootoutRow, error) {
 	}
 
 	for _, kind := range kinds[1:] {
-		cfg, err := shootoutConfig(o, kind)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := runSpeedups(ctx, o, cfg.Mode, func(Config) Config { return cfg })
+		sp, err := runSpeedups(ctx, o, Mode(kind), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -6,10 +6,10 @@ import (
 )
 
 // presets is the single registry of named machine points. Each entry builds
-// a fresh spec so callers can mutate their copy freely. The six entries
-// mirror the tea.Mode enum one-to-one (the mode's report name is its preset
-// name); new machine points can be registered without touching simulator
-// code.
+// a fresh spec so callers can mutate their copy freely. A tea.Mode is an
+// entry's name, so every registered point runs by name (teasim -mode,
+// Config.Mode) and labels its results with it; new machine points can be
+// registered without touching simulator code.
 var presets = map[string]func() MachineSpec{}
 
 // Register adds a named preset. The builder must return a fresh value on
@@ -138,7 +138,7 @@ func DefaultRunahead() *Runahead {
 }
 
 func init() {
-	// The six paper machine points (one per tea.Mode).
+	// The six paper machine points (tea.ModeBaseline ... tea.ModeWide16).
 	Register("baseline", Baseline)
 	Register("tea", func() MachineSpec {
 		s := Baseline()

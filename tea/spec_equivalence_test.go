@@ -16,21 +16,22 @@ import (
 	"teasim/tea/spec"
 )
 
-// TestSpecModeEquivalence runs the whole suite in every mode twice — once
-// through the Mode preset, once through the explicit preset spec — and
-// requires bit-identical Results (the Mode label is normalized: a custom
-// spec reports the scheme it attaches, not the preset's marketing name).
+// TestSpecModeEquivalence runs the whole suite on every preset twice — once
+// by name, once through the explicit preset spec — and requires
+// bit-identical Results (the Mode label is normalized: a custom spec is
+// labeled by the companion kind it attaches, not by the preset's name).
 func TestSpecModeEquivalence(t *testing.T) {
 	budget := uint64(20_000)
 	for _, name := range tea.Workloads() {
-		for _, mode := range tea.Modes() {
+		for _, p := range spec.Presets() {
+			mode := tea.Mode(p)
 			t.Run(fmt.Sprintf("%s/%s", name, mode), func(t *testing.T) {
 				t.Parallel()
 				byMode, err := tea.Run(name, tea.Config{Mode: mode, MaxInstructions: budget})
 				if err != nil {
 					t.Fatalf("mode run: %v", err)
 				}
-				preset, err := mode.Preset()
+				preset, err := spec.Preset(p)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -65,10 +65,11 @@ type envelope struct {
 	Rec tea.JournalRecord `json:"rec"`
 }
 
-// entry is one indexed result.
+// entry is one indexed result and its write time: exact for a Put of this
+// process, to the second for a line read from disk.
 type entry struct {
 	rec tea.JournalRecord
-	at  int64
+	at  time.Time
 }
 
 // shard is one index partition with its backing file.
@@ -203,11 +204,11 @@ func (s *Store) load(path string) error {
 		sh := s.shardOf(key)
 		if have, ok := sh.index[key]; ok {
 			superseded++ // one of the two lines is shadowed
-			if have.at > env.At {
+			if have.at.Unix() > env.At {
 				continue
 			}
 		}
-		sh.index[key] = entry{rec: env.Rec, at: env.At}
+		sh.index[key] = entry{rec: env.Rec, at: time.Unix(env.At, 0)}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("store: load %s: %w", path, err)
@@ -219,10 +220,10 @@ func (s *Store) load(path string) error {
 	return nil
 }
 
-// fresh reports whether an entry written at unix second `at` is still within
-// the TTL.
-func (s *Store) fresh(at int64) bool {
-	return s.ttl == 0 || s.now().Unix()-at < int64(s.ttl/time.Second)
+// fresh reports whether an entry written at `at` is still within the TTL.
+// The age is a Duration, so a TTL under a second works.
+func (s *Store) fresh(at time.Time) bool {
+	return s.ttl == 0 || s.now().Sub(at) < s.ttl
 }
 
 // Get returns the stored result for a key, if present and fresh.
@@ -263,8 +264,8 @@ func (s *Store) Put(rec tea.JournalRecord) error {
 		return fmt.Errorf("store: put: %w", err)
 	}
 	key := sealed.MemoKey
-	at := s.now().Unix()
-	line, err := json.Marshal(envelope{At: at, Rec: sealed})
+	at := s.now()
+	line, err := json.Marshal(envelope{At: at.Unix(), Rec: sealed})
 	if err != nil {
 		return fmt.Errorf("store: put: %w", err)
 	}
@@ -339,7 +340,7 @@ func (s *Store) Compact() (CompactStats, error) {
 				cs.Expired++
 				continue
 			}
-			kept = append(kept, envelope{At: ent.at, Rec: ent.rec})
+			kept = append(kept, envelope{At: ent.at.Unix(), Rec: ent.rec})
 		}
 		err := s.rewriteShard(i, sh, kept)
 		sh.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"teasim/tea"
+	"teasim/tea/spec"
 )
 
 // testRec builds a distinct record for index i.
@@ -282,6 +283,40 @@ func TestStoreTTLAndCompaction(t *testing.T) {
 	}
 }
 
+// TestStoreSubSecondTTL checks that a TTL under a second serves fresh
+// entries: ages are durations, counted from the write, not whole seconds.
+func TestStoreSubSecondTTL(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
+	s, err := Open(t.TempDir(), Options{Shards: 1, TTL: 500 * time.Millisecond, Now: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put(testRec(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(testRec(0).MemoKey); !ok {
+		t.Fatal("entry missed in the second it was written")
+	}
+	// Written 700 ms into a second and read 200 ms later: fresh, although
+	// the line on disk records only the second.
+	now = now.Add(700 * time.Millisecond)
+	if err := s.Put(testRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(200 * time.Millisecond)
+	if _, ok := s.Get(testRec(1).MemoKey); !ok {
+		t.Fatal("entry missed 200 ms after it was written")
+	}
+	now = time.Unix(1_000_001, 0)
+	if _, ok := s.Get(testRec(0).MemoKey); ok {
+		t.Fatal("entry served a second after it was written")
+	}
+	if st := s.Stats(); st.Expired != 1 {
+		t.Fatalf("expired counter = %d, want 1", st.Expired)
+	}
+}
+
 func TestStoreNewestWins(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1_000_000, 0)
@@ -440,9 +475,9 @@ func TestShardOfLayout(t *testing.T) {
 	}
 	defer s.Close()
 	for _, wl := range []string{"bfs", "mcf", "xz", "omnetpp"} {
-		for _, mode := range tea.Modes() {
+		for _, preset := range spec.Presets() {
 			for _, n := range []uint64{10_000, 1_000_000} {
-				k := tea.MemoKey{Workload: wl, Mode: mode, Spec: 0x0629c0a37fa329ab, MaxInstr: n, Scale: 1}
+				k := tea.MemoKey{Workload: wl, Mode: tea.Mode(preset), Spec: 0x0629c0a37fa329ab, MaxInstr: n, Scale: 1}
 				h := fnv.New64a()
 				fmt.Fprintf(h, "%s/%s@%016x/n%d/s%d", k.Workload, k.Mode, uint64(k.Spec), k.MaxInstr, k.Scale)
 				if s.shardOf(k) != s.shards[h.Sum64()%uint64(len(s.shards))] {

@@ -36,7 +36,9 @@ import (
 
 // Config controls one simulation run.
 type Config struct {
-	// Mode names the machine preset to simulate (ignored when Spec is set).
+	// Mode names the registered preset to simulate (spec.Presets; the zero
+	// Mode is "baseline"). With a Spec it no longer picks the machine, but
+	// it still keys the run's memo entry (MemoKey).
 	Mode Mode
 
 	// Spec, when non-nil, replaces the Mode's preset with a custom machine
@@ -121,11 +123,13 @@ func (c Config) Memoizable() bool {
 }
 
 // Result reports one run's performance and precomputation metrics. It
-// marshals to JSON with snake_case keys (and the Mode as its report name),
-// so results can be piped straight into plotting scripts.
+// marshals to JSON with snake_case keys, so results can be piped straight
+// into plotting scripts.
 type Result struct {
 	Workload string `json:"workload"`
-	Mode     Mode   `json:"mode"`
+	// Mode labels the machine: the preset the Config named, or for a custom
+	// spec its companion kind ("baseline" for none).
+	Mode Mode `json:"mode"`
 	// SpecHash is the resolved machine spec's fingerprint (hex), tying the
 	// result to the exact machine point that produced it.
 	SpecHash string `json:"spec_hash,omitempty"`
@@ -247,7 +251,7 @@ func runContext(ctx context.Context, workload string, cfg Config,
 	if err != nil {
 		return Result{}, err
 	}
-	mode := effectiveMode(cfg, &machine)
+	mode := cfg.label(&machine)
 	prog := program(w, cfg.Scale)
 
 	pcfg := pipeline.ConfigFromSpec(&machine)

@@ -149,6 +149,7 @@ func TestStructureOverridesApply(t *testing.T) {
 
 func TestModeString(t *testing.T) {
 	names := map[tea.Mode]string{
+		"":                     "baseline",
 		tea.ModeBaseline:       "baseline",
 		tea.ModeTEA:            "tea",
 		tea.ModeTEADedicated:   "tea-dedicated",
@@ -156,7 +157,7 @@ func TestModeString(t *testing.T) {
 	}
 	for m, want := range names {
 		if m.String() != want {
-			t.Fatalf("%d.String() = %q", int(m), m.String())
+			t.Fatalf("Mode(%q).String() = %q, want %q", string(m), m.String(), want)
 		}
 	}
 }

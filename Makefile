@@ -26,8 +26,17 @@ lint:
 # Tier 2: static analysis plus the full suite under the race detector.
 # Includes TestEngineDeterminismAcrossWorkers, which drives real simulations
 # through the 8-worker pool and compares rows against a sequential run.
+# go test's -timeout applies to each package binary, and the tea package's
+# corpus, equivalence and paranoia suites take most of its race run, so
+# ./tea runs as two complementary commands: those four tests, then every
+# other test (-skip). Each command gets the whole timeout, and every test
+# still runs once.
+TEA_RACE_HEAVY = ^(TestGoldenCorpus|TestFastPathEquivalence|TestSpecModeEquivalence|TestParanoiaSuite)$$
 tier2:
-	$(GO) vet ./... && $(GO) test -race -timeout 30m ./...
+	$(GO) vet ./...
+	$(GO) test -race -timeout 30m $$($(GO) list ./... | grep -vx teasim/tea)
+	$(GO) test -race -timeout 30m -run '$(TEA_RACE_HEAVY)' ./tea
+	$(GO) test -race -timeout 30m -skip '$(TEA_RACE_HEAVY)' ./tea
 
 race: tier2
 

@@ -10,7 +10,7 @@ import (
 // (predict + train, occasional recover) — the hot path of the decoupled
 // frontend.
 func BenchmarkPredictTrainLoop(b *testing.B) {
-	p := New()
+	p := newTableI()
 	in := &isa.Inst{Op: isa.OpBne, Imm: 0x2000}
 	rng := uint32(7)
 	b.ReportAllocs()
@@ -30,8 +30,8 @@ func BenchmarkPredictTrainLoop(b *testing.B) {
 // BenchmarkHistoryPush measures speculative history maintenance (one push
 // updates every registered folded view).
 func BenchmarkHistoryPush(b *testing.B) {
-	p := New() // registers all TAGE/ITTAGE/SC folds
-	h := p.Hist
+	p := newTableI() // registers all TAGE/ITTAGE/SC folds
+	h := &p.Hist
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,8 +41,8 @@ func BenchmarkHistoryPush(b *testing.B) {
 
 // BenchmarkCheckpointSaveRestore measures flush-recovery cost.
 func BenchmarkCheckpointSaveRestore(b *testing.B) {
-	p := New()
-	h := p.Hist
+	p := newTableI()
+	h := &p.Hist
 	for i := 0; i < 100; i++ {
 		h.Push(i&1 == 0)
 	}

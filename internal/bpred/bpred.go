@@ -6,58 +6,48 @@ import (
 	"teasim/internal/isa"
 )
 
-// Config sets the predictor-stack geometry (defaults = Table I). Zero
-// fields select their defaults, so the zero value is the Table I predictor.
+// Config sets the predictor-stack geometry. Every field is required:
+// pipeline.ConfigFromSpec fills it from a machine spec's predictor section,
+// whose baseline preset holds the Table I values.
 type Config struct {
-	// TageTables is the number of tagged TAGE tables (1..12; default 12).
-	// Fewer tables use the first TageTables geometric history lengths.
+	// TageTables is the number of tagged TAGE tables (1..12).
 	TageTables int
-	// TageHistLens overrides the geometric history lengths (len must equal
-	// TageTables, each at most MaxFoldLen; nil = the default 4..1270 series
-	// truncated to TageTables).
+	// TageHistLens holds the tables' geometric history lengths (len must
+	// equal TageTables, each in 1..MaxFoldLen).
 	TageHistLens []uint32
-	// BTBEntries/BTBWays set the branch target buffer geometry (default
-	// 4096 entries, 4-way; the set count must be a power of two).
+	// BTBEntries/BTBWays set the branch target buffer geometry (the set
+	// count must be a power of two).
 	BTBEntries int
 	BTBWays    int
-	// RASEntries sets the return address stack depth (default 64).
+	// RASEntries sets the return address stack depth.
 	RASEntries int
 }
 
-// normalize fills zero fields with their defaults and rejects geometry the
-// implementation cannot index.
-func (c Config) normalize() Config {
-	if c.TageTables == 0 {
-		c.TageTables = nTables
-	}
+// check rejects geometry the implementation cannot index, zero fields
+// included. spec.Validate holds a machine spec to the same rules, so a
+// failure here is a caller's bug.
+func (c *Config) check() {
 	if c.TageTables < 1 || c.TageTables > nTables {
 		panic(fmt.Sprintf("bpred: TageTables %d out of range [1,%d]", c.TageTables, nTables))
-	}
-	if c.TageHistLens == nil {
-		c.TageHistLens = defaultHistLens[:c.TageTables]
 	}
 	if len(c.TageHistLens) != c.TageTables {
 		panic(fmt.Sprintf("bpred: %d history lengths for %d TAGE tables", len(c.TageHistLens), c.TageTables))
 	}
 	for _, l := range c.TageHistLens {
-		if l > MaxFoldLen {
-			panic(fmt.Sprintf("bpred: TAGE history length %d above %d", l, MaxFoldLen))
+		if l < 1 || l > MaxFoldLen {
+			panic(fmt.Sprintf("bpred: TAGE history length %d outside [1,%d]", l, MaxFoldLen))
 		}
 	}
-	if c.BTBEntries == 0 {
-		c.BTBEntries = btbEntries
-	}
-	if c.BTBWays == 0 {
-		c.BTBWays = btbWays
+	if c.BTBWays < 1 {
+		panic(fmt.Sprintf("bpred: BTBWays %d not positive", c.BTBWays))
 	}
 	sets := c.BTBEntries / c.BTBWays
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("bpred: BTB set count %d not a power of two (entries %d / ways %d)", sets, c.BTBEntries, c.BTBWays))
 	}
-	if c.RASEntries == 0 {
-		c.RASEntries = rasEntries
+	if c.RASEntries < 1 {
+		panic(fmt.Sprintf("bpred: RASEntries %d not positive", c.RASEntries))
 	}
-	return c
 }
 
 // Predictor is the full decoupled prediction stack: TAGE-SC-L conditional
@@ -76,33 +66,34 @@ func (c Config) normalize() Config {
 //     state to just before the branch and re-applies the branch with its
 //     true outcome.
 //  3. At retirement call Train exactly once per branch.
+//
+// The components read the folded views of Hist through a pointer, so a
+// Predictor is used in place, never copied.
 type Predictor struct {
-	Hist *History
-	tage *tage
-	sc   *scorr
-	loop *loopPred
-	it   *ittage
-	BTB  *BTB
-	RAS  *RAS
+	Hist History
+	BTB  BTB
+	RAS  RAS
+
+	tage tage
+	sc   scorr
+	loop loopPred
+	it   ittage
 }
 
-// New constructs the predictor stack with Table I parameters.
-func New() *Predictor { return NewWithConfig(Config{}) }
-
-// NewWithConfig constructs the predictor stack with the given geometry
-// (zero fields = Table I defaults).
+// NewWithConfig constructs the predictor stack with the given geometry.
+// Everything but the config-sized tables lives in the one Predictor value:
+// building it allocates that value, the tagged TAGE tables' backing slice,
+// the BTB's entries and the RAS's stack.
 func NewWithConfig(cfg Config) *Predictor {
-	cfg = cfg.normalize()
-	h := &History{}
-	return &Predictor{
-		Hist: h,
-		tage: newTAGE(h, cfg.TageTables, cfg.TageHistLens),
-		sc:   newSC(h),
-		loop: &loopPred{},
-		it:   newITTAGE(h),
-		BTB:  newBTB(cfg.BTBEntries, cfg.BTBWays),
-		RAS:  newRAS(cfg.RASEntries),
+	cfg.check()
+	p := &Predictor{
+		BTB: newBTB(cfg.BTBEntries, cfg.BTBWays),
+		RAS: newRAS(cfg.RASEntries),
 	}
+	p.tage.init(&p.Hist, cfg.TageTables, cfg.TageHistLens)
+	p.sc.init(&p.Hist)
+	p.it.init(&p.Hist)
+	return p
 }
 
 // Snapshot bundles all speculative predictor state for one branch.

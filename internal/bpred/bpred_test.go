@@ -4,7 +4,28 @@ import (
 	"testing"
 
 	"teasim/internal/isa"
+	"teasim/tea/spec"
 )
+
+// tableI is the Table I predictor geometry, read from the baseline preset
+// the way pipeline.ConfigFromSpec reads it.
+func tableI() Config {
+	s, err := spec.Preset("baseline")
+	if err != nil {
+		panic(err)
+	}
+	p := s.Predictor
+	return Config{
+		TageTables:   p.TageTables,
+		TageHistLens: p.TageHistLens,
+		BTBEntries:   p.BTBEntries,
+		BTBWays:      p.BTBWays,
+		RASEntries:   p.RASEntries,
+	}
+}
+
+// newTableI builds the Table I predictor.
+func newTableI() *Predictor { return NewWithConfig(tableI()) }
 
 // drive runs the predictor protocol sequentially (predict → recover on
 // mispredict → train) for a conditional branch outcome stream and returns
@@ -47,7 +68,7 @@ func accuracyTail(p *Predictor, pcs []uint64, outs []bool, tgts []uint64, warm i
 }
 
 func TestTAGELearnsAlternating(t *testing.T) {
-	p := New()
+	p := newTableI()
 	pcs, outs, tgts := condStream(2000, 0x1000, 0x2000, func(i int) bool { return i%2 == 0 })
 	if acc := accuracyTail(p, pcs, outs, tgts, 500); acc < 0.99 {
 		t.Fatalf("alternating accuracy = %.3f", acc)
@@ -55,7 +76,7 @@ func TestTAGELearnsAlternating(t *testing.T) {
 }
 
 func TestTAGELearnsPeriodicPattern(t *testing.T) {
-	p := New()
+	p := newTableI()
 	pcs, outs, tgts := condStream(4000, 0x1000, 0x2000, func(i int) bool { return i%7 == 3 })
 	if acc := accuracyTail(p, pcs, outs, tgts, 1500); acc < 0.98 {
 		t.Fatalf("period-7 accuracy = %.3f", acc)
@@ -65,7 +86,7 @@ func TestTAGELearnsPeriodicPattern(t *testing.T) {
 func TestTAGELearnsCorrelatedBranches(t *testing.T) {
 	// Branch B's outcome equals branch A's previous outcome: requires
 	// global history, impossible for a bimodal predictor.
-	p := New()
+	p := newTableI()
 	var pcs []uint64
 	var outs []bool
 	var tgts []uint64
@@ -106,7 +127,7 @@ func TestTAGELearnsCorrelatedBranches(t *testing.T) {
 }
 
 func TestLoopPredictorFixedTrip(t *testing.T) {
-	p := New()
+	p := newTableI()
 	// A loop branch taken 39 times then not-taken, repeatedly. TAGE alone
 	// handles trips within history length; this trip (40) fits too, so
 	// verify overall accuracy is near-perfect after warmup.
@@ -134,7 +155,7 @@ func TestLoopPredictorFixedTrip(t *testing.T) {
 func TestLongLoopBeyondTAGEHistory(t *testing.T) {
 	// Trip count 2000 exceeds every TAGE history length; only the loop
 	// predictor can catch the exit.
-	p := New()
+	p := newTableI()
 	trip := 2000
 	var outs []bool
 	for rep := 0; rep < 8; rep++ {
@@ -159,7 +180,8 @@ func TestLongLoopBeyondTAGEHistory(t *testing.T) {
 }
 
 func TestBTBInsertLookupEvict(t *testing.T) {
-	b := &BTB{}
+	cfg := tableI()
+	b := newBTB(cfg.BTBEntries, cfg.BTBWays)
 	b.Insert(0x1000, 0x2000, KindCond, false)
 	if tgt, kind, _, ok := b.Lookup(0x1000); !ok || tgt != 0x2000 || kind != KindCond {
 		t.Fatalf("lookup after insert: %x %v %v", tgt, kind, ok)
@@ -168,21 +190,22 @@ func TestBTBInsertLookupEvict(t *testing.T) {
 		t.Fatal("phantom hit")
 	}
 	// Fill one set beyond capacity; oldest entry must be evicted.
-	setStride := uint64(btbSets * 4) // PCs mapping to the same set
-	for i := uint64(1); i <= btbWays; i++ {
+	ways := uint64(cfg.BTBWays)
+	setStride := uint64(cfg.BTBEntries/cfg.BTBWays) * 4 // PCs mapping to the same set
+	for i := uint64(1); i <= ways; i++ {
 		b.Insert(0x1000+i*setStride, 0x3000, KindDirect, false)
 	}
 	if _, _, _, ok := b.Lookup(0x1000); ok {
 		t.Fatal("LRU eviction did not happen")
 	}
 	// Most recently inserted must survive.
-	if _, _, _, ok := b.Lookup(0x1000 + btbWays*setStride); !ok {
+	if _, _, _, ok := b.Lookup(0x1000 + ways*setStride); !ok {
 		t.Fatal("newest entry evicted")
 	}
 }
 
 func TestRASPushPopRestore(t *testing.T) {
-	r := &RAS{}
+	r := newRAS(tableI().RASEntries)
 	r.Push(0x100)
 	r.Push(0x200)
 	ck := r.Save()
@@ -206,7 +229,7 @@ func TestRASPushPopRestore(t *testing.T) {
 }
 
 func TestRASRepairsOverwrite(t *testing.T) {
-	r := &RAS{}
+	r := newRAS(tableI().RASEntries)
 	r.Push(0xAAA)
 	ck := r.Save()
 	// Wrong path pops the entry then pushes garbage over it.
@@ -262,7 +285,7 @@ func TestHistoryCheckpointEqualsReplay(t *testing.T) {
 }
 
 func TestITTAGELearnsHistoryDependentTarget(t *testing.T) {
-	p := New()
+	p := newTableI()
 	// An indirect branch whose target depends on the direction of the
 	// preceding conditional branch.
 	condPC, indPC := uint64(0x1000), uint64(0x1100)
@@ -307,7 +330,7 @@ func TestITTAGELearnsHistoryDependentTarget(t *testing.T) {
 }
 
 func TestReturnPredictionViaRAS(t *testing.T) {
-	p := New()
+	p := newTableI()
 	callPC, retPC := uint64(0x1000), uint64(0x3000)
 	fn := uint64(0x3000 - 0x100)
 	_ = fn
@@ -345,7 +368,7 @@ func TestPredictorRecoverConsistency(t *testing.T) {
 	// After a Recover, the predictor's speculative state must equal the
 	// state of a twin predictor that predicted the same branch correctly
 	// (i.e., applied the actual outcome directly).
-	a, b := New(), New()
+	a, b := newTableI(), newTableI()
 	// Warm the BTB so the branch is visible to both.
 	warm := func(p *Predictor) {
 		pr := p.Predict(0x1000)
@@ -378,7 +401,7 @@ func TestPredictorRecoverConsistency(t *testing.T) {
 }
 
 func TestBTBMissImplicitNotTaken(t *testing.T) {
-	p := New()
+	p := newTableI()
 	pred := p.Predict(0x9000)
 	if pred.BTBHit || pred.Taken {
 		t.Fatalf("cold predict should be BTB miss: %+v", pred)
@@ -392,7 +415,8 @@ func TestBTBMissImplicitNotTaken(t *testing.T) {
 }
 
 func TestBTBStoresKindAndCallFlag(t *testing.T) {
-	b := &BTB{}
+	cfg := tableI()
+	b := newBTB(cfg.BTBEntries, cfg.BTBWays)
 	b.Insert(0x100, 0x500, KindIndirect, true)
 	tgt, kind, isCall, ok := b.Lookup(0x100)
 	if !ok || tgt != 0x500 || kind != KindIndirect || !isCall {
@@ -425,7 +449,7 @@ func TestKindOfMapping(t *testing.T) {
 }
 
 func TestRASDeepNesting(t *testing.T) {
-	r := &RAS{}
+	r := newRAS(tableI().RASEntries)
 	// Push a call chain deeper than any sensible program nests, within
 	// capacity, and unwind it exactly.
 	for i := uint64(1); i <= 40; i++ {
@@ -464,7 +488,7 @@ func TestHistorySaveIsolation(t *testing.T) {
 func TestPredictorBTBMissIsInvisibleToHistory(t *testing.T) {
 	// Predicting a BTB-missing branch must leave all speculative state
 	// untouched (the BP "does not see" it).
-	p := New()
+	p := newTableI()
 	pathBefore := p.Hist.Path()
 	var foldsBefore []uint32
 	for i := 0; i < p.Hist.NumFolds(); i++ {
@@ -481,5 +505,23 @@ func TestPredictorBTBMissIsInvisibleToHistory(t *testing.T) {
 		if p.Hist.Fold(i) != foldsBefore[i] {
 			t.Fatal("folded history changed on BTB miss")
 		}
+	}
+}
+
+// maxConstructAllocs bounds building a Table I predictor: the Predictor
+// value, the tagged TAGE tables' backing slice, the BTB's entries and the
+// RAS's stack.
+const maxConstructAllocs = 4
+
+// builtPredictor keeps each constructed predictor reachable, so the
+// compiler cannot elide the allocations the test counts.
+var builtPredictor *Predictor
+
+func TestPredictorConstructAllocs(t *testing.T) {
+	cfg := tableI()
+	n := testing.AllocsPerRun(20, func() { builtPredictor = NewWithConfig(cfg) })
+	t.Logf("NewWithConfig(Table I): %.0f allocations", n)
+	if n > maxConstructAllocs {
+		t.Errorf("NewWithConfig(Table I) makes %.0f allocations, want <= %d", n, maxConstructAllocs)
 	}
 }

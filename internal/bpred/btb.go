@@ -1,18 +1,12 @@
 package bpred
 
-// BTB: 4k-entry, 4-way set-associative branch target buffer (Table I). The
-// decoupled branch predictor only "sees" branches that hit in the BTB; a
-// branch missing from the BTB is implicitly predicted not-taken and is
-// inserted when it resolves. The entry records the branch kind so the
+// BTB: set-associative branch target buffer (4k entries, 4-way in Table
+// I). The decoupled branch predictor only "sees" branches that hit in the
+// BTB; a branch missing from the BTB is implicitly predicted not-taken and
+// is inserted when it resolves. The entry records the branch kind so the
 // predictor stack knows which component to consult.
 
 import "teasim/internal/isa"
-
-const (
-	btbEntries = 4096
-	btbWays    = 4
-	btbSets    = btbEntries / btbWays
-)
 
 // BranchKind classifies a branch for the prediction stack.
 type BranchKind uint8
@@ -39,17 +33,17 @@ func KindOf(in *isa.Inst) BranchKind {
 	}
 }
 
+// Field order keeps a btbEntry at 16 bytes.
 type btbEntry struct {
-	valid  bool
-	tag    uint32
 	target uint64 // last-seen target (static for direct branches)
+	tag    uint32
+	valid  bool
 	kind   BranchKind
 	isCall bool
 	lru    uint8
 }
 
-// BTB is the branch target buffer. The zero value lazily adopts the Table I
-// geometry on first use; newBTB builds a custom geometry.
+// BTB is the branch target buffer, built by newBTB.
 type BTB struct {
 	entries  []btbEntry // sets × ways, flat
 	ways     int
@@ -58,25 +52,18 @@ type BTB struct {
 }
 
 // newBTB builds a BTB with the given geometry (the set count must be a
-// power of two; Config.normalize enforces this).
-func newBTB(entries, ways int) *BTB {
+// power of two; Config.check enforces this).
+func newBTB(entries, ways int) BTB {
 	sets := entries / ways
 	shift := uint(2)
 	for s := sets; s > 1; s >>= 1 {
 		shift++
 	}
-	return &BTB{
+	return BTB{
 		entries:  make([]btbEntry, sets*ways),
 		ways:     ways,
 		setMask:  uint32(sets - 1),
 		tagShift: shift,
-	}
-}
-
-// ensure backfills the default geometry for zero-value BTBs.
-func (b *BTB) ensure() {
-	if b.entries == nil {
-		*b = *newBTB(btbEntries, btbWays)
 	}
 }
 
@@ -88,7 +75,6 @@ func (b *BTB) set(pc uint64) ([]btbEntry, uint32) {
 
 // Lookup returns the entry for pc, if present.
 func (b *BTB) Lookup(pc uint64) (target uint64, kind BranchKind, isCall, ok bool) {
-	b.ensure()
 	ws, tag := b.set(pc)
 	for w := range ws {
 		e := &ws[w]
@@ -102,7 +88,6 @@ func (b *BTB) Lookup(pc uint64) (target uint64, kind BranchKind, isCall, ok bool
 
 // Insert records (or updates) a branch.
 func (b *BTB) Insert(pc, target uint64, kind BranchKind, isCall bool) {
-	b.ensure()
 	ws, tag := b.set(pc)
 	victim, oldest := 0, uint8(0)
 	for w := range ws {

@@ -18,42 +18,54 @@ const historyBits = 4096
 // in-flight window (see historyBits).
 const MaxFoldLen = historyBits / 2
 
-// folded is an incrementally maintained folded (compressed) history
-// register, as used by TAGE (Seznec). A history of origLen bits is folded
-// by XOR into compLen bits.
+// folded is the geometry of one incrementally maintained folded
+// (compressed) history register, as used by TAGE (Seznec): a history of
+// origLen bits folded by XOR into compLen bits. The register's value lives
+// in History.comps, apart from its constants, so that a snapshot and a
+// restore copy one fixed array.
 type folded struct {
-	comp     uint32
-	compLen  uint32
-	origLen  uint32
-	outPoint uint32 // origLen % compLen
-	mask     uint32 // 1<<compLen - 1
+	origLen uint32
+	compLen uint32 // 1..31
+	outBit  uint32 // 1 << (origLen % compLen): where the outgoing bit folds in
+	mask    uint32 // 1<<compLen - 1
 }
 
 func newFolded(origLen, compLen uint32) folded {
+	if compLen == 0 || compLen > 31 {
+		panic("bpred: folded width outside 1..31 bits")
+	}
 	return folded{compLen: compLen, origLen: origLen,
-		outPoint: origLen % compLen, mask: 1<<compLen - 1}
+		outBit: 1 << (origLen % compLen), mask: 1<<compLen - 1}
 }
 
-// update shifts in newBit and removes oldBit (the bit that just moved past
-// origLen in the global history).
-func (f *folded) update(newBit, oldBit uint32) {
-	f.comp = (f.comp << 1) | newBit
-	f.comp ^= oldBit << f.outPoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= f.mask
+// update returns comp with newBit shifted in and oldBit (the bit that just
+// moved past origLen in the global history) removed. The precomputed
+// outBit places oldBit with an AND instead of a shift, and compLen is below
+// 32, so masking its shift count with 31 changes nothing; it lets the
+// compiler drop the guard Go puts on variable shifts of 32 or more.
+func (f *folded) update(comp, newBit, oldBit uint32) uint32 {
+	comp = comp<<1 | newBit
+	comp ^= f.outBit & -oldBit
+	comp ^= comp >> (f.compLen & 31)
+	return comp & f.mask
 }
 
 // unupdate is the exact inverse of update: given the same newBit/oldBit pair,
 // it recovers the pre-update comp. Derivation: update computes
-// u = (comp<<1)|newBit, then t = u ^ oldBit<<outPoint, then folds the
-// overflow bit (t>>compLen, which equals comp's old top bit) into bit 0 and
-// masks. All three steps are invertible because newBit and oldBit are known
-// at rewind time (they are still in the circular history buffer).
-func (f *folded) unupdate(newBit, oldBit uint32) {
-	x := f.comp ^ (oldBit << f.outPoint) // = (u & mask) ^ top
-	top := (x & 1) ^ newBit              // u's bit 0 is newBit
-	f.comp = ((x ^ top) | (top << f.compLen)) >> 1
+// u = (comp<<1)|newBit, then t = u ^ oldBit<<(origLen%compLen), then folds
+// the overflow bit (t>>compLen, which equals comp's old top bit) into bit 0
+// and masks. All three steps are invertible because newBit and oldBit are
+// known at rewind time (they are still in the circular history buffer).
+func (f *folded) unupdate(comp, newBit, oldBit uint32) uint32 {
+	x := comp ^ f.outBit&-oldBit // = (u & mask) ^ top
+	top := x&1 ^ newBit          // u's bit 0 is newBit
+	return (x ^ top | top<<(f.compLen&31)) >> 1
 }
+
+// maxFolds bounds the number of folded views so the folds and their
+// snapshots are fixed, allocation-free arrays (48 covers TAGE 12×3 +
+// ITTAGE 2×2 + SC 3).
+const maxFolds = 48
 
 // History is the speculative global branch history: a circular bit buffer
 // with registered folded views, plus a path-history register. All speculative
@@ -86,7 +98,11 @@ type History struct {
 	snapHead int // ring index of the next snapshot write
 	snapLen  int // live snapshots (newest at snapHead-1)
 
-	folds []folded
+	// comps[i] is the value of the folded view folds[i]; the first nFolds
+	// entries of each are registered.
+	comps  [maxFolds]uint32
+	folds  [maxFolds]folded
+	nFolds int
 }
 
 // snapPeriod is the push distance between fold snapshots; snapRing sizes the
@@ -108,27 +124,30 @@ type histSnap struct {
 // RegisterFold adds a folded view of the most recent origLen history bits
 // compressed to compLen bits and returns its handle.
 func (h *History) RegisterFold(origLen, compLen uint32) int {
-	if len(h.folds) >= maxFolds {
+	if h.nFolds >= maxFolds {
 		panic("bpred: too many folded histories; raise maxFolds")
 	}
-	h.folds = append(h.folds, newFolded(origLen, compLen))
-	return len(h.folds) - 1
+	h.folds[h.nFolds] = newFolded(origLen, compLen)
+	h.nFolds++
+	return h.nFolds - 1
 }
 
 // Fold returns the current folded value of the registered view.
-func (h *History) Fold(i int) uint32 { return h.folds[i].comp }
+func (h *History) Fold(i int) uint32 { return h.comps[i] }
 
 // Path returns the path-history register.
 func (h *History) Path() uint32 { return h.path }
 
-// bitAt returns history bit at distance i (0 = most recently pushed).
-func (h *History) bitAt(i uint32) uint32 {
-	pos := (h.ptr - 1 - i) & (historyBits - 1)
-	return uint32(h.bits[pos/64]>>(pos%64)) & 1
+// bitAt returns the history bit at distance i behind ptr (0 = the bit
+// pushed just before ptr). pos is in range already; masking the word index
+// as well lets the compiler drop its bounds check.
+func (h *History) bitAt(ptr, i uint32) uint32 {
+	pos := (ptr - 1 - i) & (historyBits - 1)
+	return uint32(h.bits[pos/64&(historyBits/64-1)]>>(pos%64)) & 1
 }
 
 func (h *History) setBit(pos, b uint32) {
-	word, off := pos/64, pos%64
+	word, off := pos/64&(historyBits/64-1), pos%64
 	h.bits[word] = (h.bits[word] &^ (1 << off)) | (uint64(b) << off)
 }
 
@@ -138,22 +157,38 @@ func (h *History) Push(bit bool) {
 	if bit {
 		nb = 1
 	}
-	h.setBit(h.ptr&(historyBits-1), nb)
-	h.ptr = (h.ptr + 1) & (historyBits - 1)
+	h.setBit(h.ptr, nb)
+	h.foldIn(nb)
+	if h.pushes&(snapPeriod-1) == 0 {
+		h.snapshot()
+	}
+}
+
+// replayPush re-applies one already-recorded push: the bit is read back from
+// the circular buffer (Push wrote it there and nothing has overwritten it
+// within the buffer's margin) instead of being provided by the caller.
+func (h *History) replayPush() {
+	h.foldIn(uint32(h.bits[h.ptr/64&(historyBits/64-1)]>>(h.ptr%64)) & 1)
+}
+
+// foldIn advances past the bit at ptr, which is nb, and shifts it into
+// every folded view.
+func (h *History) foldIn(nb uint32) {
+	ptr := (h.ptr + 1) & (historyBits - 1)
+	h.ptr = ptr
 	h.pushes++
+	folds := h.folds[:h.nFolds]
+	comps := h.comps[:len(folds)]
 	// Folds registered back to back share origLen (TAGE makes three views of
 	// each table's history, ITTAGE two); fetch the outgoing bit once per run.
 	lastLen, ob := ^uint32(0), uint32(0)
-	for i := range h.folds {
-		f := &h.folds[i]
+	for i := range folds {
+		f := &folds[i]
 		if f.origLen != lastLen {
 			lastLen = f.origLen
-			ob = h.bitAt(lastLen)
+			ob = h.bitAt(ptr, lastLen)
 		}
-		f.update(nb, ob)
-	}
-	if h.pushes&(snapPeriod-1) == 0 {
-		h.snapshot()
+		comps[i] = f.update(comps[i], nb, ob)
 	}
 }
 
@@ -165,9 +200,7 @@ func (h *History) snapshot() {
 		h.snapLen++
 	}
 	s.pushes, s.ptr = h.pushes, h.ptr
-	for i := range h.folds {
-		s.comps[i] = h.folds[i].comp
-	}
+	s.comps = h.comps
 }
 
 // dropSnapsAfter discards snapshots taken after push count p. A restore to p
@@ -184,24 +217,6 @@ func (h *History) dropSnapsAfter(p uint64) {
 	}
 }
 
-// replayPush re-applies one already-recorded push: the bit is read back from
-// the circular buffer (Push wrote it there and nothing has overwritten it
-// within the buffer's margin) instead of being provided by the caller.
-func (h *History) replayPush() {
-	nb := uint32(h.bits[h.ptr/64]>>(h.ptr%64)) & 1
-	h.ptr = (h.ptr + 1) & (historyBits - 1)
-	h.pushes++
-	lastLen, ob := ^uint32(0), uint32(0)
-	for i := range h.folds {
-		f := &h.folds[i]
-		if f.origLen != lastLen {
-			lastLen = f.origLen
-			ob = h.bitAt(lastLen)
-		}
-		f.update(nb, ob)
-	}
-}
-
 // unpush exactly inverts the most recent Push. Both XOR operands of each
 // fold's update are re-read from the circular buffer at the same distances
 // the push used (ptr has not moved since, and at most historyBits-1 newer
@@ -210,17 +225,20 @@ func (h *History) replayPush() {
 // is left in the buffer; it is unreachable until overwritten by a new Push
 // at the same position.
 func (h *History) unpush() {
-	nb := h.bitAt(0)
+	ptr := h.ptr
+	nb := h.bitAt(ptr, 0)
+	folds := h.folds[:h.nFolds]
+	comps := h.comps[:len(folds)]
 	lastLen, ob := ^uint32(0), uint32(0)
-	for i := range h.folds {
-		f := &h.folds[i]
+	for i := range folds {
+		f := &folds[i]
 		if f.origLen != lastLen {
 			lastLen = f.origLen
-			ob = h.bitAt(lastLen)
+			ob = h.bitAt(ptr, lastLen)
 		}
-		f.unupdate(nb, ob)
+		comps[i] = f.unupdate(comps[i], nb, ob)
 	}
-	h.ptr = (h.ptr - 1) & (historyBits - 1)
+	h.ptr = (ptr - 1) & (historyBits - 1)
 	h.pushes--
 }
 
@@ -228,10 +246,6 @@ func (h *History) unpush() {
 func (h *History) PushPath(pc uint64) {
 	h.path = (h.path<<1 | uint32(pc>>2)&1) & 0xffff
 }
-
-// maxFolds bounds the number of folded views so snapshots are a fixed,
-// allocation-free array (48 covers TAGE 12×3 + ITTAGE 2×2 + SC 3).
-const maxFolds = 48
 
 // Checkpoint is a snapshot of the speculative history state taken just
 // before a branch's own update. It is small enough to store per in-flight
@@ -268,11 +282,8 @@ func (h *History) Restore(c *Checkpoint) {
 	h.dropSnapsAfter(c.pushes)
 	if h.pushes-c.pushes > snapPeriod && h.snapLen > 0 {
 		s := &h.snaps[(h.snapHead-1+snapRing)&(snapRing-1)]
-		h.ptr = s.ptr
-		h.pushes = s.pushes
-		for i := range h.folds {
-			h.folds[i].comp = s.comps[i]
-		}
+		h.ptr, h.pushes = s.ptr, s.pushes
+		h.comps = s.comps
 		for h.pushes < c.pushes {
 			h.replayPush()
 		}
@@ -285,4 +296,4 @@ func (h *History) Restore(c *Checkpoint) {
 }
 
 // NumFolds returns the number of registered folded views (for tests).
-func (h *History) NumFolds() int { return len(h.folds) }
+func (h *History) NumFolds() int { return h.nFolds }

@@ -10,15 +10,38 @@ import "testing"
 // saved, and a from-scratch recompute of every fold from the bit buffer.
 // Checkpoints stay in flight for up to historyBits-MaxFoldLen-1 pushes and
 // the longest fold is MaxFoldLen bits, so the buffer is used to its limit.
+// It runs on a synthetic geometry with a MaxFoldLen fold and on the folds
+// NewWithConfig registers for Table I.
 func TestHistoryRewindEquivalence(t *testing.T) {
-	h := &History{}
-	// Mix of short/long origLens with shared-length runs, mirroring how
-	// TAGE registers three views per table and ITTAGE two.
-	for _, l := range []uint32{4, 4, 9, 9, 26, 26, 75, 212, 212, 600, 1270, 1270, MaxFoldLen} {
-		h.RegisterFold(l, 11)
-		h.RegisterFold(l, 8)
-	}
+	t.Run("synthetic", func(t *testing.T) {
+		h := &History{}
+		// Mix of short/long origLens with shared-length runs, mirroring how
+		// TAGE registers three views per table and ITTAGE two.
+		for _, l := range []uint32{4, 4, 9, 9, 26, 26, 75, 212, 212, 600, 1270, 1270, MaxFoldLen} {
+			h.RegisterFold(l, 11)
+			h.RegisterFold(l, 8)
+		}
+		checkRewind(t, h)
+	})
+	t.Run("tableI", func(t *testing.T) {
+		p := newTableI()
+		h := &p.Hist
+		widths, lens := map[uint32]bool{}, map[uint32]bool{}
+		minW, maxW := uint32(32), uint32(0)
+		for _, f := range h.folds[:h.nFolds] {
+			widths[f.compLen], lens[f.origLen] = true, true
+			minW, maxW = min(minW, f.compLen), max(maxW, f.compLen)
+		}
+		if h.nFolds != 43 || len(widths) != 6 || minW != 7 || maxW != 12 || len(lens) != 16 {
+			t.Fatalf("Table I registers %d folds in %d widths (%d..%d bits) over %d history lengths, want 43 in 6 (7..12) over 16",
+				h.nFolds, len(widths), minW, maxW, len(lens))
+		}
+		checkRewind(t, h)
+	})
+}
 
+// checkRewind runs the rewind oracle on h, whose folds are registered.
+func checkRewind(t *testing.T, h *History) {
 	rng := uint32(0x8124)
 	rnd := func(n uint32) uint32 {
 		rng ^= rng << 13
@@ -35,9 +58,7 @@ func TestHistoryRewindEquivalence(t *testing.T) {
 	save := func() saved {
 		s := saved{ptr: h.ptr, path: h.path}
 		h.SaveInto(&s.ck)
-		for _, f := range h.folds {
-			s.folds = append(s.folds, f.comp)
-		}
+		s.folds = append(s.folds, h.comps[:h.nFolds]...)
 		return s
 	}
 	check := func(step int, s *saved) {
@@ -45,17 +66,18 @@ func TestHistoryRewindEquivalence(t *testing.T) {
 		if h.ptr != s.ptr || h.path != s.path {
 			t.Fatalf("step %d: ptr/path %d/%#x, saved %d/%#x", step, h.ptr, h.path, s.ptr, s.path)
 		}
-		for i, f := range h.folds {
-			if f.comp != s.folds[i] {
-				t.Fatalf("step %d: fold %d is %#x, saved %#x", step, i, f.comp, s.folds[i])
+		for i, f := range h.folds[:h.nFolds] {
+			comp := h.comps[i]
+			if comp != s.folds[i] {
+				t.Fatalf("step %d: fold %d is %#x, saved %#x", step, i, comp, s.folds[i])
 			}
 			var want uint32
 			for d := uint32(0); d < f.origLen; d++ {
-				want ^= h.bitAt(d) << (d % f.compLen)
+				want ^= h.bitAt(h.ptr, d) << (d % f.compLen)
 			}
-			if f.comp != want {
+			if comp != want {
 				t.Fatalf("step %d: fold %d (%d->%d bits) is %#x, the bit buffer folds to %#x",
-					step, i, f.origLen, f.compLen, f.comp, want)
+					step, i, f.origLen, f.compLen, comp, want)
 			}
 		}
 	}
@@ -107,7 +129,8 @@ func TestHistoryRewindEquivalence(t *testing.T) {
 
 // TestFoldedUnupdateInverts exercises the algebraic inverse directly over
 // all (newBit, oldBit) pairs and many comp values for awkward geometries
-// (outPoint 0, compLen > origLen, single-bit comps).
+// (the outgoing bit folding into bit 0, compLen > origLen, single-bit
+// comps).
 func TestFoldedUnupdateInverts(t *testing.T) {
 	geoms := [][2]uint32{{8, 8}, {8, 3}, {3, 8}, {1270, 12}, {5, 1}, {7, 7}, {16, 11}}
 	for _, g := range geoms {
@@ -117,14 +140,11 @@ func TestFoldedUnupdateInverts(t *testing.T) {
 			rng ^= rng << 13
 			rng ^= rng >> 17
 			rng ^= rng << 5
-			f.comp = rng & f.mask
+			before := rng & f.mask
 			nb, ob := rng>>8&1, rng>>9&1
-			before := f.comp
-			f.update(nb, ob)
-			f.unupdate(nb, ob)
-			if f.comp != before {
+			if got := f.unupdate(f.update(before, nb, ob), nb, ob); got != before {
 				t.Fatalf("fold(%d,%d): comp %#x -> update(%d,%d) -> unupdate = %#x",
-					g[0], g[1], before, nb, ob, f.comp)
+					g[0], g[1], before, nb, ob, got)
 			}
 		}
 	}

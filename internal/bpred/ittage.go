@@ -13,9 +13,10 @@ const (
 
 var indHistLens = [indTables]uint32{8, 24}
 
+// Field order keeps an indEntry at 16 bytes.
 type indEntry struct {
-	tag    uint16
 	target uint64
+	tag    uint16
 	ctr    int8 // confidence in [-2, 1]
 }
 
@@ -30,20 +31,18 @@ type IndCtx struct {
 }
 
 type ittage struct {
-	tables   [indTables][]indEntry
+	tables   [indTables][1 << indTblBits]indEntry
 	idxFolds [indTables]int
 	tagFolds [indTables]int
 	hist     *History
 }
 
-func newITTAGE(h *History) *ittage {
-	it := &ittage{hist: h}
+func (it *ittage) init(h *History) {
+	it.hist = h
 	for i := 0; i < indTables; i++ {
-		it.tables[i] = make([]indEntry, 1<<indTblBits)
 		it.idxFolds[i] = h.RegisterFold(indHistLens[i], indTblBits)
 		it.tagFolds[i] = h.RegisterFold(indHistLens[i], indTagBits)
 	}
-	return it
 }
 
 // predict returns the predicted target (0 if no component hit) and fills ctx.

@@ -5,35 +5,23 @@ package bpred
 // which repairs both push-overwrites and pops on a flush (standard
 // TOSA/TOSV recovery).
 
-const rasEntries = 64
-
-// RAS is the return address stack. The zero value lazily adopts the Table I
-// depth on first use; newRAS builds a custom depth.
+// RAS is the return address stack, built by newRAS.
 type RAS struct {
 	stack []uint64
 	top   uint32 // index of the current top entry
 }
 
 // newRAS builds a stack with the given depth.
-func newRAS(entries int) *RAS { return &RAS{stack: make([]uint64, entries)} }
-
-// ensure backfills the default depth for zero-value stacks.
-func (r *RAS) ensure() {
-	if r.stack == nil {
-		r.stack = make([]uint64, rasEntries)
-	}
-}
+func newRAS(entries int) RAS { return RAS{stack: make([]uint64, entries)} }
 
 // Push records a call's return address.
 func (r *RAS) Push(ret uint64) {
-	r.ensure()
 	r.top = (r.top + 1) % uint32(len(r.stack))
 	r.stack[r.top] = ret
 }
 
 // Pop predicts a return target and unwinds the stack.
 func (r *RAS) Pop() uint64 {
-	r.ensure()
 	v := r.stack[r.top]
 	n := uint32(len(r.stack))
 	r.top = (r.top - 1 + n) % n
@@ -42,7 +30,6 @@ func (r *RAS) Pop() uint64 {
 
 // Peek returns the current predicted return target without popping.
 func (r *RAS) Peek() uint64 {
-	r.ensure()
 	return r.stack[r.top]
 }
 
@@ -54,13 +41,11 @@ type RASCheckpoint struct {
 
 // Save captures the recovery state (pointer + top value).
 func (r *RAS) Save() RASCheckpoint {
-	r.ensure()
 	return RASCheckpoint{top: r.top, val: r.stack[r.top]}
 }
 
 // Restore rewinds to the checkpoint.
 func (r *RAS) Restore(c RASCheckpoint) {
-	r.ensure()
 	r.top = c.top
 	r.stack[r.top] = c.val
 }

@@ -16,8 +16,8 @@ const (
 var scHistLens = [scTables - 1]uint32{6, 14, 30}
 
 type scorr struct {
-	bias   []int8
-	tables [scTables - 1][]int8
+	bias   [1 << scBiasBits]int8
+	tables [scTables - 1][1 << scTblBits]int8
 	folds  [scTables - 1]int
 	hist   *History
 
@@ -25,13 +25,11 @@ type scorr struct {
 	tc     int8  // threshold adaptation counter
 }
 
-func newSC(h *History) *scorr {
-	s := &scorr{bias: make([]int8, 1<<scBiasBits), hist: h, thresh: 6}
+func (s *scorr) init(h *History) {
+	s.hist, s.thresh = h, 6
 	for i := range s.tables {
-		s.tables[i] = make([]int8, 1<<scTblBits)
 		s.folds[i] = h.RegisterFold(scHistLens[i], scTblBits)
 	}
-	return s
 }
 
 // predict refines the TAGE prediction in ctx, recording the indices and sum

@@ -15,15 +15,13 @@ const (
 	uResetEvery = 1 << 18 // graceful usefulness decay period (branches)
 )
 
-// default geometric history lengths for the tagged tables.
-var defaultHistLens = [nTables]uint32{4, 8, 13, 22, 36, 60, 100, 167, 280, 468, 782, 1270}
-
 // tag widths per table (longer histories get wider tags).
 var tagBits = [nTables]uint32{8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 12, 12}
 
+// Field order keeps a tageEntry at 4 bytes.
 type tageEntry struct {
-	ctr int8
 	tag uint16
+	ctr int8
 	u   uint8
 }
 
@@ -32,7 +30,7 @@ type tageTable struct {
 	idxFold  int // History fold handles
 	tagFold  int
 	tagFold2 int
-	histLen  uint32
+	pathMask uint32 // the low min(histLen, 16) path-history bits the index mixes in
 	tagMask  uint16
 }
 
@@ -67,7 +65,7 @@ type CondCtx struct {
 }
 
 type tage struct {
-	base   []int8 // bimodal counters, 2-bit in [-2,1]
+	base   [1 << baseBits]int8 // bimodal counters, 2-bit in [-2,1]
 	tables [nTables]tageTable
 	n      int // tagged tables in use (tables[:n])
 	hist   *History
@@ -77,18 +75,20 @@ type tage struct {
 	allocSeed  uint32 // deterministic xorshift for allocation choice
 }
 
-func newTAGE(h *History, n int, lens []uint32) *tage {
-	t := &tage{base: make([]int8, 1<<baseBits), n: n, hist: h, allocSeed: 0x9e3779b9}
+// init sets up n tagged tables over the history lengths lens, carving
+// their entries from one backing slice.
+func (t *tage) init(h *History, n int, lens []uint32) {
+	t.n, t.hist, t.allocSeed = n, h, 0x9e3779b9
+	entries := make([]tageEntry, n<<tableBits)
 	for i := 0; i < n; i++ {
 		tb := &t.tables[i]
-		tb.entries = make([]tageEntry, 1<<tableBits)
-		tb.histLen = lens[i]
+		tb.entries = entries[i<<tableBits : (i+1)<<tableBits : (i+1)<<tableBits]
+		tb.pathMask = 1<<min(lens[i], 16) - 1
 		tb.tagMask = uint16(1<<tagBits[i] - 1)
 		tb.idxFold = h.RegisterFold(lens[i], tableBits)
 		tb.tagFold = h.RegisterFold(lens[i], tagBits[i])
 		tb.tagFold2 = h.RegisterFold(lens[i], tagBits[i]-1)
 	}
-	return t
 }
 
 func (t *tage) rng() uint32 {
@@ -98,27 +98,19 @@ func (t *tage) rng() uint32 {
 	return t.allocSeed
 }
 
-func (t *tage) index(table int, pc uint64) uint32 {
-	tb := &t.tables[table]
-	h := uint32(pc>>2) ^ uint32(pc>>(2+tableBits)) ^ t.hist.Fold(tb.idxFold) ^
-		(t.hist.Path() & ((1 << min32(tb.histLen, 16)) - 1))
-	return h & (1<<tableBits - 1)
+// index is the table's entry index for pc under history h.
+func (tb *tageTable) index(pc uint64, h *History) uint32 {
+	x := uint32(pc>>2) ^ uint32(pc>>(2+tableBits)) ^ h.Fold(tb.idxFold) ^ h.Path()&tb.pathMask
+	return x & (1<<tableBits - 1)
 }
 
-func (t *tage) tagOf(table int, pc uint64) uint16 {
-	tb := &t.tables[table]
-	return uint16(uint32(pc>>2)^t.hist.Fold(tb.tagFold)^(t.hist.Fold(tb.tagFold2)<<1)) & tb.tagMask
+// tagOf is the table's tag for pc under history h.
+func (tb *tageTable) tagOf(pc uint64, h *History) uint16 {
+	return uint16(uint32(pc>>2)^h.Fold(tb.tagFold)^h.Fold(tb.tagFold2)<<1) & tb.tagMask
 }
 
 func (t *tage) baseIndex(pc uint64) uint32 {
 	return uint32(pc>>2) & (1<<baseBits - 1)
-}
-
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // predict computes the TAGE component prediction and fills ctx.
@@ -128,9 +120,10 @@ func (t *tage) predict(pc uint64, ctx *CondCtx) {
 	ctx.baseIdx = t.baseIndex(pc)
 	basePred := t.base[ctx.baseIdx] >= 0
 
-	for i := 0; i < t.n; i++ {
-		ctx.idx[i] = t.index(i, pc)
-		ctx.tag[i] = t.tagOf(i, pc)
+	h := t.hist
+	for i := range t.tables[:t.n] {
+		tb := &t.tables[i]
+		ctx.idx[i], ctx.tag[i] = tb.index(pc, h), tb.tagOf(pc, h)
 	}
 	for i := t.n - 1; i >= 0; i-- {
 		e := &t.tables[i].entries[ctx.idx[i]]

@@ -75,7 +75,7 @@ func run(t *testing.T, attach bool, build func(b *asm.Builder)) (*pipeline.Core,
 	cfg.CoSim = true
 	cfg.MaxCycles = 20_000_000
 	cfg.BP.TageTables = 4
-	cfg.BP.TageHistLens = nil
+	cfg.BP.TageHistLens = cfg.BP.TageHistLens[:4]
 	c := pipeline.New(cfg, p)
 	var by *B
 	if attach {
@@ -214,7 +214,7 @@ func TestBullseyeLRUEviction(t *testing.T) {
 	cfg.CoSim = true
 	cfg.MaxCycles = 20_000_000
 	cfg.BP.TageTables = 4
-	cfg.BP.TageHistLens = nil
+	cfg.BP.TageHistLens = cfg.BP.TageHistLens[:4]
 	c := pipeline.New(cfg, p)
 	byCfg := testConfig()
 	byCfg.MaxBranches = 2

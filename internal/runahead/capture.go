@@ -8,7 +8,8 @@ import "teasim/internal/isa"
 // replaces any previous chain for the branch. Chains that exceed the uop
 // budget are discarded (prior work keeps chains lightweight by design).
 // Window positions count from the oldest entry; the walk allocates only the
-// chain it keeps.
+// chain it keeps, and its uops only when they differ from the stored
+// chain's.
 func (b *BR) capture(pc uint64) {
 	last, prev := -1, -1
 	for i := b.window.Len() - 1; i >= 0; i-- {
@@ -87,16 +88,25 @@ func (b *BR) capture(pc uint64) {
 		delete(b.chains, pc)
 		return
 	}
-	ch := &chain{branchPC: pc, uops: make([]chainUop, 0, nUops)}
-	var dests uint32
-	for i := prev + 1; i <= last; i++ {
-		if !marked[i] {
-			continue
+	// The chain struct is always fresh: in-flight instances of the stored
+	// chain read its disabled flag when they finish. Its uops never change
+	// after capture, so a recapture that reproduces them shares the slice.
+	ch := &chain{branchPC: pc}
+	if old := b.chains[pc]; old != nil && len(old.uops) == nUops && b.markedAre(old.uops, prev, last) {
+		ch.uops = old.uops
+	} else {
+		ch.uops = make([]chainUop, 0, nUops)
+		for i := prev + 1; i <= last; i++ {
+			if marked[i] {
+				e := b.window.At(i)
+				ch.uops = append(ch.uops, chainUop{pc: e.pc, in: e.in})
+			}
 		}
-		e := b.window.At(i)
-		ch.uops = append(ch.uops, chainUop{pc: e.pc, in: e.in})
-		if e.in.HasDest() && e.in.Rd != isa.R0 {
-			dests |= 1 << uint(e.in.Rd)
+	}
+	var dests uint32
+	for _, cu := range ch.uops {
+		if cu.in.HasDest() && cu.in.Rd != isa.R0 {
+			dests |= 1 << uint(cu.in.Rd)
 		}
 	}
 
@@ -140,4 +150,21 @@ func (b *BR) capture(pc uint64) {
 
 	b.chains[pc] = ch
 	b.Stats.ChainsCaptured++
+}
+
+// markedAre reports whether the window entries marked in (prev, last] are
+// uops, in order; the caller has checked that len(uops) entries are marked.
+func (b *BR) markedAre(uops []chainUop, prev, last int) bool {
+	k := 0
+	for i := prev + 1; i <= last; i++ {
+		if !b.marked[i] {
+			continue
+		}
+		e := b.window.At(i)
+		if uops[k] != (chainUop{pc: e.pc, in: e.in}) {
+			return false
+		}
+		k++
+	}
+	return true
 }

@@ -4,49 +4,33 @@ import (
 	"fmt"
 
 	"teasim/internal/isa"
+	"teasim/tea/spec"
 )
 
-// Config sets the predictor-stack geometry. Every field is required:
-// pipeline.ConfigFromSpec fills it from a machine spec's predictor section,
-// whose baseline preset holds the Table I values.
-type Config struct {
-	// TageTables is the number of tagged TAGE tables (1..12).
-	TageTables int
-	// TageHistLens holds the tables' geometric history lengths (len must
-	// equal TageTables, each in 1..MaxFoldLen).
-	TageHistLens []uint32
-	// BTBEntries/BTBWays set the branch target buffer geometry (the set
-	// count must be a power of two).
-	BTBEntries int
-	BTBWays    int
-	// RASEntries sets the return address stack depth.
-	RASEntries int
-}
-
 // check rejects geometry the implementation cannot index, zero fields
-// included. spec.Validate holds a machine spec to the same rules, so a
-// failure here is a caller's bug.
-func (c *Config) check() {
-	if c.TageTables < 1 || c.TageTables > nTables {
-		panic(fmt.Sprintf("bpred: TageTables %d out of range [1,%d]", c.TageTables, nTables))
+// included. spec.Validate holds a machine spec to the same rules (a test
+// pins the two together), so a failure here is a caller's bug.
+func check(cfg *spec.Predictor) {
+	if cfg.TageTables < 1 || cfg.TageTables > nTables {
+		panic(fmt.Sprintf("bpred: TageTables %d out of range [1,%d]", cfg.TageTables, nTables))
 	}
-	if len(c.TageHistLens) != c.TageTables {
-		panic(fmt.Sprintf("bpred: %d history lengths for %d TAGE tables", len(c.TageHistLens), c.TageTables))
+	if len(cfg.TageHistLens) != cfg.TageTables {
+		panic(fmt.Sprintf("bpred: %d history lengths for %d TAGE tables", len(cfg.TageHistLens), cfg.TageTables))
 	}
-	for _, l := range c.TageHistLens {
+	for _, l := range cfg.TageHistLens {
 		if l < 1 || l > MaxFoldLen {
 			panic(fmt.Sprintf("bpred: TAGE history length %d outside [1,%d]", l, MaxFoldLen))
 		}
 	}
-	if c.BTBWays < 1 {
-		panic(fmt.Sprintf("bpred: BTBWays %d not positive", c.BTBWays))
+	if cfg.BTBWays < 1 {
+		panic(fmt.Sprintf("bpred: BTBWays %d not positive", cfg.BTBWays))
 	}
-	sets := c.BTBEntries / c.BTBWays
+	sets := cfg.BTBEntries / cfg.BTBWays
 	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("bpred: BTB set count %d not a power of two (entries %d / ways %d)", sets, c.BTBEntries, c.BTBWays))
+		panic(fmt.Sprintf("bpred: BTB set count %d not a power of two (entries %d / ways %d)", sets, cfg.BTBEntries, cfg.BTBWays))
 	}
-	if c.RASEntries < 1 {
-		panic(fmt.Sprintf("bpred: RASEntries %d not positive", c.RASEntries))
+	if cfg.RASEntries < 1 {
+		panic(fmt.Sprintf("bpred: RASEntries %d not positive", cfg.RASEntries))
 	}
 }
 
@@ -80,12 +64,13 @@ type Predictor struct {
 	it   ittage
 }
 
-// NewWithConfig constructs the predictor stack with the given geometry.
-// Everything but the config-sized tables lives in the one Predictor value:
-// building it allocates that value, the tagged TAGE tables' backing slice,
-// the BTB's entries and the RAS's stack.
-func NewWithConfig(cfg Config) *Predictor {
-	cfg.check()
+// NewWithConfig constructs the predictor stack with a machine spec's
+// predictor geometry (the baseline preset holds Table I's). Every field is
+// required. Everything but the config-sized tables lives in the one
+// Predictor value: building it allocates that value, the tagged TAGE
+// tables' backing slice, the BTB's entries and the RAS's stack.
+func NewWithConfig(cfg spec.Predictor) *Predictor {
+	check(&cfg)
 	p := &Predictor{
 		BTB: newBTB(cfg.BTBEntries, cfg.BTBWays),
 		RAS: newRAS(cfg.RASEntries),

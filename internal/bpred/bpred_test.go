@@ -7,22 +7,9 @@ import (
 	"teasim/tea/spec"
 )
 
-// tableI is the Table I predictor geometry, read from the baseline preset
-// the way pipeline.ConfigFromSpec reads it.
-func tableI() Config {
-	s, err := spec.Preset("baseline")
-	if err != nil {
-		panic(err)
-	}
-	p := s.Predictor
-	return Config{
-		TageTables:   p.TageTables,
-		TageHistLens: p.TageHistLens,
-		BTBEntries:   p.BTBEntries,
-		BTBWays:      p.BTBWays,
-		RASEntries:   p.RASEntries,
-	}
-}
+// tableI is the Table I predictor geometry: the baseline preset's
+// predictor section.
+func tableI() spec.Predictor { return spec.Baseline().Predictor }
 
 // newTableI builds the Table I predictor.
 func newTableI() *Predictor { return NewWithConfig(tableI()) }

@@ -22,23 +22,6 @@ import (
 	"teasim/tea/spec"
 )
 
-// Config sizes the predictor (see spec.Bullseye for field semantics).
-type Config struct {
-	H2PSets        int
-	H2PWays        int
-	H2PDecayPeriod uint64
-
-	TableEntries int
-	HistBits     int
-	MaxBranches  int
-
-	ConfMax       int
-	ConfThreshold int
-}
-
-// DefaultConfig returns the default Bullseye structures (spec.DefaultBullseye).
-func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultBullseye()) }
-
 // Stats counts predictor activity and the retired-misprediction
 // classification (the shared Fig. 7 buckets).
 type Stats struct {
@@ -95,7 +78,7 @@ type popRec struct {
 
 // B is the Bullseye companion.
 type B struct {
-	Cfg  Config
+	Cfg  spec.Bullseye
 	core *pipeline.Core
 
 	h2p      *core.H2PTable
@@ -121,14 +104,14 @@ type B struct {
 	Stats Stats
 }
 
-// New builds a Bullseye predictor and attaches it to the core.
-func New(cfg Config, c *pipeline.Core) *B {
-	h2pCfg := core.DefaultConfig()
-	h2pCfg.H2PSets, h2pCfg.H2PWays = cfg.H2PSets, cfg.H2PWays
+// New builds a Bullseye predictor and attaches it to the core. Its H2P
+// table has its own geometry and TEA's Table II counters.
+func New(cfg spec.Bullseye, c *pipeline.Core) *B {
+	tableII := spec.DefaultTEA()
 	b := &B{
 		Cfg:       cfg,
 		core:      c,
-		h2p:       core.NewH2PTable(&h2pCfg),
+		h2p:       core.NewH2PTable(cfg.H2PSets, cfg.H2PWays, tableII.H2PMax, tableII.H2PThreshold),
 		branches:  make(map[uint64]*branchEnt),
 		inFlight:  make(map[uint64]uint64),
 		nextDecay: cfg.H2PDecayPeriod,
@@ -140,22 +123,8 @@ func New(cfg Config, c *pipeline.Core) *B {
 func init() {
 	companion.Register(spec.CompanionBullseye,
 		func(s *spec.MachineSpec, c *pipeline.Core, _ companion.Options) (companion.Instance, error) {
-			return bInstance{New(ConfigFromSpec(s.Companion.Bullseye), c)}, nil
+			return bInstance{New(*s.Companion.Bullseye, c)}, nil
 		})
-}
-
-// ConfigFromSpec converts the spec's bullseye companion section.
-func ConfigFromSpec(b *spec.Bullseye) Config {
-	return Config{
-		H2PSets:        b.H2PSets,
-		H2PWays:        b.H2PWays,
-		H2PDecayPeriod: b.H2PDecayPeriod,
-		TableEntries:   b.TableEntries,
-		HistBits:       b.HistBits,
-		MaxBranches:    b.MaxBranches,
-		ConfMax:        b.ConfMax,
-		ConfThreshold:  b.ConfThreshold,
-	}
 }
 
 // bInstance adapts Bullseye to the companion registry.

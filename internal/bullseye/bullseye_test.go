@@ -6,6 +6,7 @@ import (
 	"teasim/internal/asm"
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
+	"teasim/tea/spec"
 )
 
 // buildLoopKernel emits a loop with a data-dependent branch (same shape as
@@ -56,8 +57,8 @@ func periodicData(n, period int, seed uint64) []uint64 {
 
 // testConfig sizes the pattern table for the unit kernel: large enough that
 // a period-sized history set doesn't thrash the tagged entries.
-func testConfig() Config {
-	cfg := DefaultConfig()
+func testConfig() spec.Bullseye {
+	cfg := *spec.DefaultBullseye()
 	cfg.TableEntries = 16384
 	cfg.HistBits = 20
 	return cfg
@@ -74,8 +75,8 @@ func run(t *testing.T, attach bool, build func(b *asm.Builder)) (*pipeline.Core,
 	cfg := pipeline.DefaultConfig()
 	cfg.CoSim = true
 	cfg.MaxCycles = 20_000_000
-	cfg.BP.TageTables = 4
-	cfg.BP.TageHistLens = cfg.BP.TageHistLens[:4]
+	cfg.Predictor.TageTables = 4
+	cfg.Predictor.TageHistLens = cfg.Predictor.TageHistLens[:4]
 	c := pipeline.New(cfg, p)
 	var by *B
 	if attach {
@@ -213,8 +214,8 @@ func TestBullseyeLRUEviction(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.CoSim = true
 	cfg.MaxCycles = 20_000_000
-	cfg.BP.TageTables = 4
-	cfg.BP.TageHistLens = cfg.BP.TageHistLens[:4]
+	cfg.Predictor.TageTables = 4
+	cfg.Predictor.TageHistLens = cfg.Predictor.TageHistLens[:4]
 	c := pipeline.New(cfg, p)
 	byCfg := testConfig()
 	byCfg.MaxBranches = 2
@@ -242,7 +243,7 @@ func TestSpecLogSteadyStateAllocs(t *testing.T) {
 	bld := asm.NewBuilder()
 	bld.Label("main")
 	bld.Halt()
-	by := New(DefaultConfig(), pipeline.New(pipeline.DefaultConfig(), bld.MustBuild()))
+	by := New(*spec.DefaultBullseye(), pipeline.New(pipeline.DefaultConfig(), bld.MustBuild()))
 	const pc, window = 0x1000, 32
 	by.branches[pc] = &branchEnt{tbl: make([]patEnt, by.Cfg.TableEntries)}
 	retiring := &pipeline.Uop{In: &isa.Inst{Op: isa.OpNop}}

@@ -9,49 +9,10 @@ import (
 func init() {
 	companion.Register(spec.CompanionTEA,
 		func(s *spec.MachineSpec, c *pipeline.Core, o companion.Options) (companion.Instance, error) {
-			cfg := ConfigFromSpec(s.Companion.TEA)
 			// Paranoia is behavioral, not a machine property, so it rides on
 			// the run options rather than the spec tree.
-			cfg.Paranoia = o.Paranoia
-			return teaInstance{New(cfg, c)}, nil
+			return teaInstance{New(Config{TEA: *s.Companion.TEA, Paranoia: o.Paranoia}, c)}, nil
 		})
-}
-
-// ConfigFromSpec converts the spec's TEA companion section (Table II).
-func ConfigFromSpec(t *spec.TEA) Config {
-	return Config{
-		H2PSets:        t.H2PSets,
-		H2PWays:        t.H2PWays,
-		H2PMax:         t.H2PMax,
-		H2PThreshold:   t.H2PThreshold,
-		H2PDecayPeriod: t.H2PDecayPeriod,
-
-		FillBufSize:   t.FillBufSize,
-		WalkCycles:    t.WalkCycles,
-		SourceMemSize: t.SourceMemSize,
-
-		BlockCacheSets:  t.BlockCacheSets,
-		BlockCacheWays:  t.BlockCacheWays,
-		EmptyTagSets:    t.EmptyTagSets,
-		EmptyTagWays:    t.EmptyTagWays,
-		MaskResetPeriod: t.MaskResetPeriod,
-		SegMaxUops:      t.SegMaxUops,
-
-		FrontLatency:  t.FrontLatency,
-		MaxLeadBlocks: t.MaxLeadBlocks,
-		RSPartition:   t.RSPartition,
-		PRPartition:   t.PRPartition,
-
-		StoreCacheLines: t.StoreCacheLines,
-		StoreWaitWindow: t.StoreWaitWindow,
-		LateLimit:       t.LateLimit,
-		WrongLimit:      t.WrongLimit,
-
-		OnlyLoops:         t.OnlyLoops,
-		NoMasks:           t.NoMasks,
-		NoMem:             t.NoMem,
-		DisableEarlyFlush: t.DisableEarlyFlush,
-	}
 }
 
 // teaInstance adapts the TEA thread to the companion registry.

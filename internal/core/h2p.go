@@ -23,14 +23,16 @@ type h2pEntry struct {
 	lru   uint32
 }
 
-// NewH2PTable builds the table from the TEA configuration.
-func NewH2PTable(cfg *Config) *H2PTable {
+// NewH2PTable builds a table of sets × ways counters saturating at ctrMax;
+// a branch is H2P while its counter exceeds threshold. sets must be a power
+// of two.
+func NewH2PTable(sets, ways int, ctrMax, threshold uint8) *H2PTable {
 	return &H2PTable{
-		sets:      cfg.H2PSets,
-		ways:      cfg.H2PWays,
-		max:       cfg.H2PMax,
-		threshold: cfg.H2PThreshold,
-		entries:   make([]h2pEntry, cfg.H2PSets*cfg.H2PWays),
+		sets:      sets,
+		ways:      ways,
+		max:       ctrMax,
+		threshold: threshold,
+		entries:   make([]h2pEntry, sets*ways),
 	}
 }
 

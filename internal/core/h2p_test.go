@@ -2,9 +2,14 @@ package core
 
 import "testing"
 
+// newH2P builds the H2P table cfg describes.
+func newH2P(cfg *Config) *H2PTable {
+	return NewH2PTable(cfg.H2PSets, cfg.H2PWays, cfg.H2PMax, cfg.H2PThreshold)
+}
+
 func TestH2PPromotionAndDecay(t *testing.T) {
 	cfg := DefaultConfig()
-	h := NewH2PTable(&cfg)
+	h := newH2P(&cfg)
 	pc := uint64(0x1000)
 	if h.IsH2P(pc) {
 		t.Fatal("cold branch marked H2P")
@@ -30,7 +35,7 @@ func TestH2PPromotionAndDecay(t *testing.T) {
 
 func TestH2PSaturation(t *testing.T) {
 	cfg := DefaultConfig()
-	h := NewH2PTable(&cfg)
+	h := newH2P(&cfg)
 	pc := uint64(0x2000)
 	for i := 0; i < 100; i++ {
 		h.RecordMispredict(pc)
@@ -51,7 +56,7 @@ func TestH2PSaturation(t *testing.T) {
 func TestH2PReplacementPrefersZeroCounters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.H2PSets, cfg.H2PWays = 1, 2
-	h := NewH2PTable(&cfg)
+	h := newH2P(&cfg)
 	h.RecordMispredict(0x100)
 	h.RecordMispredict(0x100) // strong entry
 	h.RecordMispredict(0x200)
@@ -70,7 +75,7 @@ func TestH2PReplacementPrefersZeroCounters(t *testing.T) {
 
 func TestH2PCount(t *testing.T) {
 	cfg := DefaultConfig()
-	h := NewH2PTable(&cfg)
+	h := newH2P(&cfg)
 	for pc := uint64(0); pc < 10; pc++ {
 		h.RecordMispredict(0x1000 + pc*4)
 		h.RecordMispredict(0x1000 + pc*4)

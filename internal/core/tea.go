@@ -129,7 +129,7 @@ func New(cfg Config, c *pipeline.Core) *TEA {
 	t := &TEA{
 		Cfg:           cfg,
 		core:          c,
-		H2P:           NewH2PTable(&cfg),
+		H2P:           NewH2PTable(cfg.H2PSets, cfg.H2PWays, cfg.H2PMax, cfg.H2PThreshold),
 		Fill:          NewFillBuffer(cfg.FillBufSize),
 		BC:            NewBlockCache(&cfg),
 		Store:         NewStoreCache(cfg.StoreCacheLines),

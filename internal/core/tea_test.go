@@ -270,8 +270,8 @@ func TestTEADedicatedTortureCorrectness(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.CoSim = true
 	cfg.MaxCycles = 20_000_000
-	cfg.CompanionDedicated = true
-	cfg.CompanionPorts = 16
+	cfg.Companion.Dedicated = true
+	cfg.Companion.Ports = 16
 	c := pipeline.New(cfg, p)
 	New(DefaultConfig(), c)
 	if err := c.Run(); err != nil {

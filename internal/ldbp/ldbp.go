@@ -24,24 +24,6 @@ import (
 	"teasim/tea/spec"
 )
 
-// Config sizes the predictor (see spec.LDBP for field semantics).
-type Config struct {
-	H2PSets        int
-	H2PWays        int
-	H2PDecayPeriod uint64
-
-	WindowSize   int
-	MaxChains    int
-	MaxChainUops int
-
-	QueueDepth int
-	Lookahead  int
-	StrideConf int
-}
-
-// DefaultConfig returns the default LDBP structures (spec.DefaultLDBP).
-func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultLDBP()) }
-
 // Stats counts chain and prediction activity plus the retired-misprediction
 // classification (the shared Fig. 7 buckets).
 type Stats struct {
@@ -120,7 +102,7 @@ type winEntry struct {
 
 // L is the load-driven branch prediction companion.
 type L struct {
-	Cfg  Config
+	Cfg  spec.LDBP
 	core *pipeline.Core
 
 	h2p    *core.H2PTable
@@ -151,14 +133,14 @@ type L struct {
 	Stats Stats
 }
 
-// New builds an LDBP engine and attaches it to the core.
-func New(cfg Config, c *pipeline.Core) *L {
-	h2pCfg := core.DefaultConfig()
-	h2pCfg.H2PSets, h2pCfg.H2PWays = cfg.H2PSets, cfg.H2PWays
+// New builds an LDBP engine and attaches it to the core. Its H2P table has
+// its own geometry and TEA's Table II counters.
+func New(cfg spec.LDBP, c *pipeline.Core) *L {
+	tableII := spec.DefaultTEA()
 	l := &L{
 		Cfg:       cfg,
 		core:      c,
-		h2p:       core.NewH2PTable(&h2pCfg),
+		h2p:       core.NewH2PTable(cfg.H2PSets, cfg.H2PWays, tableII.H2PMax, tableII.H2PThreshold),
 		chains:    make(map[uint64]*chain),
 		byLoad:    make(map[uint64][]*chain),
 		queues:    make(map[uint64][]qEntry),
@@ -174,23 +156,8 @@ func New(cfg Config, c *pipeline.Core) *L {
 func init() {
 	companion.Register(spec.CompanionLDBP,
 		func(s *spec.MachineSpec, c *pipeline.Core, _ companion.Options) (companion.Instance, error) {
-			return lInstance{New(ConfigFromSpec(s.Companion.LDBP), c)}, nil
+			return lInstance{New(*s.Companion.LDBP, c)}, nil
 		})
-}
-
-// ConfigFromSpec converts the spec's ldbp companion section.
-func ConfigFromSpec(l *spec.LDBP) Config {
-	return Config{
-		H2PSets:        l.H2PSets,
-		H2PWays:        l.H2PWays,
-		H2PDecayPeriod: l.H2PDecayPeriod,
-		WindowSize:     l.WindowSize,
-		MaxChains:      l.MaxChains,
-		MaxChainUops:   l.MaxChainUops,
-		QueueDepth:     l.QueueDepth,
-		Lookahead:      l.Lookahead,
-		StrideConf:     l.StrideConf,
-	}
 }
 
 // lInstance adapts LDBP to the companion registry.

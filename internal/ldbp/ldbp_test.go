@@ -6,6 +6,7 @@ import (
 	"teasim/internal/asm"
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
+	"teasim/tea/spec"
 )
 
 // buildLoopKernel emits the strided-load + data-dependent-branch loop LDBP
@@ -49,8 +50,8 @@ func randData(n int, seed uint64) []uint64 {
 
 // testConfig extends the lookahead past the in-flight iteration depth of
 // the unit kernel so queued tags land on instances not yet fetched.
-func testConfig() Config {
-	cfg := DefaultConfig()
+func testConfig() spec.LDBP {
+	cfg := *spec.DefaultLDBP()
 	cfg.Lookahead = 24
 	cfg.QueueDepth = 32
 	return cfg

@@ -1,29 +1,12 @@
 package mem
 
+import "teasim/tea/spec"
+
 // Hierarchy ties the caches and DRAM together: split L1I/L1D, a shared LLC,
-// and the DDR4 model (Table I geometry by default). Accesses compute their
-// completion cycle at issue; lines mid-fill act as MSHR entries, so
-// secondary misses merge onto the outstanding fill.
-
-// HierarchyConfig sets the cache geometry.
-type HierarchyConfig struct {
-	L1ISize, L1IWays  int
-	L1DSize, L1DWays  int
-	LLCSize, LLCWays  int
-	L1Lat, LLCLat     uint64
-	L1MSHRs, LLCMSHRs int
-}
-
-// DefaultHierarchyConfig returns the Table I memory system.
-func DefaultHierarchyConfig() HierarchyConfig {
-	return HierarchyConfig{
-		L1ISize: 32 << 10, L1IWays: 8,
-		L1DSize: 48 << 10, L1DWays: 12,
-		LLCSize: 1 << 20, LLCWays: 16,
-		L1Lat: 4, LLCLat: 18,
-		L1MSHRs: 16, LLCMSHRs: 32,
-	}
-}
+// and the DDR4 model, in the geometry of a machine spec's memory section
+// (the baseline preset holds Table I's). Accesses compute their completion
+// cycle at issue; lines mid-fill act as MSHR entries, so secondary misses
+// merge onto the outstanding fill.
 
 // Hierarchy is the full memory system timing model.
 type Hierarchy struct {
@@ -33,8 +16,9 @@ type Hierarchy struct {
 	DRAM *DRAM
 }
 
-// NewHierarchy builds the memory system.
-func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+// NewHierarchy builds the memory system. Every field is required; a set
+// count that is not a power of two panics (spec.Validate rejects it first).
+func NewHierarchy(cfg spec.Memory) *Hierarchy {
 	return &Hierarchy{
 		L1I:  NewCache("L1I", cfg.L1ISize, cfg.L1IWays, cfg.L1Lat, cfg.L1MSHRs),
 		L1D:  NewCache("L1D", cfg.L1DSize, cfg.L1DWays, cfg.L1Lat, cfg.L1MSHRs),

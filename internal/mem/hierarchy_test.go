@@ -3,9 +3,14 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"teasim/tea/spec"
 )
 
-func newH() *Hierarchy { return NewHierarchy(DefaultHierarchyConfig()) }
+// tableI is the Table I memory system: the baseline preset's memory section.
+func tableI() spec.Memory { return spec.Baseline().Memory }
+
+func newH() *Hierarchy { return NewHierarchy(tableI()) }
 
 func TestColdMissThenHit(t *testing.T) {
 	h := newH()
@@ -82,7 +87,7 @@ func TestBankParallelism(t *testing.T) {
 }
 
 func TestMSHRLimitRejects(t *testing.T) {
-	cfg := DefaultHierarchyConfig()
+	cfg := tableI()
 	cfg.L1MSHRs = 2
 	h := NewHierarchy(cfg)
 	if _, ok := h.Load(0x0000, 10); !ok {
@@ -125,7 +130,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestDirtyWritebackReachesDRAM(t *testing.T) {
-	cfg := DefaultHierarchyConfig()
+	cfg := tableI()
 	cfg.L1DSize = 12 * LineBytes // 1 set, 12 ways: tiny cache to force evictions
 	cfg.LLCSize = 16 * LineBytes // 1 set, 16 ways
 	h := NewHierarchy(cfg)
@@ -178,5 +183,36 @@ func TestMonotoneCompletionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateGuardsNewHierarchy pins spec.Validate to the constructor it
+// guards: for every row, Validate rejects the machine exactly when
+// NewHierarchy panics on its memory section.
+func TestValidateGuardsNewHierarchy(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mut     func(m *spec.Memory)
+		invalid bool
+	}{
+		{"Table I", func(m *spec.Memory) {}, false},
+		{"L1D sets not a power of two", func(m *spec.Memory) { m.L1DWays = 5 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := spec.Baseline()
+			tc.mut(&s.Memory)
+			verr := s.Validate()
+			panicked := func() (did bool) {
+				defer func() { did = recover() != nil }()
+				NewHierarchy(s.Memory)
+				return false
+			}()
+			if (verr != nil) != panicked {
+				t.Fatalf("Validate error %v, but NewHierarchy panicked = %v", verr, panicked)
+			}
+			if panicked != tc.invalid {
+				t.Fatalf("NewHierarchy panicked = %v, want %v (Validate: %v)", panicked, tc.invalid, verr)
+			}
+		})
 	}
 }

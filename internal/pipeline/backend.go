@@ -41,11 +41,11 @@ func (c *Core) execute() {
 		c.teaReadySorted = 0
 	}
 
-	if c.Cfg.CompanionDedicated {
+	if c.Cfg.Companion.Dedicated {
 		// Dedicated engine: companion uops draw from their own execution
 		// slots (any class); loads still contend for cache ports/MSHRs via
 		// the shared hierarchy state.
-		teaFree := c.Cfg.CompanionPorts
+		teaFree := c.Cfg.Companion.Ports
 		for _, u := range teaCands {
 			if teaFree == 0 {
 				break
@@ -64,7 +64,7 @@ func (c *Core) execute() {
 	// Shared ports: companion candidates (none left with a dedicated
 	// engine) go first unless demoted below the main thread.
 	first, second := teaCands, cands
-	if c.Cfg.CompanionNoPriority {
+	if c.Cfg.Companion.NoPriority {
 		first, second = cands, teaCands
 	}
 	for _, u := range first {

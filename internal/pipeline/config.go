@@ -18,65 +18,32 @@
 package pipeline
 
 import (
-	"teasim/internal/bpred"
-	"teasim/internal/mem"
 	"teasim/internal/telemetry"
 	"teasim/tea/spec"
 )
 
-// Config holds all core parameters (defaults = Table I).
+// Config is one core's configuration: a machine spec's sections (the
+// baseline preset holds Table I) beside the run's own settings. The
+// frontend and backend sections are embedded, so their fields read as
+// cfg.Width, cfg.ROBSize and so on.
 type Config struct {
-	FrontWidth     int // fetch/decode/rename/issue width
-	RetireWidth    int
-	FetchQueueSize int // fetch addresses buffered by the decoupled BP
-	// FetchToRenameLat is the number of cycles between reading instruction
-	// bytes and being available to rename; together with the 1-cycle predict
-	// and 1-cycle rename/dispatch it forms the 12-cycle frontend.
-	FetchToRenameLat uint64
-	MaxBlockInstrs   int // BP throughput cap: 32 instructions (128B) per cycle
-	FetchLinesPerCyc int // sequential I-cache lines readable per cycle
-	// FrontQCap bounds fetched-but-not-renamed uops (decode/uop-queue
-	// backpressure); fetch stalls when the frontend pipe is full.
-	FrontQCap int
-
-	ROBSize  int
-	RSSize   int
-	NumPRegs int
-	LQSize   int
-	SQSize   int
-
-	ALUPorts  int
-	LDPorts   int
-	LDSTPorts int
-	FPPorts   int
-
-	// Latencies (cycles).
-	ALULat, MulLat, DivLat, FPLat, FDivLat uint64
-
-	// MispredictExtraLat models the redirect/recovery overhead beyond
-	// pipeline refill (checkpoint copy, predictor repair).
-	MispredictExtraLat uint64
-
-	// BP sets the branch-predictor stack geometry (zero fields = Table I).
-	BP bpred.Config
-	// Mem sets the cache-hierarchy geometry (zero value = Table I).
-	Mem mem.HierarchyConfig
-
-	// CompanionPRegs is the physical-register pool reserved for a companion
-	// thread above NumPRegs (0 = the Table II partition of 192). The pool
-	// exists whether or not a companion attaches, matching the paper's
-	// static partitioning.
-	CompanionPRegs int
-
-	// CompanionDedicated gives the companion its own execution engine
-	// (paper §V-D / Fig. 9): CompanionPorts dedicated execution slots per
-	// cycle and no carve-out of the main thread's RS/PR partitions. Cache
-	// ports and MSHRs remain shared, as in the paper.
-	CompanionDedicated bool
-	CompanionPorts     int
-	// CompanionNoPriority demotes companion uops below the main thread at
-	// select (ablation of §IV-E's prioritization claim).
-	CompanionNoPriority bool
+	spec.Frontend
+	spec.Backend
+	// Memory sets the cache-hierarchy geometry (internal/mem).
+	Memory spec.Memory
+	// Predictor sets the branch-predictor stack geometry (internal/bpred).
+	Predictor spec.Predictor
+	// Companion sets the engine a companion thread runs on: Dedicated gives
+	// it its own execution engine (paper §V-D / Fig. 9) of Ports execution
+	// slots per cycle and no carve-out of the main thread's RS/PR
+	// partitions (cache ports and MSHRs remain shared, as in the paper);
+	// NoPriority demotes its uops below the main thread at select. The
+	// physical-register pool reserved for a companion above NumPRegs is the
+	// TEA section's PRPartition, or Table II's when the machine has no TEA
+	// section; the pool exists whether or not a companion attaches,
+	// matching the paper's static partitioning. The companion itself is
+	// built from the same section (internal/companion).
+	Companion spec.Companion
 
 	// CoSim enables golden-model checking at retirement (tests).
 	CoSim bool
@@ -122,58 +89,14 @@ func DefaultConfig() Config {
 	return ConfigFromSpec(&b)
 }
 
-// ConfigFromSpec converts the spec's frontend/backend/memory/predictor and
-// companion-engine shape into the pipeline configuration. Behavioral fields
-// (CoSim, telemetry, budgets) stay with the caller.
+// ConfigFromSpec copies the spec's sections into a pipeline configuration.
+// Run settings (CoSim, telemetry, budgets) stay with the caller.
 func ConfigFromSpec(s *spec.MachineSpec) Config {
-	cfg := Config{
-		FrontWidth:       s.Frontend.Width,
-		RetireWidth:      s.Frontend.RetireWidth,
-		FetchQueueSize:   s.Frontend.FetchQueueSize,
-		FetchToRenameLat: s.Frontend.FetchToRenameLat,
-		MaxBlockInstrs:   s.Frontend.MaxBlockInstrs,
-		FetchLinesPerCyc: s.Frontend.FetchLinesPerCyc,
-		FrontQCap:        s.Frontend.FrontQCap,
-
-		ROBSize:  s.Backend.ROBSize,
-		RSSize:   s.Backend.RSSize,
-		NumPRegs: s.Backend.NumPRegs,
-		LQSize:   s.Backend.LQSize,
-		SQSize:   s.Backend.SQSize,
-
-		ALUPorts:  s.Backend.ALUPorts,
-		LDPorts:   s.Backend.LDPorts,
-		LDSTPorts: s.Backend.LDSTPorts,
-		FPPorts:   s.Backend.FPPorts,
-
-		ALULat: s.Backend.ALULat, MulLat: s.Backend.MulLat,
-		DivLat: s.Backend.DivLat, FPLat: s.Backend.FPLat,
-		FDivLat: s.Backend.FDivLat,
-
-		MispredictExtraLat: s.Backend.MispredictExtraLat,
-
-		BP: bpred.Config{
-			TageTables:   s.Predictor.TageTables,
-			TageHistLens: s.Predictor.TageHistLens,
-			BTBEntries:   s.Predictor.BTBEntries,
-			BTBWays:      s.Predictor.BTBWays,
-			RASEntries:   s.Predictor.RASEntries,
-		},
-		Mem: mem.HierarchyConfig{
-			L1ISize: s.Memory.L1ISize, L1IWays: s.Memory.L1IWays,
-			L1DSize: s.Memory.L1DSize, L1DWays: s.Memory.L1DWays,
-			LLCSize: s.Memory.LLCSize, LLCWays: s.Memory.LLCWays,
-			L1Lat: s.Memory.L1Lat, LLCLat: s.Memory.LLCLat,
-			L1MSHRs: s.Memory.L1MSHRs, LLCMSHRs: s.Memory.LLCMSHRs,
-		},
-
-		CompanionDedicated:  s.Companion.Dedicated,
-		CompanionPorts:      s.Companion.Ports,
-		CompanionNoPriority: s.Companion.NoPriority,
-		CompanionPRegs:      192,
+	return Config{
+		Frontend:  s.Frontend,
+		Backend:   s.Backend,
+		Memory:    s.Memory,
+		Predictor: s.Predictor,
+		Companion: s.Companion,
 	}
-	if t := s.Companion.TEA; t != nil {
-		cfg.CompanionPRegs = t.PRPartition
-	}
-	return cfg
 }

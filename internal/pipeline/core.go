@@ -8,6 +8,7 @@ import (
 	"teasim/internal/isa"
 	"teasim/internal/mem"
 	"teasim/internal/telemetry"
+	"teasim/tea/spec"
 )
 
 // Core is the out-of-order core simulator.
@@ -164,22 +165,23 @@ type pendingRedirect struct {
 	target  uint64
 }
 
+// tableIIPRegs is the companion register pool of a machine without a TEA
+// section: Table II's partition.
+var tableIIPRegs = spec.DefaultTEA().PRPartition
+
 // New builds a core for prog with the given configuration. A fresh memory
 // image is initialized from the program's data segments.
 func New(cfg Config, prog *isa.Program) *Core {
-	if cfg.Mem == (mem.HierarchyConfig{}) {
-		cfg.Mem = mem.DefaultHierarchyConfig()
-	}
-	teaRegs := cfg.CompanionPRegs
-	if teaRegs == 0 {
-		teaRegs = 192
+	teaRegs := tableIIPRegs
+	if t := cfg.Companion.TEA; t != nil {
+		teaRegs = t.PRPartition
 	}
 	c := &Core{
 		Cfg:        cfg,
 		Prog:       prog,
 		Mem:        mem.LoadImage(prog.Data),
-		Hier:       mem.NewHierarchy(cfg.Mem),
-		BP:         bpred.NewWithConfig(cfg.BP),
+		Hier:       mem.NewHierarchy(cfg.Memory),
+		BP:         bpred.NewWithConfig(cfg.Predictor),
 		streamPC:   prog.Entry,
 		PRF:        NewPRF(cfg.NumPRegs, teaRegs),
 		mainRSCap:  cfg.RSSize,
@@ -233,9 +235,9 @@ func (c *Core) initQueues() {
 	c.rsStamps = make([]uint64, 0, n)
 	// One completion-ring slot drains at most every uop in flight.
 	c.complScratch = make([]*Uop, 0, cfg.ROBSize+companionReserve)
-	// A decode re-steer waits two cycles; fetch files at most FrontWidth a
+	// A decode re-steer waits two cycles; fetch files at most Width a
 	// cycle.
-	c.pendingRedirects = make([]pendingRedirect, 0, 3*cfg.FrontWidth)
+	c.pendingRedirects = make([]pendingRedirect, 0, 3*cfg.Width)
 	c.pool.branchesPerBlock = cfg.MaxBlockInstrs
 }
 
@@ -250,7 +252,7 @@ func (c *Core) Attach(comp Companion) {
 // companion is active (paper §IV-E: 192 RS + 192 PRs).
 func (c *Core) SetPartition(active bool, rsReserve, prReserve int) {
 	c.teaActive = active
-	if c.Cfg.CompanionDedicated {
+	if c.Cfg.Companion.Dedicated {
 		// Dedicated engine (§V-D): companion resources are additional; the
 		// main thread keeps its full share.
 		c.mainRSCap = c.Cfg.RSSize

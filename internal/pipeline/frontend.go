@@ -113,14 +113,14 @@ func (c *Core) predictBranch(pc, seq uint64, in *isa.Inst, isCond bool) *BranchR
 	return rec
 }
 
-// fetch consumes fetch-queue blocks through the I-cache: up to FrontWidth
+// fetch consumes fetch-queue blocks through the I-cache: up to Width
 // instructions from up to FetchLinesPerCyc distinct cache lines per cycle.
 func (c *Core) fetch() {
 	if c.Cycle < c.fetchStallTil {
 		c.Stats.FetchStallICM++
 		return
 	}
-	width := c.Cfg.FrontWidth
+	width := c.Cfg.Width
 	if room := c.Cfg.FrontQCap - c.frontQ.len(); room < width {
 		if room <= 0 {
 			return // decode/uop queue full: backpressure
@@ -165,7 +165,7 @@ func (c *Core) fetch() {
 			}
 			// The L1I hit latency is folded into the frontend depth, so only
 			// the part of a miss beyond it stalls fetch.
-			hitLat := c.Cfg.Mem.L1Lat
+			hitLat := c.Cfg.Memory.L1Lat
 			if res.ReadyAt > c.Cycle+hitLat {
 				c.fetchStallTil = res.ReadyAt - hitLat
 				return

@@ -16,7 +16,7 @@ func TestFetchL1Latency(t *testing.T) {
 		t.Run(fmt.Sprint(lat), func(t *testing.T) {
 			c := runMCF(t, func(cfg *pipeline.Config) {
 				cfg.CoSim = true
-				cfg.Mem.L1Lat = lat
+				cfg.Memory.L1Lat = lat
 			}, 0)
 			if c.Stats.Retired < c.Cfg.MaxInstructions {
 				t.Errorf("retired %d of %d instructions", c.Stats.Retired, c.Cfg.MaxInstructions)

@@ -37,7 +37,7 @@ func TestTinyROB(t *testing.T) {
 }
 
 func TestTinyRS(t *testing.T) {
-	runTortureWith(t, func(cfg *Config) { cfg.RSSize = 4; cfg.FrontWidth = 4 })
+	runTortureWith(t, func(cfg *Config) { cfg.RSSize = 4; cfg.Width = 4 })
 }
 
 func TestTinyPRF(t *testing.T) {
@@ -60,7 +60,7 @@ func TestTinyFrontQCap(t *testing.T) {
 
 func TestNarrowMachine(t *testing.T) {
 	c := runTortureWith(t, func(cfg *Config) {
-		cfg.FrontWidth = 1
+		cfg.Width = 1
 		cfg.RetireWidth = 1
 		cfg.ALUPorts = 1
 		cfg.LDPorts = 0
@@ -81,7 +81,7 @@ func TestSingleCycleLatencies(t *testing.T) {
 func TestWiderMachineIsNotSlower(t *testing.T) {
 	base := runTortureWith(t, func(cfg *Config) {})
 	wide := runTortureWith(t, func(cfg *Config) {
-		cfg.FrontWidth = 16
+		cfg.Width = 16
 		cfg.ALUPorts = 12
 		cfg.LDPorts = 4
 		cfg.LDSTPorts = 4

@@ -5,7 +5,7 @@ package pipeline
 // load/store queue slots. The companion claims issue slots first (priority
 // at Issue, paper §IV-D); main rename uses the remainder.
 func (c *Core) rename() {
-	width := c.Cfg.FrontWidth - c.issueSlotsUsed
+	width := c.Cfg.Width - c.issueSlotsUsed
 	for width > 0 && c.frontQ.len() > 0 {
 		u := c.frontQ.front()
 		if u.FetchCycle+c.Cfg.FetchToRenameLat > c.Cycle {
@@ -57,7 +57,7 @@ func (c *Core) rename() {
 // It consumes one of the cycle's issue slots and one companion RS entry.
 // Returns false if no slot or RS capacity is available this cycle.
 func (c *Core) InsertCompanionUop(u *Uop) bool {
-	if c.issueSlotsUsed >= c.Cfg.FrontWidth {
+	if c.issueSlotsUsed >= c.Cfg.Width {
 		return false
 	}
 	if c.rsTEACount >= c.teaRSCap {
@@ -72,7 +72,7 @@ func (c *Core) InsertCompanionUop(u *Uop) bool {
 }
 
 // IssueSlotsLeft reports how many of this cycle's 8 issue slots remain.
-func (c *Core) IssueSlotsLeft() int { return c.Cfg.FrontWidth - c.issueSlotsUsed }
+func (c *Core) IssueSlotsLeft() int { return c.Cfg.Width - c.issueSlotsUsed }
 
 // SquashCompanionWaiting removes every companion uop still waiting in the
 // reservation stations (used when the companion drains: waiting uops may

@@ -9,22 +9,8 @@ import (
 func init() {
 	companion.Register(spec.CompanionRunahead,
 		func(s *spec.MachineSpec, c *pipeline.Core, _ companion.Options) (companion.Instance, error) {
-			return brInstance{New(ConfigFromSpec(s.Companion.Runahead), c)}, nil
+			return brInstance{New(*s.Companion.Runahead, c)}, nil
 		})
-}
-
-// ConfigFromSpec converts the spec's Branch Runahead companion section.
-func ConfigFromSpec(r *spec.Runahead) Config {
-	return Config{
-		MaxChains:      r.MaxChains,
-		MaxChainUops:   r.MaxChainUops,
-		QueueDepth:     r.QueueDepth,
-		MaxInstances:   r.MaxInstances,
-		EngineWidth:    r.EngineWidth,
-		RecaptureEvery: r.RecaptureEvery,
-		DisableAfter:   r.DisableAfter,
-		HistSize:       r.HistSize,
-	}
 }
 
 // brInstance adapts Branch Runahead to the companion registry.

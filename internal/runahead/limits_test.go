@@ -5,6 +5,7 @@ import (
 
 	"teasim/internal/asm"
 	"teasim/internal/pipeline"
+	"teasim/tea/spec"
 )
 
 func TestBRStatsEdgeCases(t *testing.T) {
@@ -26,7 +27,7 @@ func TestBRStatsEdgeCases(t *testing.T) {
 }
 
 // runCfg runs a kernel with an explicit BR config.
-func runCfg(t *testing.T, brCfg Config, build func(b *asm.Builder)) (*pipeline.Core, *BR) {
+func runCfg(t *testing.T, brCfg spec.Runahead, build func(b *asm.Builder)) (*pipeline.Core, *BR) {
 	t.Helper()
 	bld := asm.NewBuilder()
 	build(bld)
@@ -48,7 +49,7 @@ func runCfg(t *testing.T, brCfg Config, build func(b *asm.Builder)) (*pipeline.C
 // TestBRChainTableBounded: the dependence-chain table never exceeds
 // MaxChains even when more distinct H2P branches exist.
 func TestBRChainTableBounded(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := *spec.DefaultRunahead()
 	cfg.MaxChains = 1
 	n := 20000
 	data := randData(n, 13)
@@ -65,7 +66,7 @@ func TestBRChainTableBounded(t *testing.T) {
 // With independent-chain spawning the engine races far ahead; the queue cap
 // is what stops it from precomputing unboundedly many future instances.
 func TestBRQueueDepthBounded(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := *spec.DefaultRunahead()
 	cfg.QueueDepth = 4
 	n := 20000
 	data := randData(n, 29)
@@ -83,7 +84,7 @@ func TestBRQueueDepthBounded(t *testing.T) {
 // TestBRRecapture: chains are periodically re-captured (RecaptureEvery), so
 // total captures exceed the number of distinct chains over a long run.
 func TestBRRecapture(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := *spec.DefaultRunahead()
 	cfg.RecaptureEvery = 16
 	n := 20000
 	data := randData(n, 31)
@@ -97,7 +98,7 @@ func TestBRRecapture(t *testing.T) {
 // TestBRTinyEngineStillCorrect: a starved engine (1 instance, width 1,
 // depth-1 queues) must degrade coverage, never correctness — co-sim is on.
 func TestBRTinyEngineStillCorrect(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := *spec.DefaultRunahead()
 	cfg.MaxInstances = 1
 	cfg.EngineWidth = 1
 	cfg.QueueDepth = 1

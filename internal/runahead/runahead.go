@@ -33,23 +33,6 @@ import (
 	"teasim/tea/spec"
 )
 
-// Config holds the Branch Runahead parameters (the scaled-up configuration
-// of §V-C: a dedicated engine comparable to the on-core TEA partition).
-type Config struct {
-	MaxChains      int // dependence-chain table entries
-	MaxChainUops   int // uops per captured chain
-	QueueDepth     int // per-branch prediction queue entries
-	MaxInstances   int // chain instances in flight in the engine
-	EngineWidth    int // engine uops started per cycle (16 dedicated units)
-	RecaptureEvery int // re-capture a branch's chain every N instances
-	DisableAfter   int // consecutive wrong predictions before disabling
-	HistSize       int // retired-instruction window for chain capture
-}
-
-// DefaultConfig returns the scaled-up Branch Runahead engine used in §V-C
-// (spec.DefaultRunahead).
-func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultRunahead()) }
-
 // Stats mirrors the coverage/accuracy accounting of the TEA thread so
 // Fig. 8/10 can compare the two schemes directly. "Covered" means the TAGE
 // prediction would have been wrong and the override fixed it.
@@ -155,7 +138,7 @@ type popRec struct {
 
 // BR is the Branch Runahead companion.
 type BR struct {
-	Cfg  Config
+	Cfg  spec.Runahead
 	core *pipeline.Core
 
 	h2p    *core.H2PTable
@@ -206,20 +189,21 @@ type winEntry struct {
 	isH2P bool
 }
 
-// New builds a Branch Runahead engine and attaches it to the core.
-func New(cfg Config, c *pipeline.Core) *BR {
-	teaCfg := core.DefaultConfig()
+// New builds a Branch Runahead engine and attaches it to the core. It
+// identifies H2P branches with TEA's Table II table and decay period.
+func New(cfg spec.Runahead, c *pipeline.Core) *BR {
+	h2p := spec.DefaultTEA()
 	b := &BR{
 		Cfg:       cfg,
 		core:      c,
-		h2p:       core.NewH2PTable(&teaCfg),
+		h2p:       core.NewH2PTable(h2p.H2PSets, h2p.H2PWays, h2p.H2PMax, h2p.H2PThreshold),
 		chains:    make(map[uint64]*chain),
 		memSrc:    make(map[uint64]bool),
 		chainPCs:  make(map[uint64]bool),
 		queues:    make(map[uint64][]qEntry),
 		specIdx:   make(map[uint64]uint64),
 		retireIdx: make(map[uint64]uint64),
-		nextDecay: teaCfg.H2PDecayPeriod,
+		nextDecay: h2p.H2PDecayPeriod,
 		window:    ring.New[winEntry](cfg.HistSize),
 	}
 	if cfg.HistSize > 0 {

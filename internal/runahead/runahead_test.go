@@ -6,6 +6,7 @@ import (
 	"teasim/internal/asm"
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
+	"teasim/tea/spec"
 )
 
 // buildLoopKernel emits a simple-control-flow loop with a data-dependent
@@ -59,7 +60,7 @@ func run(t *testing.T, attach bool, build func(b *asm.Builder)) (*pipeline.Core,
 	c := pipeline.New(cfg, p)
 	var br *BR
 	if attach {
-		br = New(DefaultConfig(), c)
+		br = New(*spec.DefaultRunahead(), c)
 	}
 	if err := c.Run(); err != nil {
 		t.Fatal(err)

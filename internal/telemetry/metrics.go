@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's observability subsystem: a
-// low-overhead metric registry (counters, gauges, histograms), a pluggable
+// low-overhead metric registry (gauge callbacks and histograms), a pluggable
 // Sink interface for structured trace events and per-interval time-series
 // samples, and a Collector that owns the per-run sampling state.
 //
@@ -15,55 +15,7 @@
 //     runs must use one sink per run.
 package telemetry
 
-import (
-	"sort"
-	"sync/atomic"
-)
-
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// SyncCounter is a Counter safe for concurrent use. The simulator's own
-// metrics stay on the unsynchronized Counter (one Registry per simulated
-// core, by design); SyncCounter exists for request-level metrics shared
-// across goroutines, like the serve daemon's admission and store counters.
-type SyncCounter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *SyncCounter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *SyncCounter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *SyncCounter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous value.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the value by d (which may be negative).
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
+import "sort"
 
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations <= Bounds[i]; one extra bucket counts the overflow.
@@ -124,7 +76,8 @@ func (h *Histogram) Buckets(visit func(bound float64, bounded bool, count uint64
 	}
 }
 
-// Registry holds named metrics in registration order. Registration is
+// Registry holds named metrics in registration order: gauge callbacks that
+// expose a component's existing state, and histograms. Registration is
 // idempotent by name within a kind; registering the same name as two
 // different kinds panics (a programming error, not a runtime condition).
 //
@@ -134,29 +87,23 @@ type Registry struct {
 	names []string
 	kinds map[string]metricKind
 
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	funcs    map[string]func() float64
+	hists map[string]*Histogram
+	funcs map[string]func() float64
 }
 
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindHistogram metricKind = iota
 	kindFunc
 )
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		kinds:    make(map[string]metricKind),
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() float64),
+		kinds: make(map[string]metricKind),
+		hists: make(map[string]*Histogram),
+		funcs: make(map[string]func() float64),
 	}
 }
 
@@ -170,22 +117,6 @@ func (r *Registry) register(name string, k metricKind) bool {
 	r.kinds[name] = k
 	r.names = append(r.names, name)
 	return true
-}
-
-// Counter returns the counter registered under name, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	if r.register(name, kindCounter) {
-		r.counters[name] = &Counter{}
-	}
-	return r.counters[name]
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r.register(name, kindGauge) {
-		r.gauges[name] = &Gauge{}
-	}
-	return r.gauges[name]
 }
 
 // Histogram returns the histogram registered under name, creating it with
@@ -210,10 +141,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 // their mean).
 func (r *Registry) value(name string) float64 {
 	switch r.kinds[name] {
-	case kindCounter:
-		return float64(r.counters[name].Value())
-	case kindGauge:
-		return r.gauges[name].Value()
 	case kindHistogram:
 		return r.hists[name].Mean()
 	case kindFunc:

@@ -10,24 +10,13 @@ import (
 
 func TestRegistryMetrics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("flushes")
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	if r.Counter("flushes") != c {
-		t.Fatal("re-registration must return the same counter")
-	}
-
-	g := r.Gauge("occupancy")
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %v, want 7", g.Value())
-	}
+	occ := 42.0
+	r.GaugeFunc("fn", func() float64 { return occ })
 
 	h := r.Histogram("saved", 10, 100)
+	if r.Histogram("saved") != h {
+		t.Fatal("re-registration must return the same histogram")
+	}
 	for _, v := range []float64{5, 50, 500} {
 		h.Observe(v)
 	}
@@ -40,17 +29,17 @@ func TestRegistryMetrics(t *testing.T) {
 		t.Fatalf("bucket counts = %v, want [1 1 1]", counts)
 	}
 
-	occ := 42.0
-	r.GaugeFunc("fn", func() float64 { return occ })
+	r.GaugeFunc("later", func() float64 { return 7 })
+	occ = 43 // callbacks are sampled at Visit, not at registration
 
 	var names []string
 	var vals []float64
 	r.Visit(func(n string, v float64) { names = append(names, n); vals = append(vals, v) })
-	want := []string{"flushes", "occupancy", "saved", "fn"}
+	want := []string{"fn", "saved", "later"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("visit order %v, want %v (registration order)", names, want)
 	}
-	if vals[0] != 3 || vals[1] != 7 || vals[2] != 185 || vals[3] != 42 {
+	if vals[0] != 43 || vals[1] != 185 || vals[2] != 7 {
 		t.Fatalf("visit values %v", vals)
 	}
 }
@@ -62,8 +51,8 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x")
-	r.Gauge("x")
+	r.Histogram("x")
+	r.GaugeFunc("x", func() float64 { return 0 })
 }
 
 func TestJSONLSink(t *testing.T) {
@@ -172,7 +161,7 @@ func TestCollectorTraceWindow(t *testing.T) {
 func TestCollectorIntervalCursor(t *testing.T) {
 	ring := NewRing(0)
 	c := NewCollector(Config{Sink: ring, IntervalPeriod: 100})
-	c.Registry().Counter("n").Add(7)
+	c.Registry().GaugeFunc("n", func() float64 { return 7 })
 	if c.IntervalDue(99) {
 		t.Fatal("interval due before the period elapsed")
 	}
@@ -200,7 +189,7 @@ func TestCollectorIntervalCursor(t *testing.T) {
 func TestNullPathAllocationFree(t *testing.T) {
 	c := NewCollector(Config{Sink: NullSink{}, IntervalPeriod: 1})
 	c.Registry().GaugeFunc("occ", func() float64 { return 1 })
-	c.Registry().Counter("n")
+	c.Registry().Histogram("n", 1)
 	// Warm the Metrics backing array.
 	c.BeginInterval(0, 0)
 	c.EmitInterval()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"teasim/internal/core"
 	"teasim/internal/pipeline"
@@ -19,14 +20,19 @@ func newCore(w workloads.Workload) *pipeline.Core {
 	return pipeline.New(cfg, w.Build(1))
 }
 
+// run simulates the probe's core, exiting 1 if the simulation fails.
+func run(c *pipeline.Core) {
+	if err := c.Run(); err != nil {
+		fmt.Fprintln(os.Stderr, "mpki:", err)
+		os.Exit(1)
+	}
+}
+
 // teaDebug dumps the TEA thread's internal counters and Block Cache state.
 func teaDebug(w workloads.Workload) {
 	c := newCore(w)
 	t := core.New(core.DefaultConfig(), c)
-	if err := c.Run(); err != nil {
-		fmt.Println(err)
-		return
-	}
+	run(c)
 	s := t.Stats
 	fmt.Printf("%s: cyc=%d act=%d inact=%d armMiss=%d termBC=%d termInc=%d termLate=%d\n",
 		w.Name, c.Stats.Cycles, s.Activations, s.InactiveCycles, s.ArmMiss, s.TermBCMiss, s.TermIncorrect, s.TermLate)
@@ -44,9 +50,7 @@ func teaDebug(w workloads.Workload) {
 // baseDebug dumps the baseline core's pipeline and cache counters.
 func baseDebug(w workloads.Workload) {
 	c := newCore(w)
-	if err := c.Run(); err != nil {
-		fmt.Println(err)
-	}
+	run(c)
 	fmt.Printf("%s baseline: cyc=%d\n", w.Name, c.Stats.Cycles)
 	dumpPipe(c)
 }

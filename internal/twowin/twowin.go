@@ -18,15 +18,6 @@ import (
 	"teasim/tea/spec"
 )
 
-// Config sizes the window (see spec.TwoWindow for field semantics).
-type Config struct {
-	WindowSize  int
-	EvalsPerCyc int
-}
-
-// DefaultConfig returns the reference two-entry window (spec.DefaultTwoWindow).
-func DefaultConfig() Config { return ConfigFromSpec(spec.DefaultTwoWindow()) }
-
 // Stats counts window activity and the retired-misprediction
 // classification (the shared Fig. 7 buckets, including TEA's Late bucket —
 // a precompute that lost the race to main resolution).
@@ -74,7 +65,7 @@ type winEntry struct {
 
 // W is the two-window precompute BPU companion.
 type W struct {
-	Cfg  Config
+	Cfg  spec.TwoWindow
 	core *pipeline.Core
 
 	win []winEntry
@@ -88,7 +79,7 @@ type W struct {
 }
 
 // New builds a two-window BPU and attaches it to the core.
-func New(cfg Config, c *pipeline.Core) *W {
+func New(cfg spec.TwoWindow, c *pipeline.Core) *W {
 	w := &W{Cfg: cfg, core: c, win: make([]winEntry, 0, cfg.WindowSize)}
 	c.Attach(w)
 	return w
@@ -97,13 +88,8 @@ func New(cfg Config, c *pipeline.Core) *W {
 func init() {
 	companion.Register(spec.CompanionTwoWindow,
 		func(s *spec.MachineSpec, c *pipeline.Core, _ companion.Options) (companion.Instance, error) {
-			return wInstance{New(ConfigFromSpec(s.Companion.TwoWin), c)}, nil
+			return wInstance{New(*s.Companion.TwoWin, c)}, nil
 		})
-}
-
-// ConfigFromSpec converts the spec's twowin companion section.
-func ConfigFromSpec(t *spec.TwoWindow) Config {
-	return Config{WindowSize: t.WindowSize, EvalsPerCyc: t.EvalsPerCyc}
 }
 
 // wInstance adapts the two-window BPU to the companion registry.

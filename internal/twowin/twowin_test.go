@@ -6,6 +6,7 @@ import (
 	"teasim/internal/asm"
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
+	"teasim/tea/spec"
 )
 
 // buildLoopKernel: the data-dependent branch's operands (the loaded value
@@ -59,7 +60,7 @@ func run(t *testing.T, attach bool, build func(b *asm.Builder)) (*pipeline.Core,
 	c := pipeline.New(cfg, p)
 	var w *W
 	if attach {
-		w = New(DefaultConfig(), c)
+		w = New(*spec.DefaultTwoWindow(), c)
 	}
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestTwoWinWindowBounded(t *testing.T) {
 func TestTwoWinQuiescentContract(t *testing.T) {
 	// With an empty window the companion must report quiescent (it has no
 	// self-scheduled work); with entries pending it must keep ticking.
-	w := &W{Cfg: DefaultConfig()}
+	w := &W{Cfg: *spec.DefaultTwoWindow()}
 	if idle, _ := w.Quiescent(0); !idle {
 		t.Fatal("empty window not quiescent")
 	}

@@ -3,6 +3,7 @@ package tea
 import (
 	"io"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"teasim/tea/spec"
@@ -22,10 +23,17 @@ const maxSteadyAllocsPerKinstr = 3
 // steady-state allocations of 100k simulated instructions. mcf is a
 // representative SPEC kernel; exchange2 is the kernel where Branch
 // Runahead's engine launches the most chain instances.
+//
+// The counts are process-wide, so the test holds them to the run's own
+// allocations: with the collector off no sync.Pool is emptied and refilled
+// between readings, and with one P the goroutine never moves to a P whose
+// pool cache is cold. Each reading is then the same from run to run.
 func TestCompanionSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mallocs := func(wl string, cfg Config, n uint64) uint64 {
 		t.Helper()
 		cfg.MaxInstructions = n
@@ -45,7 +53,7 @@ func TestCompanionSteadyStateAllocs(t *testing.T) {
 			short := mallocs(wl, cfg, 20_000)
 			long := mallocs(wl, cfg, 120_000)
 			per := (float64(long) - float64(short)) / 100
-			t.Logf("%-9s %-9s %6.1f allocs/kinstr", wl, kind, per)
+			t.Logf("%-9s %-9s %5d mallocs at 20k, %5d at 120k: %5.2f allocs/kinstr", wl, kind, short, long, per)
 			if per > maxSteadyAllocsPerKinstr {
 				t.Errorf("%s/%s: %.1f allocs/kinstr in steady state, want <= %d",
 					wl, kind, per, maxSteadyAllocsPerKinstr)

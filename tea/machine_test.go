@@ -1,9 +1,9 @@
 package tea
 
-// Machine-spec resolution tests: the converter contract that presets carry
-// exactly the shapes the mode switches used to, and the resolution-order
-// rules of Config.ResolvedSpec. Real-run equivalence (preset spec vs mode,
-// patch vs hand-edited spec) lives in spec_equivalence_test.go.
+// Machine-spec resolution tests: the preset registry behind Mode and the
+// resolution-order rules of Config.ResolvedSpec. Each preset's values are
+// pinned by tea/spec's TestPresetGoldens; real-run equivalence (preset spec
+// vs mode, patch vs hand-edited spec) lives in spec_equivalence_test.go.
 
 import (
 	"encoding/json"
@@ -12,51 +12,8 @@ import (
 	"sync"
 	"testing"
 
-	"teasim/internal/pipeline"
 	"teasim/tea/spec"
 )
-
-// TestModePresetsMatchModeSwitches pins each preset's pipeline-level shape
-// to what the old per-mode switch hardcoded.
-func TestModePresetsMatchModeSwitches(t *testing.T) {
-	base := pipeline.DefaultConfig()
-	cases := []struct {
-		mode Mode
-		want func() pipeline.Config
-	}{
-		{ModeBaseline, func() pipeline.Config { return base }},
-		{ModeTEA, func() pipeline.Config { return base }},
-		{ModeTEADedicated, func() pipeline.Config {
-			c := base
-			c.CompanionDedicated = true
-			c.CompanionPorts = 16
-			return c
-		}},
-		{ModeBranchRunahead, func() pipeline.Config { return base }},
-		{ModeTEABigEngine, func() pipeline.Config {
-			c := base
-			c.CompanionDedicated = true
-			c.CompanionPorts = c.ALUPorts + c.LDPorts + c.LDSTPorts + c.FPPorts
-			return c
-		}},
-		{ModeWide16, func() pipeline.Config {
-			c := base
-			c.FrontWidth = 16
-			c.FrontQCap = 192
-			return c
-		}},
-	}
-	for _, tc := range cases {
-		s, err := spec.Preset(tc.mode.String())
-		if err != nil {
-			t.Errorf("%s: %v", tc.mode, err)
-			continue
-		}
-		if got, want := pipeline.ConfigFromSpec(&s), tc.want(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s preset pipeline config:\ngot:  %+v\nwant: %+v", tc.mode, got, want)
-		}
-	}
-}
 
 // TestModePresetRegistry pins the one name per machine point: a Mode is a
 // registered preset's name, spec.Preset is the only place a name is looked

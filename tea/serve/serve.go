@@ -31,9 +31,9 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
-	"teasim/internal/telemetry"
 	"teasim/internal/workloads"
 	"teasim/tea"
 	"teasim/tea/spec"
@@ -112,16 +112,16 @@ type Server struct {
 	log   *log.Logger
 
 	// Service-lifetime metrics (see /statz).
-	requests      telemetry.SyncCounter
-	rejectedQuota telemetry.SyncCounter
-	rejectedBusy  telemetry.SyncCounter
-	rejectedDrain telemetry.SyncCounter
-	failed        telemetry.SyncCounter
-	simulated     telemetry.SyncCounter
-	storeHits     telemetry.SyncCounter
-	coalesced     telemetry.SyncCounter
-	memoHits      telemetry.SyncCounter
-	errorRows     telemetry.SyncCounter
+	requests      atomic.Uint64
+	rejectedQuota atomic.Uint64
+	rejectedBusy  atomic.Uint64
+	rejectedDrain atomic.Uint64
+	failed        atomic.Uint64
+	simulated     atomic.Uint64
+	storeHits     atomic.Uint64
+	coalesced     atomic.Uint64
+	memoHits      atomic.Uint64
+	errorRows     atomic.Uint64
 }
 
 // New builds a server from the config.
@@ -204,16 +204,16 @@ type Statz struct {
 func (s *Server) Stats() Statz {
 	running, queued := s.adm.depth()
 	st := Statz{
-		Requests:      s.requests.Value(),
-		RejectedQuota: s.rejectedQuota.Value(),
-		RejectedBusy:  s.rejectedBusy.Value(),
-		RejectedDrain: s.rejectedDrain.Value(),
-		Failed:        s.failed.Value(),
-		Simulations:   s.simulated.Value(),
-		StoreHits:     s.storeHits.Value(),
-		Coalesced:     s.coalesced.Value(),
-		MemoHits:      s.memoHits.Value(),
-		ErrorRows:     s.errorRows.Value(),
+		Requests:      s.requests.Load(),
+		RejectedQuota: s.rejectedQuota.Load(),
+		RejectedBusy:  s.rejectedBusy.Load(),
+		RejectedDrain: s.rejectedDrain.Load(),
+		Failed:        s.failed.Load(),
+		Simulations:   s.simulated.Load(),
+		StoreHits:     s.storeHits.Load(),
+		Coalesced:     s.coalesced.Load(),
+		MemoHits:      s.memoHits.Load(),
+		ErrorRows:     s.errorRows.Load(),
 		Running:       running,
 		Queued:        queued,
 	}
@@ -423,7 +423,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	s.requests.Inc()
+	s.requests.Add(1)
 	req, opts, format, err := s.parseRequest(w, r)
 	if err != nil {
 		s.fail(w, r, err)
@@ -438,17 +438,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		var de drainError
 		switch {
 		case errors.As(err, &qe):
-			s.rejectedQuota.Inc()
+			s.rejectedQuota.Add(1)
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
 		case errors.As(err, &be):
-			s.rejectedBusy.Inc()
+			s.rejectedBusy.Add(1)
 			w.Header().Set("Retry-After", "2")
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
 		case errors.As(err, &de):
 			// The server is going away: answer 503 and close the
 			// connection so the client retries elsewhere.
-			s.rejectedDrain.Inc()
+			s.rejectedDrain.Add(1)
 			w.Header().Set("Connection", "close")
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		default: // client gave up while queued
@@ -557,14 +557,14 @@ func (s *Server) runStream(w http.ResponseWriter, r *http.Request, req Request, 
 	ms := s.account(eng)
 	if err != nil {
 		if r.Context().Err() == nil {
-			s.failed.Inc()
+			s.failed.Add(1)
 			sse.event("error", map[string]string{"error": err.Error()})
 		}
 		return
 	}
 	var body bytes.Buffer
 	if err := rep.Write(&body, format); err != nil {
-		s.failed.Inc()
+		s.failed.Add(1)
 		sse.event("error", map[string]string{"error": err.Error()})
 		return
 	}
@@ -582,7 +582,7 @@ func (s *Server) runStream(w http.ResponseWriter, r *http.Request, req Request, 
 // fail answers a request-level failure with its status (500 unless the
 // error carries one).
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
-	s.failed.Inc()
+	s.failed.Add(1)
 	var he *httpError
 	if errors.As(err, &he) {
 		http.Error(w, he.msg, he.status)

@@ -6,9 +6,11 @@
 // The package is pure data: specs are built from presets (the named machine
 // points behind the paper's tables and figures), loaded from JSON, and
 // edited with dotted-path patches ("companion.tea.fill_buf_size=1024").
-// Each simulator package converts its part of a resolved spec into its own
-// configuration (ConfigFromSpec); every ablation and sensitivity study is
-// therefore a data change, not a code change.
+// Each simulator package takes its section of a resolved spec as its
+// configuration (pipeline the core sections, bpred the Predictor, mem the
+// Memory, each companion its own section), so a parameter is declared once,
+// here; every ablation and sensitivity study is therefore a data change,
+// not a code change.
 //
 // Resolution order for one run (see tea.Config): preset (or an explicit
 // spec) → -set patches, then Validate. The resolved spec's Fingerprint keys experiment memoization and
@@ -49,13 +51,18 @@ type MachineSpec struct {
 
 // Frontend describes fetch and the decoupled branch-prediction feed.
 type Frontend struct {
-	Width            int    `json:"width"`               // fetch/decode/rename/issue width
-	RetireWidth      int    `json:"retire_width"`        // retirement bandwidth
-	FetchQueueSize   int    `json:"fetch_queue_size"`    // decoupled-BP fetch queue entries
-	FetchToRenameLat uint64 `json:"fetch_to_rename_lat"` // fetch→rename pipeline depth
-	MaxBlockInstrs   int    `json:"max_block_instrs"`    // BP throughput cap per fetch block
+	Width          int `json:"width"`            // fetch/decode/rename/issue width
+	RetireWidth    int `json:"retire_width"`     // retirement bandwidth
+	FetchQueueSize int `json:"fetch_queue_size"` // decoupled-BP fetch queue entries
+	// FetchToRenameLat is the number of cycles between reading instruction
+	// bytes and being available to rename; together with the 1-cycle
+	// predict and 1-cycle rename/dispatch it forms the 12-cycle frontend.
+	FetchToRenameLat uint64 `json:"fetch_to_rename_lat"`
+	MaxBlockInstrs   int    `json:"max_block_instrs"`    // BP throughput cap: 32 instructions (128B) per cycle
 	FetchLinesPerCyc int    `json:"fetch_lines_per_cyc"` // sequential I-cache lines per cycle
-	FrontQCap        int    `json:"front_q_cap"`         // fetched-but-not-renamed uop bound
+	// FrontQCap bounds fetched-but-not-renamed uops (decode/uop-queue
+	// backpressure); fetch stalls when the frontend pipe is full.
+	FrontQCap int `json:"front_q_cap"`
 }
 
 // Backend describes the out-of-order engine.
@@ -77,6 +84,8 @@ type Backend struct {
 	FPLat   uint64 `json:"fp_lat"`
 	FDivLat uint64 `json:"fdiv_lat"`
 
+	// MispredictExtraLat models the redirect/recovery overhead beyond
+	// pipeline refill (checkpoint copy, predictor repair).
 	MispredictExtraLat uint64 `json:"mispredict_extra_lat"`
 }
 
@@ -85,7 +94,8 @@ type Backend struct {
 func (b Backend) Ports() int { return b.ALUPorts + b.LDPorts + b.LDSTPorts + b.FPPorts }
 
 // Memory describes the cache hierarchy (sizes in bytes, latencies in core
-// cycles). The DRAM model is fixed DDR4-2400R.
+// cycles); internal/mem takes it as the hierarchy's geometry. The DRAM
+// model is fixed DDR4-2400R.
 type Memory struct {
 	L1ISize int    `json:"l1i_size"`
 	L1IWays int    `json:"l1i_ways"`
@@ -101,14 +111,15 @@ type Memory struct {
 }
 
 // Predictor describes the decoupled branch-prediction stack (TAGE-SC-L
-// class). TageHistLens is the geometric history series of the tagged
-// tables; its length must equal TageTables.
+// class); internal/bpred takes it as the predictor's geometry. TageHistLens
+// is the geometric history series of the tagged tables; its length must
+// equal TageTables.
 type Predictor struct {
-	TageTables   int      `json:"tage_tables"`
-	TageHistLens []uint32 `json:"tage_hist_lens"`
-	BTBEntries   int      `json:"btb_entries"`
+	TageTables   int      `json:"tage_tables"`    // tagged TAGE tables, 1..12
+	TageHistLens []uint32 `json:"tage_hist_lens"` // each 1..2048 bits
+	BTBEntries   int      `json:"btb_entries"`    // entries/ways must be a power of two
 	BTBWays      int      `json:"btb_ways"`
-	RASEntries   int      `json:"ras_entries"`
+	RASEntries   int      `json:"ras_entries"` // return address stack depth
 }
 
 // Companion describes the precomputation scheme. Exactly the section named
@@ -135,9 +146,11 @@ type Companion struct {
 }
 
 // TEA holds the TEA-thread structures (Table II) and the Fig. 10 ablation
-// switches.
+// switches. internal/core takes it as the thread's configuration.
 type TEA struct {
-	// H2P table (§IV-B).
+	// H2P table (§IV-B): 32 sets × 8 ways = 256 3-bit saturating counters
+	// (H2PMax 7). A branch is H2P while its counter exceeds H2PThreshold;
+	// every counter decrements every H2PDecayPeriod retired instructions.
 	H2PSets        int    `json:"h2p_sets"`
 	H2PWays        int    `json:"h2p_ways"`
 	H2PMax         uint8  `json:"h2p_max"`
@@ -146,10 +159,13 @@ type TEA struct {
 
 	// Fill Buffer and Backward Dataflow Walk (§IV-C).
 	FillBufSize   int    `json:"fill_buf_size"`
-	WalkCycles    uint64 `json:"walk_cycles"`
-	SourceMemSize int    `json:"source_mem_size"`
+	WalkCycles    uint64 `json:"walk_cycles"`     // walk duration; retired instrs are dropped meanwhile
+	SourceMemSize int    `json:"source_mem_size"` // memory-address entries in the Source List
 
-	// Block Cache (§IV-B/C). Set counts must be powers of two.
+	// Block Cache (§IV-B/C): 64 sets × 8 ways = 512 entries, plus 32 × 8 =
+	// 256 tag-only entries. Set counts must be powers of two. Every mask
+	// clears each MaskResetPeriod retired instructions; SegMaxUops bounds the
+	// chain uops delivered per cycle.
 	BlockCacheSets  int    `json:"block_cache_sets"`
 	BlockCacheWays  int    `json:"block_cache_ways"`
 	EmptyTagSets    int    `json:"empty_tag_sets"`
@@ -158,24 +174,37 @@ type TEA struct {
 	SegMaxUops      int    `json:"seg_max_uops"`
 
 	// Frontend/backend (§IV-D/E).
-	FrontLatency  uint64 `json:"front_latency"`
-	MaxLeadBlocks int    `json:"max_lead_blocks"` // shadow fetch queue depth
-	RSPartition   int    `json:"rs_partition"`
-	PRPartition   int    `json:"pr_partition"`
+	FrontLatency uint64 `json:"front_latency"` // block-cache read → rename-ready (9-cycle frontend)
+	// MaxLeadBlocks bounds the shadow fetch queue: the TEA thread stops
+	// fetching when it is this many fetch blocks ahead of the main thread.
+	// Bounding the lead bounds the precomputation work lost to each flush.
+	MaxLeadBlocks int `json:"max_lead_blocks"`
+	RSPartition   int `json:"rs_partition"` // reservation stations reserved while active
+	// PRPartition is the physical registers reserved while active; the core
+	// builds this pool above backend.num_pregs whether or not the thread
+	// attaches (the paper's static partitioning).
+	PRPartition int `json:"pr_partition"`
 
-	// Store data cache and conservative load ordering (§IV-E).
+	// Store data cache (§IV-E): half-lines of 32 bytes.
 	StoreCacheLines int `json:"store_cache_lines"`
+	// StoreWaitWindow: when conservative load ordering is engaged (see
+	// internal/core/tea.go: it self-enables when precomputation accuracy
+	// degrades), a TEA load waits for older in-flight TEA stores within this
+	// many sequence numbers.
 	StoreWaitWindow int `json:"store_wait_window"`
 
 	// Termination policy (§V-B, §IV-G).
-	LateLimit  int `json:"late_limit"`
+	LateLimit int `json:"late_limit"` // terminate after this many late precomputations
+	// WrongLimit suppresses a branch's early flushes after this many
+	// fail-safe-detected wrong precomputations (the counter decays with the
+	// H2P decay period).
 	WrongLimit int `json:"wrong_limit"`
 
 	// Ablation switches (Fig. 10 / §V-B).
-	OnlyLoops         bool `json:"only_loops,omitempty"`
-	NoMasks           bool `json:"no_masks,omitempty"`
-	NoMem             bool `json:"no_mem,omitempty"`
-	DisableEarlyFlush bool `json:"disable_early_flush,omitempty"`
+	OnlyLoops         bool `json:"only_loops,omitempty"`          // chains confined between consecutive instances of an H2P branch
+	NoMasks           bool `json:"no_masks,omitempty"`            // no mask combining; walks seed only at H2P branches
+	NoMem             bool `json:"no_mem,omitempty"`              // ignore memory dependencies in the walk
+	DisableEarlyFlush bool `json:"disable_early_flush,omitempty"` // compute but never flush (prefetch-only)
 }
 
 // BlockCacheEntries returns the Block Cache data capacity (sets × ways).
@@ -192,16 +221,18 @@ func (t *TEA) SetBlockCacheEntries(entries int) {
 	t.BlockCacheSets = sets
 }
 
-// Runahead holds the Branch Runahead engine parameters (§V-C).
+// Runahead holds the Branch Runahead engine parameters (the scaled-up
+// configuration of §V-C: a dedicated engine comparable to the on-core TEA
+// partition). internal/runahead takes it as the engine's configuration.
 type Runahead struct {
-	MaxChains      int `json:"max_chains"`
-	MaxChainUops   int `json:"max_chain_uops"`
-	QueueDepth     int `json:"queue_depth"`
-	MaxInstances   int `json:"max_instances"`
-	EngineWidth    int `json:"engine_width"`
-	RecaptureEvery int `json:"recapture_every"`
-	DisableAfter   int `json:"disable_after"`
-	HistSize       int `json:"hist_size"`
+	MaxChains      int `json:"max_chains"`      // dependence-chain table entries
+	MaxChainUops   int `json:"max_chain_uops"`  // uops per captured chain
+	QueueDepth     int `json:"queue_depth"`     // per-branch prediction queue entries
+	MaxInstances   int `json:"max_instances"`   // chain instances in flight in the engine
+	EngineWidth    int `json:"engine_width"`    // engine uops started per cycle (16 dedicated units)
+	RecaptureEvery int `json:"recapture_every"` // re-capture a branch's chain every N instances
+	DisableAfter   int `json:"disable_after"`   // consecutive wrong predictions before disabling
+	HistSize       int `json:"hist_size"`       // retired-instruction window for chain capture
 }
 
 // Clone returns a deep copy: mutating the copy (patches, overrides) never

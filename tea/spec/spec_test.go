@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"teasim/internal/bpred"
 	"teasim/internal/isa"
 )
 
@@ -311,23 +310,6 @@ func TestValidateErrors(t *testing.T) {
 func TestArchRegs(t *testing.T) {
 	if archRegs != isa.NumRegs {
 		t.Fatalf("archRegs = %d, isa.NumRegs = %d", archRegs, isa.NumRegs)
-	}
-}
-
-// TestMaxTageHistLen pins the validator's history cap to the predictor's
-// and checks that a history of exactly that length is accepted (one bit
-// more is a TestValidateErrors row).
-func TestMaxTageHistLen(t *testing.T) {
-	if maxTageHistLen != bpred.MaxFoldLen {
-		t.Fatalf("maxTageHistLen = %d, bpred.MaxFoldLen = %d", maxTageHistLen, bpred.MaxFoldLen)
-	}
-	s, err := Preset("tea")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Predictor.TageHistLens[11] = 2048
-	if err := s.Validate(); err != nil {
-		t.Fatalf("a 2048-bit history was rejected: %v", err)
 	}
 }
 

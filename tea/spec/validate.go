@@ -12,7 +12,7 @@ const maxTageTables = 12
 // maxTageHistLen is the longest TAGE history the predictor can fold
 // (bpred.MaxFoldLen): half of its 4096-bit history buffer, the other half
 // left for the pushes in flight, whose outgoing bits rewind recovery
-// re-reads.
+// re-reads. internal/bpred's tests hold both limits to bpred.NewWithConfig.
 const maxTageHistLen = 2048
 
 // archRegs is the µISA's architectural register count (isa.NumRegs, kept

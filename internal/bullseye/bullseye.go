@@ -81,7 +81,7 @@ type B struct {
 	Cfg  spec.Bullseye
 	core *pipeline.Core
 
-	h2p      *core.H2PTable
+	h2p      core.H2PTable
 	branches map[uint64]*branchEnt
 	lruTick  uint64
 

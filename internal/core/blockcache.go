@@ -45,11 +45,11 @@ type bcTagEntry struct {
 
 // NewBlockCache builds the block cache from the TEA configuration.
 // Set counts must be powers of two (indices are computed by masking).
-func NewBlockCache(cfg *Config) *BlockCache {
+func NewBlockCache(cfg *Config) BlockCache {
 	if cfg.BlockCacheSets&(cfg.BlockCacheSets-1) != 0 || cfg.EmptyTagSets&(cfg.EmptyTagSets-1) != 0 {
 		panic("core: block cache set counts must be powers of two")
 	}
-	return &BlockCache{
+	return BlockCache{
 		sets:         cfg.BlockCacheSets,
 		ways:         cfg.BlockCacheWays,
 		entries:      make([]bcEntry, cfg.BlockCacheSets*cfg.BlockCacheWays),

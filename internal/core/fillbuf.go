@@ -34,8 +34,8 @@ type FillBuffer struct {
 }
 
 // NewFillBuffer returns an empty buffer of the configured capacity.
-func NewFillBuffer(capacity int) *FillBuffer {
-	return &FillBuffer{entries: make([]FillEntry, 0, capacity), cap: capacity}
+func NewFillBuffer(capacity int) FillBuffer {
+	return FillBuffer{entries: make([]FillEntry, 0, capacity), cap: capacity}
 }
 
 // Full reports whether the buffer is ready for a walk.

@@ -62,7 +62,7 @@ func TestWalkMemoryDependence(t *testing.T) {
 		br := entry(0x10c, brInst(isa.R1, isa.R2))
 		br.IsH2P, br.ChainBit = true, true
 		f.Add(br)
-		return f
+		return &f
 	}
 
 	cfg := DefaultConfig()

@@ -26,8 +26,8 @@ type h2pEntry struct {
 // NewH2PTable builds a table of sets × ways counters saturating at ctrMax;
 // a branch is H2P while its counter exceeds threshold. sets must be a power
 // of two.
-func NewH2PTable(sets, ways int, ctrMax, threshold uint8) *H2PTable {
-	return &H2PTable{
+func NewH2PTable(sets, ways int, ctrMax, threshold uint8) H2PTable {
+	return H2PTable{
 		sets:      sets,
 		ways:      ways,
 		max:       ctrMax,

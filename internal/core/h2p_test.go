@@ -4,7 +4,8 @@ import "testing"
 
 // newH2P builds the H2P table cfg describes.
 func newH2P(cfg *Config) *H2PTable {
-	return NewH2PTable(cfg.H2PSets, cfg.H2PWays, cfg.H2PMax, cfg.H2PThreshold)
+	t := NewH2PTable(cfg.H2PSets, cfg.H2PWays, cfg.H2PMax, cfg.H2PThreshold)
+	return &t
 }
 
 func TestH2PPromotionAndDecay(t *testing.T) {

@@ -27,8 +27,8 @@ type scLine struct {
 }
 
 // NewStoreCache returns a cache of n half-lines.
-func NewStoreCache(n int) *StoreCache {
-	return &StoreCache{lines: make([]scLine, n)}
+func NewStoreCache(n int) StoreCache {
+	return StoreCache{lines: make([]scLine, n)}
 }
 
 // Reset discards all buffered store data (thread restart).

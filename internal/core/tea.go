@@ -3,6 +3,7 @@ package core
 import (
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
+	"teasim/internal/slab"
 	"teasim/internal/telemetry"
 )
 
@@ -12,10 +13,10 @@ type TEA struct {
 	Cfg  Config
 	core *pipeline.Core
 
-	H2P   *H2PTable
-	Fill  *FillBuffer
-	BC    *BlockCache
-	Store *StoreCache
+	H2P   H2PTable
+	Fill  FillBuffer
+	BC    BlockCache
+	Store StoreCache
 
 	// Backward Dataflow Walk state machine (§IV-C).
 	walking    bool
@@ -124,7 +125,9 @@ type TEA struct {
 // notes overflow is rare and tolerable).
 const refcntMax = 31
 
-// New builds a TEA thread and attaches it to the core.
+// New builds a TEA thread and attaches it to the core. Its structures live
+// inline, and every list is sized here from the configuration: the register
+// pool's flags share one array, and the thread's uop lists another.
 func New(cfg Config, c *pipeline.Core) *TEA {
 	t := &TEA{
 		Cfg:           cfg,
@@ -143,13 +146,21 @@ func New(cfg Config, c *pipeline.Core) *TEA {
 		t.BC.paranoia = true
 	}
 	n := cfg.PRPartition
+	flags := slab.New[bool](4 * n)
+	t.valid, t.pendWrite, t.allocated, t.keptScratch = flags.Take(n), flags.Take(n), flags.Take(n), flags.Take(n)
 	t.refcnt = make([]uint8, n)
-	t.valid = make([]bool, n)
-	t.pendWrite = make([]bool, n)
-	t.allocated = make([]bool, n)
 	t.prFree = make([]uint16, 0, n)
+	// The frontend pipe and the in-flight list keep what the thread fetched
+	// and inserted since its last flush or drain: a Fill Buffer's worth of
+	// chain uops beside a full RS partition. In-flight stores and
+	// checkpointed branches are partition residents.
+	uops := slab.New[*pipeline.Uop](2 * (n + cfg.FillBufSize))
+	t.frontQ, t.inflight = uops.Empty(n+cfg.FillBufSize), uops.Empty(n+cfg.FillBufSize)
+	words := slab.New[uint64](n + cfg.SourceMemSize)
+	t.pendStores = words.Empty(n)
+	t.Fill.src.mem = words.Empty(cfg.SourceMemSize)
+	t.ckpts = make([]ratCkpt, 0, n)
 	t.wrongTbl.init(1024)
-	t.ckpts = make([]ratCkpt, 0, 64)
 	t.resetPRState()
 	c.Attach(t)
 	t.telemRegister()
@@ -427,10 +438,7 @@ func (t *TEA) OnFlush(seq uint64, branchRenamed bool) {
 // The kept scratch is reused across flushes (this runs on every flush; a
 // fresh slice per call was ~10% of the simulator's steady-state allocations).
 func (t *TEA) unmapTEARegs(keep *[isa.NumRegs]uint16) {
-	if cap(t.keptScratch) < len(t.valid) {
-		t.keptScratch = make([]bool, len(t.valid))
-	}
-	kept := t.keptScratch[:len(t.valid)]
+	kept := t.keptScratch
 	clear(kept)
 	if keep != nil {
 		for _, p := range keep {

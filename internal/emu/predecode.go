@@ -33,10 +33,11 @@ type Decoded struct {
 	NextBr []int32
 }
 
-// Predecode decodes every instruction of p once.
-func Predecode(p *isa.Program) *Decoded {
+// Predecode decodes every instruction of p once. The table is a value, so
+// a holder can keep it inline and pay only for its two arrays.
+func Predecode(p *isa.Program) Decoded {
 	n := len(p.Code)
-	d := &Decoded{
+	d := Decoded{
 		Prog:   p,
 		Tmpl:   make([]UopTmpl, n),
 		NextBr: make([]int32, n),

@@ -105,7 +105,7 @@ type L struct {
 	Cfg  spec.LDBP
 	core *pipeline.Core
 
-	h2p    *core.H2PTable
+	h2p    core.H2PTable
 	chains map[uint64]*chain   // by branch PC
 	byLoad map[uint64][]*chain // trigger load PC → chains
 

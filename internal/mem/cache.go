@@ -1,5 +1,7 @@
 package mem
 
+import "teasim/internal/slab"
+
 // Timing cache model: set-associative, LRU, writeback/write-allocate, with
 // MSHR-style miss tracking. The model is "compute at issue": an access
 // immediately computes its completion cycle by walking the hierarchy, and a
@@ -41,21 +43,37 @@ type Cache struct {
 	fills []uint64
 }
 
-// NewCache builds a cache with the given geometry. sizeBytes/ways/LineBytes
-// must be a power-of-two set count.
-func NewCache(name string, sizeBytes, ways int, hitLat uint64, mshrs int) *Cache {
-	sets := sizeBytes / ways / LineBytes
+// cacheGeom is one cache level's geometry.
+type cacheGeom struct {
+	name      string
+	sizeBytes int
+	ways      int
+	hitLat    uint64
+	mshrs     int
+}
+
+// sets returns the geometry's set count, sizeBytes/ways/LineBytes, which
+// must be a positive power of two.
+func (g cacheGeom) sets() int {
+	sets := g.sizeBytes / g.ways / LineBytes
 	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("mem: cache set count must be a positive power of two: " + name)
+		panic("mem: cache set count must be a positive power of two: " + g.name)
 	}
-	return &Cache{
-		name:    name,
+	return sets
+}
+
+// init builds the cache in place, taking its lines and its MSHR file from
+// the hierarchy's slabs.
+func (c *Cache) init(g cacheGeom, lines *slab.Slab[cacheLine], fills *slab.Slab[uint64]) {
+	sets := g.sets()
+	*c = Cache{
+		name:    g.name,
 		sets:    sets,
-		ways:    ways,
-		hitLat:  hitLat,
-		lines:   make([]cacheLine, sets*ways),
-		mshrCap: mshrs,
-		fills:   make([]uint64, 0, mshrs),
+		ways:    g.ways,
+		hitLat:  g.hitLat,
+		lines:   lines.Take(sets * g.ways),
+		mshrCap: g.mshrs,
+		fills:   fills.Empty(g.mshrs),
 	}
 }
 

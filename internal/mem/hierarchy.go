@@ -1,6 +1,9 @@
 package mem
 
-import "teasim/tea/spec"
+import (
+	"teasim/internal/slab"
+	"teasim/tea/spec"
+)
 
 // Hierarchy ties the caches and DRAM together: split L1I/L1D, a shared LLC,
 // and the DDR4 model, in the geometry of a machine spec's memory section
@@ -8,23 +11,41 @@ import "teasim/tea/spec"
 // cycle at issue; lines mid-fill act as MSHR entries, so secondary misses
 // merge onto the outstanding fill.
 
-// Hierarchy is the full memory system timing model.
+// Hierarchy is the full memory system timing model. Its caches and DRAM
+// model live inline (the exported pointers point at them), so the whole
+// hierarchy is one allocation plus the caches' lines and MSHR files.
 type Hierarchy struct {
 	L1I  *Cache
 	L1D  *Cache
 	LLC  *Cache
 	DRAM *DRAM
+
+	caches [3]Cache
+	dram   DRAM
 }
 
-// NewHierarchy builds the memory system. Every field is required; a set
-// count that is not a power of two panics (spec.Validate rejects it first).
+// NewHierarchy builds the memory system in three allocations: the
+// hierarchy, every cache's lines, and every cache's MSHR file. Every field
+// is required; a set count that is not a power of two panics
+// (spec.Validate rejects it first).
 func NewHierarchy(cfg spec.Memory) *Hierarchy {
-	return &Hierarchy{
-		L1I:  NewCache("L1I", cfg.L1ISize, cfg.L1IWays, cfg.L1Lat, cfg.L1MSHRs),
-		L1D:  NewCache("L1D", cfg.L1DSize, cfg.L1DWays, cfg.L1Lat, cfg.L1MSHRs),
-		LLC:  NewCache("LLC", cfg.LLCSize, cfg.LLCWays, cfg.LLCLat, cfg.LLCMSHRs),
-		DRAM: &DRAM{},
+	geoms := [3]cacheGeom{
+		{"L1I", cfg.L1ISize, cfg.L1IWays, cfg.L1Lat, cfg.L1MSHRs},
+		{"L1D", cfg.L1DSize, cfg.L1DWays, cfg.L1Lat, cfg.L1MSHRs},
+		{"LLC", cfg.LLCSize, cfg.LLCWays, cfg.LLCLat, cfg.LLCMSHRs},
 	}
+	nLines, nFills := 0, 0
+	for _, g := range geoms {
+		nLines += g.sets() * g.ways
+		nFills += g.mshrs
+	}
+	lines, fills := slab.New[cacheLine](nLines), slab.New[uint64](nFills)
+	h := &Hierarchy{}
+	for i, g := range geoms {
+		h.caches[i].init(g, &lines, &fills)
+	}
+	h.L1I, h.L1D, h.LLC, h.DRAM = &h.caches[0], &h.caches[1], &h.caches[2], &h.dram
+	return h
 }
 
 // access performs a load-type access through l1 → LLC → DRAM. ok=false means

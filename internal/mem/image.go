@@ -22,7 +22,16 @@ const (
 // design (cycle-by-cycle determinism).
 type Image struct {
 	pages map[uint64]*[pageSize]byte
+	// spare holds zeroed pages carved ahead of their first touch: a page
+	// first touched after load takes the next one, and an empty spare is
+	// refilled with lateChunk pages at once.
+	spare [][pageSize]byte
 }
+
+// lateChunk is how many pages an image carves at once for pages first
+// touched after load (a kernel's stack and output arrays: about a dozen
+// per run), and the room its page map leaves for them.
+const lateChunk = 16
 
 // NewImage returns an empty memory image.
 func NewImage() *Image {
@@ -40,7 +49,7 @@ func LoadImage(segs []isa.DataSeg) *Image {
 			spans += int(last-first) + 1
 		}
 	}
-	m := &Image{pages: make(map[uint64]*[pageSize]byte, spans)}
+	m := &Image{pages: make(map[uint64]*[pageSize]byte, spans+lateChunk)}
 	// Claim the touched pages first (segments may share one), then carve
 	// exactly that many from the slab.
 	for _, seg := range segs {
@@ -74,7 +83,11 @@ func (m *Image) page(addr uint64, alloc bool) *[pageSize]byte {
 	pn := addr >> pageShift
 	p := m.pages[pn]
 	if p == nil && alloc {
-		p = new([pageSize]byte)
+		if len(m.spare) == 0 {
+			m.spare = make([][pageSize]byte, lateChunk)
+		}
+		p = &m.spare[0]
+		m.spare = m.spare[1:]
 		m.pages[pn] = p
 	}
 	return p

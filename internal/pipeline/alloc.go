@@ -15,17 +15,19 @@ package pipeline
 // Companions must not retain pointers to these records across calls; they
 // copy the fields they need (the Fill Buffer does exactly that).
 
-// Pool misses are served from slabs — chunks of poolSlab objects allocated
-// at once — so a warming-up core costs a handful of allocations instead of
-// one per record. The slabs are never returned to the GC while the core
-// lives; in-flight populations are bounded by the machine's structure sizes,
-// so the steady-state footprint is too.
+// Pool misses are served from slabs, chunks of records allocated at once.
+// The first slab of each pool holds the machine's in-flight bound (carve
+// sizes it), so a core that stays within its bounds allocates no record
+// after New; a pool that outgrows it takes further slabs of poolSlab
+// records. The slabs are never returned to the GC while the core lives;
+// in-flight populations are bounded by the machine's structure sizes, so
+// the steady-state footprint is too.
 const poolSlab = 256
 
 // Each free list can hold every object its slabs have handed out, so a put
 // never grows it: it is resized once per slab, when the slab is allocated
 // (the free list is empty then, or get would have taken from it), to its
-// old capacity plus poolSlab.
+// old capacity plus the slab's size.
 type pools struct {
 	uops   []*Uop
 	recs   []*BranchRec
@@ -40,6 +42,15 @@ type pools struct {
 	// grows it. A slab's blocks carve their Branches from one backing array
 	// allocated with the slab.
 	branchesPerBlock int
+}
+
+// init allocates each pool's first slab at its in-flight bound. The free
+// lists already have that capacity (carve sizes them).
+func (p *pools) init(uops, recs, blocks, branchesPerBlock int) {
+	p.uopSlab = make([]Uop, uops)
+	p.recSlab = make([]BranchRec, recs)
+	p.branchesPerBlock = branchesPerBlock
+	p.carveBlocks(make([]FetchBlock, blocks))
 }
 
 func (p *pools) getUop() *Uop {
@@ -106,15 +117,21 @@ func (p *pools) getBlock() *FetchBlock {
 	return b
 }
 
-// newBlockSlab allocates a slab of blocks with their branch lists.
+// newBlockSlab allocates a further slab of blocks.
 func (p *pools) newBlockSlab() {
-	n := p.branchesPerBlock
-	p.blockSlab = make([]FetchBlock, poolSlab)
 	p.blocks = make([]*FetchBlock, 0, cap(p.blocks)+poolSlab)
-	branches := make([]blockBranch, poolSlab*n)
-	for i := range p.blockSlab {
-		p.blockSlab[i].Branches = branches[i*n : i*n : (i+1)*n]
+	p.carveBlocks(make([]FetchBlock, poolSlab))
+}
+
+// carveBlocks makes slab the block pool's current slab, carving every
+// block's branch list from one backing array.
+func (p *pools) carveBlocks(slab []FetchBlock) {
+	n := p.branchesPerBlock
+	branches := make([]blockBranch, len(slab)*n)
+	for i := range slab {
+		slab[i].Branches = branches[i*n : i*n : (i+1)*n]
 	}
+	p.blockSlab = slab
 }
 
 func (p *pools) putBlock(b *FetchBlock) {

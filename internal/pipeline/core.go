@@ -7,6 +7,7 @@ import (
 	"teasim/internal/emu"
 	"teasim/internal/isa"
 	"teasim/internal/mem"
+	"teasim/internal/slab"
 	"teasim/internal/telemetry"
 	"teasim/tea/spec"
 )
@@ -44,9 +45,10 @@ type Core struct {
 	// Frontend pipe: fetched uops waiting to become rename-ready.
 	frontQ queue[*Uop]
 
-	// Rename state.
+	// Rename state. PRF points at prf, which lives inline.
 	rat [isa.NumRegs]uint16
 	PRF *PRF
+	prf PRF
 	rob queue[*Uop]
 
 	// Backend. rs keeps insertion order for flush walks; it is compacted
@@ -132,7 +134,7 @@ type Core struct {
 	// dec is the program's predecoded template table (the decoded-block
 	// cache). codeBase/codeEnd bound the code segment for the
 	// self-modifying-store assertion.
-	dec      *emu.Decoded
+	dec      emu.Decoded
 	codeBase uint64
 	codeEnd  uint64
 
@@ -171,6 +173,11 @@ var tableIIPRegs = spec.DefaultTEA().PRPartition
 
 // New builds a core for prog with the given configuration. A fresh memory
 // image is initialized from the program's data segments.
+//
+// Every structure the configuration bounds is sized here, and the lists of
+// one element type are carved from one backing array (internal/slab), so
+// building a core costs a fixed handful of allocations whatever the machine,
+// and a running core allocates only if a pool outgrows its in-flight bound.
 func New(cfg Config, prog *isa.Program) *Core {
 	teaRegs := tableIIPRegs
 	if t := cfg.Companion.TEA; t != nil {
@@ -183,7 +190,6 @@ func New(cfg Config, prog *isa.Program) *Core {
 		Hier:       mem.NewHierarchy(cfg.Memory),
 		BP:         bpred.NewWithConfig(cfg.Predictor),
 		streamPC:   prog.Entry,
-		PRF:        NewPRF(cfg.NumPRegs, teaRegs),
 		mainRSCap:  cfg.RSSize,
 		teaPRBase:  cfg.NumPRegs,
 		teaPRCount: teaRegs,
@@ -193,8 +199,8 @@ func New(cfg Config, prog *isa.Program) *Core {
 		codeBase:   prog.CodeBase,
 		codeEnd:    prog.CodeEnd(),
 	}
-	c.initQueues()
-	c.initSched(cfg.NumPRegs + teaRegs)
+	c.PRF = &c.prf
+	c.carve(teaRegs)
 	for i := 0; i < isa.NumRegs; i++ {
 		c.rat[i] = uint16(i)
 	}
@@ -218,27 +224,64 @@ const companionReserve = 256
 // partition plus a dedicated companion engine's reservation.
 func rsBound(cfg *Config) int { return cfg.RSSize + companionReserve }
 
-// initQueues sizes every queue and list whose occupancy the configuration
-// bounds, so a warming-up core never grows one append by append.
-func (c *Core) initQueues() {
+// carve sizes every queue, list, scheduler array, register file and pool
+// whose occupancy the configuration bounds, so a warming-up core never
+// grows one append by append. Lists of one element type share a backing
+// array; each piece's capacity is clipped at its own end, so an append
+// past a bound reallocates that piece instead of overrunning its
+// neighbour.
+func (c *Core) carve(teaRegs int) {
 	cfg := &c.Cfg
-	c.fetchQ = newQueue[*FetchBlock](cfg.FetchQueueSize)
-	c.frontQ = newQueue[*Uop](cfg.FrontQCap)
-	c.rob = newQueue[*Uop](cfg.ROBSize)
-	c.sq = newQueue[*Uop](cfg.SQSize)
-	// Branch records live from prediction to retirement: in the fetch queue
-	// (about one per block), the frontend pipe and the ROB.
-	c.recList = newQueue[*BranchRec](cfg.FetchQueueSize + cfg.FrontQCap + cfg.ROBSize)
+	nPR := cfg.NumPRegs + teaRegs
+	// Scheduler slots cover the combined RS occupancy in whole bitmap
+	// words; every list of packed refs holds at most one ref per slot.
+	slots := (rsBound(cfg) + 63) &^ 63
 	// insertRS compacts rs once it passes twice the live count plus 64.
-	n := 2*rsBound(cfg) + 65
-	c.rs = make([]*Uop, 0, n)
-	c.rsStamps = make([]uint64, 0, n)
+	rsLen := 2*rsBound(cfg) + 65
 	// One completion-ring slot drains at most every uop in flight.
-	c.complScratch = make([]*Uop, 0, cfg.ROBSize+companionReserve)
+	complLen := cfg.ROBSize + companionReserve
+	// The pools' in-flight bounds: uops from fetch to retirement plus a
+	// companion's; branch records in the fetch queue (about one per
+	// block), the frontend pipe and the ROB; one block per fetch-queue
+	// entry.
+	uopBound := cfg.FrontQCap + cfg.ROBSize + companionReserve
+	recBound := cfg.FetchQueueSize + cfg.FrontQCap + cfg.ROBSize
+	blockBound := cfg.FetchQueueSize
+
+	uops := slab.New[*Uop](queueLen(cfg.FrontQCap) + queueLen(cfg.ROBSize) +
+		queueLen(cfg.SQSize) + rsLen + complLen + 2*slots + uopBound)
+	c.frontQ = newQueue(uops.Empty(queueLen(cfg.FrontQCap)))
+	c.rob = newQueue(uops.Empty(queueLen(cfg.ROBSize)))
+	c.sq = newQueue(uops.Empty(queueLen(cfg.SQSize)))
+	c.rs = uops.Empty(rsLen)
+	c.complScratch = uops.Empty(complLen)
+	c.candScratch = uops.Empty(slots)
+	c.teaCandScratch = uops.Empty(slots)
+	c.pool.uops = uops.Empty(uopBound)
+
+	blocks := slab.New[*FetchBlock](queueLen(cfg.FetchQueueSize) + blockBound)
+	c.fetchQ = newQueue(blocks.Empty(queueLen(cfg.FetchQueueSize)))
+	c.pool.blocks = blocks.Empty(blockBound)
+
+	recs := slab.New[*BranchRec](queueLen(recBound) + recBound)
+	c.recList = newQueue(recs.Empty(queueLen(recBound)))
+	c.pool.recs = recs.Empty(recBound)
+
+	words := slab.New[uint64](rsLen + slots/64 + 4*slots + nPR)
+	c.rsStamps = words.Empty(rsLen)
+	c.slotFree = words.Take(slots / 64)
+	c.readyList = words.Empty(slots)
+	c.sqParked = words.Empty(slots)
+	c.memParked = words.Empty(slots)
+	c.teaReadyList = words.Empty(slots)
+	c.prf.init(cfg.NumPRegs, words.Take(nPR), make([]bool, nPR),
+		make([]uint16, 0, max(cfg.NumPRegs-isa.NumRegs, 0)))
+
+	c.initSched(make([]schedSlot, slots), make([]int32, nPR))
 	// A decode re-steer waits two cycles; fetch files at most Width a
 	// cycle.
 	c.pendingRedirects = make([]pendingRedirect, 0, 3*cfg.Width)
-	c.pool.branchesPerBlock = cfg.MaxBlockInstrs
+	c.pool.init(uopBound, recBound, blockBound, cfg.MaxBlockInstrs)
 }
 
 // Attach connects a precomputation companion (TEA thread or runahead).

@@ -16,7 +16,7 @@ func (c *Core) predict() {
 	if c.streamStalled || c.Cycle < c.streamResumeAt || c.fetchQ.len() >= c.Cfg.FetchQueueSize {
 		return
 	}
-	dec := c.dec
+	dec := &c.dec
 	pc := c.streamPC
 	blk := c.pool.getBlock()
 	blk.StartPC, blk.SeqBase, blk.Cycle = pc, c.seq, c.Cycle

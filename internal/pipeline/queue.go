@@ -9,13 +9,14 @@ type queue[T any] struct {
 	head int
 }
 
-// newQueue returns a queue that never reallocates while at most bound
-// elements are queued at once. popFront compacts once head passes 64 and
-// half the buffer, so the buffer spans at most max(bound+64, 2*bound-1)
-// elements.
-func newQueue[T any](bound int) queue[T] {
-	return queue[T]{buf: make([]T, 0, 2*bound+65)}
-}
+// queueLen is the buffer a queue needs to never reallocate while at most
+// bound elements are queued at once: popFront compacts once head passes 64
+// and half the buffer, so the buffer spans at most max(bound+64,
+// 2*bound-1) elements.
+func queueLen(bound int) int { return 2*bound + 65 }
+
+// newQueue returns an empty queue over buf's capacity.
+func newQueue[T any](buf []T) queue[T] { return queue[T]{buf: buf[:0]} }
 
 func (q *queue[T]) len() int { return len(q.buf) - q.head }
 

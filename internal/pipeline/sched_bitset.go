@@ -67,32 +67,25 @@ const (
 	maxSlots = 1 << slotBits
 )
 
-// initSched sizes the slot array, the per-register waiter-list heads and
-// the scheduler's lists. Slots cover the worst-case combined RS occupancy
-// (main partition + a dedicated companion engine's reservation), rounded up
-// to whole bitmap words; the array grows on demand if a configuration
-// exceeds the estimate. Waiter lists are threaded through the slots
-// themselves, so they need no storage of their own. Every list that holds
-// packed refs is sized for the slot count: each live residency has exactly
-// one wakeup home, so only a configuration past the estimate grows them.
-func (c *Core) initSched(nPR int) {
-	n := (rsBound(&c.Cfg) + 63) &^ 63
-	c.slots = make([]schedSlot, n)
-	c.slotFree = make([]uint64, n/64)
+// initSched sets up the slot array and the per-register waiter-list heads
+// (carve sizes them and the scheduler's lists). Slots cover the worst-case
+// combined RS occupancy (main partition + a dedicated companion engine's
+// reservation), rounded up to whole bitmap words; the array grows on demand
+// if a configuration exceeds the estimate. Waiter lists are threaded
+// through the slots themselves, so they need no storage of their own. Every
+// list that holds packed refs is sized for the slot count: each live
+// residency has exactly one wakeup home, so only a configuration past the
+// estimate grows them.
+func (c *Core) initSched(slots []schedSlot, wHead []int32) {
+	c.slots = slots
 	for i := range c.slotFree {
 		c.slotFree[i] = ^uint64(0)
 	}
-	c.wHead = make([]int32, nPR)
+	c.wHead = wHead
 	for i := range c.wHead {
 		c.wHead[i] = noSlot
 	}
 	c.ageHead, c.ageTail = noSlot, noSlot
-	c.readyList = make([]uint64, 0, n)
-	c.sqParked = make([]uint64, 0, n)
-	c.memParked = make([]uint64, 0, n)
-	c.candScratch = make([]*Uop, 0, n)
-	c.teaReadyList = make([]uint64, 0, n)
-	c.teaCandScratch = make([]*Uop, 0, n)
 }
 
 // allocSlot takes the lowest free slot (pure simulator bookkeeping: slot

@@ -7,9 +7,8 @@ import "teasim/internal/isa"
 // Branch Runahead's loop-confined Backward Dataflow Walk. The captured chain
 // replaces any previous chain for the branch. Chains that exceed the uop
 // budget are discarded (prior work keeps chains lightweight by design).
-// Window positions count from the oldest entry; the walk allocates only the
-// chain it keeps, and its uops only when they differ from the stored
-// chain's.
+// Window positions count from the oldest entry; the walk reuses its scratch,
+// and the chain it keeps comes from the engine's chain pool.
 func (b *BR) capture(pc uint64) {
 	last, prev := -1, -1
 	for i := b.window.Len() - 1; i >= 0; i-- {
@@ -85,22 +84,20 @@ func (b *BR) capture(pc uint64) {
 	}
 
 	if nUops == 0 || nUops > b.Cfg.MaxChainUops {
-		delete(b.chains, pc)
+		if old := b.chains[pc]; old != nil {
+			delete(b.chains, pc)
+			b.unref(old)
+		}
 		return
 	}
-	// The chain struct is always fresh: in-flight instances of the stored
-	// chain read its disabled flag when they finish. Its uops never change
-	// after capture, so a recapture that reproduces them shares the slice.
-	ch := &chain{branchPC: pc}
-	if old := b.chains[pc]; old != nil && len(old.uops) == nUops && b.markedAre(old.uops, prev, last) {
-		ch.uops = old.uops
-	} else {
-		ch.uops = make([]chainUop, 0, nUops)
-		for i := prev + 1; i <= last; i++ {
-			if marked[i] {
-				e := b.window.At(i)
-				ch.uops = append(ch.uops, chainUop{pc: e.pc, in: e.in})
-			}
+	// The chain is always a different one from the stored chain: in-flight
+	// instances of the stored chain read its disabled flag when they
+	// finish (see chain.refs).
+	ch := b.newChain(pc)
+	for i := prev + 1; i <= last; i++ {
+		if marked[i] {
+			e := b.window.At(i)
+			ch.uops = append(ch.uops, chainUop{pc: e.pc, in: e.in})
 		}
 	}
 	var dests uint32
@@ -148,23 +145,9 @@ func (b *BR) capture(pc uint64) {
 		}
 	}
 
+	if old := b.chains[pc]; old != nil {
+		b.unref(old)
+	}
 	b.chains[pc] = ch
 	b.Stats.ChainsCaptured++
-}
-
-// markedAre reports whether the window entries marked in (prev, last] are
-// uops, in order; the caller has checked that len(uops) entries are marked.
-func (b *BR) markedAre(uops []chainUop, prev, last int) bool {
-	k := 0
-	for i := prev + 1; i <= last; i++ {
-		if !b.marked[i] {
-			continue
-		}
-		e := b.window.At(i)
-		if uops[k] != (chainUop{pc: e.pc, in: e.in}) {
-			return false
-		}
-		k++
-	}
-	return true
 }

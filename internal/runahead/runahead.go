@@ -29,6 +29,7 @@ import (
 	"teasim/internal/isa"
 	"teasim/internal/pipeline"
 	"teasim/internal/ring"
+	"teasim/internal/slab"
 	"teasim/internal/telemetry"
 	"teasim/tea/spec"
 )
@@ -76,6 +77,9 @@ type chainUop struct {
 	in *isa.Inst
 }
 
+// chain is one captured dependence chain. Its uops buffer is its own, with
+// room for the largest chain a capture keeps, so a recycled chain is
+// refilled in place.
 type chain struct {
 	branchPC     uint64
 	uops         []chainUop
@@ -84,6 +88,12 @@ type chain struct {
 	disabled     bool
 	wrongStreak  int
 	sinceCap     int
+	// refs counts what still reaches the chain: its b.chains slot and every
+	// live instance running it. In-flight instances read their own
+	// chain's disabled flag when they finish, so a recaptured branch gets a
+	// new chain; the old one returns to the free list only once refs is 0,
+	// when nothing can observe its reuse.
+	refs int
 }
 
 // instance is one chain execution in flight on the engine. tag is the
@@ -141,8 +151,12 @@ type BR struct {
 	Cfg  spec.Runahead
 	core *pipeline.Core
 
-	h2p    *core.H2PTable
+	h2p    core.H2PTable
 	chains map[uint64]*chain
+	// freeChains holds chains no slot or instance references (see
+	// chain.refs); chainUops is each chain's uop capacity.
+	freeChains []*chain
+	chainUops  int
 
 	// Retired-instruction window for chain capture (HistSize entries).
 	window ring.Ring[winEntry]
@@ -153,7 +167,8 @@ type BR struct {
 	chainPCs map[uint64]bool
 
 	// Dedicated engine state. Instances are pooled: finished and truncated
-	// ones go back on free, and spawns is Tick's reused scratch list.
+	// ones go back on free, and spawns is Tick's reused scratch list. New
+	// sizes all three, and the chain pool, at their bounds.
 	instances []*instance
 	free      []*instance
 	spawns    []*instance
@@ -191,26 +206,80 @@ type winEntry struct {
 
 // New builds a Branch Runahead engine and attaches it to the core. It
 // identifies H2P branches with TEA's Table II table and decay period.
+//
+// The engine's pools are sized here. At most MaxInstances instances are
+// live between ticks, and a tick's spawns (one per instance at most) can
+// double that until the tick truncates them. A capture runs between ticks,
+// so the chains live then are the table's, one per surviving instance, and
+// the one being captured. A chain's uops fit in both the uop budget and
+// the capture window, and an instance's private store buffer starts with
+// room for one store per chain uop (a spawn inherits its parent's stores,
+// so a long lineage can outgrow it). Squashable branch instances are at
+// most the core's in-flight branch records. The maps are sized for the
+// chain table, a chain's uops, and the H2P table's branches.
 func New(cfg spec.Runahead, c *pipeline.Core) *BR {
 	h2p := spec.DefaultTEA()
+	chainUops := min(cfg.MaxChainUops, cfg.HistSize)
+	tracked := h2p.H2PSets * h2p.H2PWays
 	b := &BR{
 		Cfg:       cfg,
 		core:      c,
 		h2p:       core.NewH2PTable(h2p.H2PSets, h2p.H2PWays, h2p.H2PMax, h2p.H2PThreshold),
-		chains:    make(map[uint64]*chain),
-		memSrc:    make(map[uint64]bool),
-		chainPCs:  make(map[uint64]bool),
-		queues:    make(map[uint64][]qEntry),
-		specIdx:   make(map[uint64]uint64),
-		retireIdx: make(map[uint64]uint64),
+		chains:    make(map[uint64]*chain, cfg.MaxChains),
+		memSrc:    make(map[uint64]bool, chainUops),
+		chainPCs:  make(map[uint64]bool, chainUops),
+		queues:    make(map[uint64][]qEntry, cfg.MaxChains),
+		specIdx:   make(map[uint64]uint64, tracked),
+		retireIdx: make(map[uint64]uint64, tracked),
 		nextDecay: h2p.H2PDecayPeriod,
 		window:    ring.New[winEntry](cfg.HistSize),
+		chainUops: chainUops,
 	}
 	if cfg.HistSize > 0 {
 		b.marked = make([]bool, cfg.HistSize)
 	}
+	nIns := 2 * cfg.MaxInstances
+	inss := make([]instance, nIns)
+	ptrs := slab.New[*instance](3*nIns + cfg.MaxInstances)
+	b.instances, b.spawns, b.free = ptrs.Empty(nIns), ptrs.Empty(cfg.MaxInstances), ptrs.Empty(nIns)
+	stores := slab.New[storeEntry](nIns * b.chainUops)
+	for i := range inss {
+		inss[i].stores = stores.Empty(b.chainUops)
+		b.free = append(b.free, &inss[i])
+	}
+	nChains := cfg.MaxChains + cfg.MaxInstances + 1
+	chains := make([]chain, nChains)
+	uops := slab.New[chainUop](nChains * b.chainUops)
+	b.freeChains = make([]*chain, 0, nChains)
+	for i := range chains {
+		chains[i].uops = uops.Empty(b.chainUops)
+		b.freeChains = append(b.freeChains, &chains[i])
+	}
+	cc := &c.Cfg
+	b.specLog = make([]popRec, 0, cc.FetchQueueSize+cc.FrontQCap+cc.ROBSize)
 	c.Attach(b)
 	return b
+}
+
+// newChain takes a chain from the pool (or allocates one), reset to an
+// empty chain for the branch at pc held by its table slot.
+func (b *BR) newChain(pc uint64) *chain {
+	var ch *chain
+	if n := len(b.freeChains); n > 0 {
+		ch = b.freeChains[n-1]
+		b.freeChains = b.freeChains[:n-1]
+	} else {
+		ch = &chain{uops: make([]chainUop, 0, b.chainUops)}
+	}
+	*ch = chain{branchPC: pc, uops: ch.uops[:0], refs: 1}
+	return ch
+}
+
+// unref drops one reference to ch, returning it to the pool at the last.
+func (b *BR) unref(ch *chain) {
+	if ch.refs--; ch.refs == 0 {
+		b.freeChains = append(b.freeChains, ch)
+	}
 }
 
 // newInstance takes an instance from the pool (or allocates one), reset to
@@ -224,11 +293,13 @@ func (b *BR) newInstance(ch *chain, tag uint64, regs *[isa.NumRegs]uint64, ready
 		ins = new(instance)
 	}
 	*ins = instance{ch: ch, tag: tag, regs: *regs, readyAt: readyAt, stores: ins.stores[:0]}
+	ch.refs++
 	return ins
 }
 
 // release returns an instance that left the engine to the pool.
 func (b *BR) release(ins *instance) {
+	b.unref(ins.ch)
 	ins.ch = nil
 	b.free = append(b.free, ins)
 }
@@ -401,7 +472,9 @@ func (b *BR) accountBranch(rec *pipeline.BranchRec) {
 				if ch.wrongStreak >= b.Cfg.DisableAfter && !ch.disabled {
 					ch.disabled = true
 					b.Stats.ChainsDisabled++
-					delete(b.queues, rec.PC)
+					// Empty the queue but keep its buffer for the
+					// branch's next chain.
+					b.queues[rec.PC] = b.queues[rec.PC][:0]
 				}
 			}
 		}

@@ -16,39 +16,17 @@ type graph struct {
 // (Kronecker-flavoured endpoint selection, like the GAP generator's output
 // shape): most vertices have near-average degree, a few act as hubs.
 func genGraph(n, avgDeg int, seed uint64) *graph {
-	r := newRng(seed)
-	adj := make([][]uint64, n)
 	m := n * avgDeg
-	for e := 0; e < m; e++ {
-		u := skewedVertex(r, n)
-		v := skewedVertex(r, n)
-		if u == v {
-			continue
-		}
-		adj[u] = append(adj[u], uint64(v))
-	}
-	g := &graph{n: n, offs: make([]uint64, n+1)}
-	for u := 0; u < n; u++ {
-		ns := adj[u]
-		slices.Sort(ns)
-		// Deduplicate (parallel edges skew triangle counting).
-		ded := ns[:0]
-		var prev uint64 = ^uint64(0)
-		for _, v := range ns {
-			if v != prev {
-				ded = append(ded, v)
-				prev = v
+	return buildCSR(n, func(add func(u, v int)) {
+		r := newRng(seed)
+		for e := 0; e < m; e++ {
+			u := skewedVertex(r, n)
+			v := skewedVertex(r, n)
+			if u != v {
+				add(u, v)
 			}
 		}
-		g.nbrs = append(g.nbrs, ded...)
-		g.offs[u+1] = uint64(len(g.nbrs))
-	}
-	g.w = make([]uint64, len(g.nbrs))
-	wr := newRng(seed ^ 0xABCD)
-	for i := range g.w {
-		g.w[i] = uint64(wr.intn(15)) + 1
-	}
-	return g
+	}, seed^0xABCD)
 }
 
 // skewedVertex picks a vertex with a power-law-ish bias: a few repeated
@@ -63,34 +41,58 @@ func skewedVertex(r *rng, n int) int {
 
 // undirected returns g with every edge mirrored (needed by bfs/cc/bc).
 func undirected(g *graph) *graph {
-	adj := make([][]uint64, g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.nbrs[g.offs[u]:g.offs[u+1]] {
-			adj[u] = append(adj[u], v)
-			adj[int(v)] = append(adj[int(v)], uint64(u))
+	return buildCSR(g.n, func(add func(u, v int)) {
+		for u := 0; u < g.n; u++ {
+			for _, v := range g.nbrs[g.offs[u]:g.offs[u+1]] {
+				add(u, int(v))
+				add(int(v), u)
+			}
 		}
+	}, 0xBEEF)
+}
+
+// buildCSR builds the graph of n vertices whose edges the edges function
+// streams to add, in three flat arrays: it streams them twice, once to
+// count each vertex's degree and once to scatter each edge into its
+// vertex's slots, then sorts each vertex's neighbours and drops parallel
+// edges (they skew triangle counting) in place. Edge weights are drawn
+// from an rng seeded with wseed, one per kept edge in CSR order.
+func buildCSR(n int, edges func(add func(u, v int)), wseed uint64) *graph {
+	offs := make([]uint64, n+1)
+	edges(func(u, _ int) { offs[u+1]++ })
+	for u := 0; u < n; u++ {
+		offs[u+1] += offs[u]
 	}
-	out := &graph{n: g.n, offs: make([]uint64, g.n+1)}
-	for u := 0; u < g.n; u++ {
-		ns := adj[u]
+	nbrs := make([]uint64, offs[n])
+	next := make([]uint64, n)
+	copy(next, offs[:n])
+	edges(func(u, v int) {
+		nbrs[next[u]] = uint64(v)
+		next[u]++
+	})
+	// Compact toward the front: the write cursor never passes the read one.
+	kept, lo := 0, 0
+	for u := 0; u < n; u++ {
+		hi := int(offs[u+1])
+		ns := nbrs[lo:hi]
 		slices.Sort(ns)
-		ded := ns[:0]
-		var prev uint64 = ^uint64(0)
+		prev := ^uint64(0)
 		for _, v := range ns {
 			if v != prev {
-				ded = append(ded, v)
+				nbrs[kept] = v
+				kept++
 				prev = v
 			}
 		}
-		out.nbrs = append(out.nbrs, ded...)
-		out.offs[u+1] = uint64(len(out.nbrs))
+		lo = hi
+		offs[u+1] = uint64(kept)
 	}
-	out.w = make([]uint64, len(out.nbrs))
-	wr := newRng(0xBEEF)
-	for i := range out.w {
-		out.w[i] = uint64(wr.intn(15)) + 1
+	g := &graph{n: n, offs: offs, nbrs: nbrs[:kept], w: make([]uint64, kept)}
+	wr := newRng(wseed)
+	for i := range g.w {
+		g.w[i] = uint64(wr.intn(15)) + 1
 	}
-	return out
+	return g
 }
 
 // graphScale maps a workload scale to (vertices, average degree).

@@ -11,18 +11,30 @@ import (
 
 // maxSteadyAllocsPerKinstr is the core's allocation standard: the heap
 // allocations each shootout kind may make per simulated kilo-instruction
-// once a cell is past its set-up. The core's own warm-up allocates almost
-// nothing (its structures are sized in pipeline.New); what remains is
-// Branch Runahead's per-capture chains, 2.3–2.5 on exchange2 since a
-// recapture that reproduces the stored chain shares its uops.
-const maxSteadyAllocsPerKinstr = 3
+// once a cell is past its set-up. Every kind reads 0 on mcf and exchange2:
+// the core, the TEA thread and Branch Runahead size every structure and
+// pool when they are built, and Branch Runahead recycles its chains.
+const maxSteadyAllocsPerKinstr = 0.1
+
+// maxCellAllocs bounds the allocations of a whole 20k-instruction mcf cell
+// of each shootout kind (the counts logged below): building the core and
+// its companion, running it, and reporting its Result.
+var maxCellAllocs = map[spec.CompanionKind]uint64{
+	spec.CompanionNone:      31,
+	spec.CompanionTEA:       44,
+	spec.CompanionRunahead:  68,
+	spec.CompanionBullseye:  49,
+	spec.CompanionLDBP:      60,
+	spec.CompanionTwoWindow: 33,
+}
 
 // TestCompanionSteadyStateAllocs is an allocation tripwire for every
 // shootout kind. A cell's set-up allocates the same whatever its budget, so
 // the mallocs of a 120k-instruction run minus those of a 20k run are the
 // steady-state allocations of 100k simulated instructions. mcf is a
-// representative SPEC kernel; exchange2 is the kernel where Branch
-// Runahead's engine launches the most chain instances.
+// representative SPEC kernel, and its 20k-instruction cell is held to its
+// count; exchange2 is the kernel where Branch Runahead's engine launches the
+// most chain instances.
 //
 // The counts are process-wide, so the test holds them to the run's own
 // allocations: with the collector off no sync.Pool is emptied and refilled
@@ -55,8 +67,12 @@ func TestCompanionSteadyStateAllocs(t *testing.T) {
 			per := (float64(long) - float64(short)) / 100
 			t.Logf("%-9s %-9s %5d mallocs at 20k, %5d at 120k: %5.2f allocs/kinstr", wl, kind, short, long, per)
 			if per > maxSteadyAllocsPerKinstr {
-				t.Errorf("%s/%s: %.1f allocs/kinstr in steady state, want <= %d",
+				t.Errorf("%s/%s: %.2f allocs/kinstr in steady state, want <= %g",
 					wl, kind, per, maxSteadyAllocsPerKinstr)
+			}
+			if limit, ok := maxCellAllocs[kind]; wl == "mcf" && (!ok || short > limit) {
+				t.Errorf("%s/%s: %d allocations in a 20k-instruction cell, want <= %d",
+					wl, kind, short, limit)
 			}
 		}
 	}

@@ -38,43 +38,65 @@ func (c Config) ResolvedSpec() (spec.MachineSpec, error) {
 
 // SpecFingerprint returns the resolved spec's canonical fingerprint — the
 // machine-identity half of an Engine memoization key and the provenance hash
-// stamped into Result.SpecHash. A preset point's fingerprint (no Spec, no
-// Set: the Mode alone names the machine) is resolved once per process and
-// then served from a cache, so deriving its memo key does not allocate;
-// configs with a Spec or Set patches resolve on every call.
+// stamped into Result.SpecHash. A preset point's fingerprint is served from
+// the preset-point cache (see resolve), so deriving its memo key does not
+// allocate; configs with a Spec or Set patches resolve on every call.
 func (c Config) SpecFingerprint() (uint64, error) {
-	cacheable := c.Spec == nil && len(c.Set) == 0
-	if cacheable {
-		presetFingerprints.mu.Lock()
-		fp, ok := presetFingerprints.m[c.Mode.orBaseline()]
-		presetFingerprints.mu.Unlock()
-		if ok {
-			return fp, nil
+	_, fp, err := c.resolve()
+	return fp, err
+}
+
+// resolve returns the machine this configuration simulates and its
+// fingerprint. A preset point (no Spec, no Set: the Mode alone names the
+// machine) is resolved, validated and hashed once per process and then
+// served from a cache, so every cell of that point shares one spec: callers
+// must only read it (the simulator packages copy or read their sections,
+// and tea/shared_program_test.go runs every kind on it from eight
+// goroutines under -race). Other configs resolve on every call.
+func (c Config) resolve() (*spec.MachineSpec, uint64, error) {
+	if c.Spec != nil || len(c.Set) > 0 {
+		s, err := c.ResolvedSpec()
+		if err != nil {
+			return nil, 0, err
 		}
+		return &s, s.Fingerprint(), nil
+	}
+	m := c.Mode.orBaseline()
+	presetPoints.mu.Lock()
+	p := presetPoints.m[m]
+	presetPoints.mu.Unlock()
+	if p != nil {
+		return &p.spec, p.fp, nil
 	}
 	s, err := c.ResolvedSpec()
 	if err != nil {
-		return 0, err // never cached: every call reports it
+		return nil, 0, err // never cached: every call reports it
 	}
-	fp := s.Fingerprint()
-	if cacheable {
-		presetFingerprints.mu.Lock()
-		presetFingerprints.m[c.Mode.orBaseline()] = fp
-		presetFingerprints.mu.Unlock()
+	presetPoints.mu.Lock()
+	defer presetPoints.mu.Unlock()
+	if p = presetPoints.m[m]; p == nil {
+		p = &presetPoint{spec: s, fp: s.Fingerprint()}
+		presetPoints.m[m] = p
 	}
-	return fp, nil
+	return &p.spec, p.fp, nil
 }
 
-// presetFingerprints caches SpecFingerprint by Mode for the life of the
-// process. Entries never go stale because presets are immutable once
-// registered (spec.Register), and there is at most one per registered preset
-// (an unknown Mode fails to resolve and is never cached), so the map needs
-// no bound. TestPresetPointCoversConfig fails when ResolvedSpec starts
-// reading a Config field other than Mode, Spec and Set.
-var presetFingerprints = struct {
+// presetPoint is one preset point's resolved spec and its fingerprint.
+type presetPoint struct {
+	spec spec.MachineSpec
+	fp   uint64
+}
+
+// presetPoints caches resolve by Mode for the life of the process. Entries
+// never go stale because presets are immutable once registered
+// (spec.Register), and there is at most one per registered preset (an
+// unknown Mode fails to resolve and is never cached), so the map needs no
+// bound. TestPresetPointCoversConfig fails when ResolvedSpec starts reading
+// a Config field other than Mode, Spec and Set.
+var presetPoints = struct {
 	mu sync.Mutex
-	m  map[Mode]uint64
-}{m: map[Mode]uint64{}}
+	m  map[Mode]*presetPoint
+}{m: map[Mode]*presetPoint{}}
 
 // machineName names the configured machine point for error messages.
 func (c Config) machineName() string {

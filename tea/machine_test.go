@@ -343,9 +343,9 @@ func TestSpecFingerprintConcurrent(t *testing.T) {
 		want[i] = fp
 	}
 
-	presetFingerprints.mu.Lock()
-	clear(presetFingerprints.m)
-	presetFingerprints.mu.Unlock()
+	presetPoints.mu.Lock()
+	clear(presetPoints.m)
+	presetPoints.mu.Unlock()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

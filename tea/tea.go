@@ -247,14 +247,14 @@ func runContext(ctx context.Context, workload string, cfg Config,
 	if !ok {
 		return Result{}, fmt.Errorf("tea: unknown workload %q (see tea.Workloads)", workload)
 	}
-	machine, err := cfg.ResolvedSpec()
+	machine, fp, err := cfg.resolve()
 	if err != nil {
 		return Result{}, err
 	}
-	mode := cfg.label(&machine)
+	mode := cfg.label(machine)
 	prog := program(w, cfg.Scale)
 
-	pcfg := pipeline.ConfigFromSpec(&machine)
+	pcfg := pipeline.ConfigFromSpec(machine)
 	pcfg.CoSim = cfg.CoSim
 	pcfg.NoIdleSkip = cfg.DisableIdleSkip
 	pcfg.MaxInstructions = cfg.MaxInstructions
@@ -292,7 +292,7 @@ func runContext(ctx context.Context, workload string, cfg Config,
 
 	// Build whatever companion the spec names through the factory registry
 	// (tea/companions.go links every known companion package).
-	inst, err := companion.New(&machine, c, companion.Options{Paranoia: cfg.Paranoia})
+	inst, err := companion.New(machine, c, companion.Options{Paranoia: cfg.Paranoia})
 	if err != nil {
 		return Result{}, fmt.Errorf("tea: %s/%s: %w", workload, mode, err)
 	}
@@ -318,7 +318,7 @@ func runContext(ctx context.Context, workload string, cfg Config,
 	res := Result{
 		Workload:        workload,
 		Mode:            mode,
-		SpecHash:        machine.FingerprintString(),
+		SpecHash:        Fingerprint(fp).String(),
 		Cycles:          c.Stats.Cycles,
 		Instructions:    c.Stats.Retired,
 		IPC:             c.Stats.IPC(),

@@ -111,7 +111,7 @@ profile-cpu:
 	@echo "inspect with: go tool pprof -top cpu.pprof"
 
 profile-mem:
-	$(GO) run ./cmd/teaexp -exp fig5 -n 200000 -memprofile mem.pprof
+	$(GO) run ./cmd/teaexp -exp shootout -n 100000 -memprofile mem.pprof
 	@echo "inspect with: go tool pprof -top -sample_index=alloc_objects mem.pprof"
 
 clean:

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"testing"
 	"testing/quick"
+
+	"teasim/internal/isa"
 )
 
 func TestQueueBasics(t *testing.T) {
@@ -96,7 +98,8 @@ func TestQueueCompactionReusesStorage(t *testing.T) {
 }
 
 func TestPRFPartitionCap(t *testing.T) {
-	p := NewPRF(64, 16)
+	var p PRF
+	p.init(64, make([]uint64, 80), make([]bool, 80), make([]uint16, 0, 64-isa.NumRegs))
 	// 32 arch regs are pre-allocated; cap of 40 leaves 8 allocatable.
 	p.SetMainCap(40)
 	var got []uint16
